@@ -11,15 +11,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from srofdm import __version__, theory
-from srofdm.channel import ChannelConfig
+from srofdm.channel import ChannelConfig, composite_tap_count
 from srofdm.harness import (
+    SWEEP_AXES,
     Scenario,
+    ScenarioError,
     SweepSpec,
     apply_axis,
     run_sweep,
@@ -35,12 +38,15 @@ CSV_HEADER = (
 EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2
 
 
-class ScenarioError(ValueError):
-    """Configuration problem; reported with file and line context."""
+def _finite(text) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 _SCENARIO_KEYS = {
-    # key: (parser, default)
+    # key: (parser, default); 'auto', 'none' or an empty value selects a None default
     "n": (int, 64),
     "n_cp": (int, 16),
     "n_pilot": (int, 8),
@@ -48,21 +54,21 @@ _SCENARIO_KEYS = {
     "m_c": (int, 8),
     "t_preamble": (int, 2),
     "n_max": (int, 10),
-    "noise_dbm": (float, -80.0),
-    "direct_snr_db": (float, 20.0),
-    "backscatter_snr_db": (float, None),
+    "noise_dbm": (_finite, -80.0),
+    "direct_snr_db": (_finite, 20.0),
+    "backscatter_snr_db": (_finite, None),
     "sync_error": (int, 0),
     "l_d": (int, 4),
     "l_1": (int, 1),
     "l_2": (int, 2),
     "delay_b": (int, 1),
-    "dist_direct": (float, 200.0),
-    "dist_fwd": (float, 3.83),
-    "dist_bwd": (float, None),  # 'auto' keeps the collinear default
-    "exp_direct": (float, 2.5),
-    "exp_fwd": (float, 2.0),
-    "exp_bwd": (float, 2.0),
-    "pathloss_ref": (float, 1e-3),
+    "dist_direct": (_finite, 200.0),
+    "dist_fwd": (_finite, 3.83),
+    "dist_bwd": (_finite, None),  # 'auto' keeps the collinear default
+    "exp_direct": (_finite, 2.5),
+    "exp_fwd": (_finite, 2.0),
+    "exp_bwd": (_finite, 2.0),
+    "pathloss_ref": (_finite, 1e-3),
     "direct_model": (str, "rayleigh"),
     "backscatter_model": (str, "cascade"),
     "preamble": (str, None),  # comma list of complex values
@@ -88,8 +94,8 @@ def parse_scenario_text(text: str, origin: str = "<scenario>") -> dict:
             raise ScenarioError(f"{origin}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ScenarioError(f"{origin}:{lineno}: duplicate key {key!r}")
-        parser, _ = _SCENARIO_KEYS[key]
-        if val.lower() in ("auto", "none", ""):
+        parser, default = _SCENARIO_KEYS[key]
+        if default is None and val.lower() in ("auto", "none", ""):
             values[key] = None
             continue
         try:
@@ -153,7 +159,7 @@ def resolve_scenario(values: dict):
             chan=chan,
             direct_snr_db=get("direct_snr_db"),
             backscatter_snr_db=get("backscatter_snr_db"),
-            sync_error=get("sync_error") or 0,
+            sync_error=get("sync_error"),
         )
         scenario.validate()
     except ValueError as exc:
@@ -174,20 +180,22 @@ def parse_points(spec: str) -> tuple:
     """'start:stop:step' (endpoints inclusive within half a step) or a comma
     list of values."""
     spec = str(spec).strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
+    ranged = ":" in spec
+    try:
+        values = [_finite(tok) for tok in spec.split(":" if ranged else ",") if tok.strip()]
+    except ValueError as exc:
+        raise ScenarioError(f"bad points {spec!r}: {exc}") from None
+    if ranged:
+        if len(values) != 3:
             raise ScenarioError(f"bad point range {spec!r}, want start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = values
         if step <= 0:
             raise ScenarioError("point range step must be positive")
         count = int(np.floor((stop - start) / step + 0.5)) + 1
-        pts = start + step * np.arange(count)
-        return tuple(float(p) for p in pts if p <= stop + step / 2)
-    try:
-        return tuple(float(tok) for tok in spec.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ScenarioError(f"bad point list {spec!r}: {exc}") from None
+        values = [float(p) for p in start + step * np.arange(count) if p <= stop + step / 2]
+    if not values:
+        raise ScenarioError(f"no points in {spec!r}")
+    return tuple(values)
 
 
 def _fmt(x) -> str:
@@ -254,9 +262,9 @@ def cmd_sweep(args) -> int:
         axis=axis, points=tuple(points), trials_per_point=trials,
         receivers=receivers, with_theory=with_theory,
     )
+    curves = run_sweep(spec, scenario, master_seed=seed, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    curves = run_sweep(spec, scenario, master_seed=seed, workers=args.workers)
 
     moments = theory.qam_moments(scenario.system.m_s)
     outputs, digests = {}, {}
@@ -325,25 +333,19 @@ def cmd_theory(args) -> int:
             )
         emit(f"avg_secondary_lb{l_b}", rows)
 
-    # fixed-point secondary curves at the expected backscatter energy
-    taps = max(scenario.chan.l_d, scenario.chan.l_b + scenario.chan.d_b)
+    # fixed-point secondary curves at the expected backscatter energy: one unit
+    # tap with P / sigma^2 set to the axis value
+    taps = composite_tap_count(scenario.chan)
+    unit_tap = np.ones(1)
     rows15, rows1, rows2 = [], [], []
     for db in gamma_grid:
-        gbar = 10 ** (db / 10.0)
-        hb2 = gbar  # P ||H_b||^2 / sigma^2 expressed directly by the axis
-        cfg = system
-        e = hb2
-        snr15 = e / moments.gamma1
-        b15 = theory.ber_psk_from_snr(snr15, cfg.m_c)
-        g1 = e / (2 * moments.gamma1 + cfg.n * (2 * moments.gamma1**2 + moments.gamma2) / (4 * e))
-        g2 = e / (2 + 3 * taps / (4 * e))
+        point = replace(system, p_t=10 ** (db / 10.0), sigma2=1.0)
+        b15 = theory.ber_secondary_perfect(unit_tap, point, moments)
+        b1 = theory.ber_psk_from_snr(theory.snr_secondary_method1(unit_tap, point, moments), system.m_c)
+        b2 = theory.ber_psk_from_snr(theory.snr_secondary_method2(unit_tap, point, taps), system.m_c)
         rows15.append(f"{_fmt(db)},theory_secondary_perfect,perfect,,,,,,{_fmt(b15)}")
-        rows1.append(
-            f"{_fmt(db)},theory_secondary_m1,estimated,,,,,,{_fmt(theory.ber_psk_from_snr(g1, cfg.m_c))}"
-        )
-        rows2.append(
-            f"{_fmt(db)},theory_secondary_m2,estimated,,,,,,{_fmt(theory.ber_psk_from_snr(g2, cfg.m_c))}"
-        )
+        rows1.append(f"{_fmt(db)},theory_secondary_m1,estimated,,,,,,{_fmt(b1)}")
+        rows2.append(f"{_fmt(db)},theory_secondary_m2,estimated,,,,,,{_fmt(b2)}")
     emit("secondary_perfect", rows15)
     emit("secondary_m1", rows1)
     emit("secondary_m2", rows2)
@@ -400,9 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("scenario", nargs="?", default="paper_default",
                        help="scenario file path or bundled name")
-        p.add_argument("--axis", choices=(
-            "direct_snr_db", "snr_ratio_db", "stx_distance_m",
-            "sync_error_samples", "backscatter_snr_db"), default=None)
+        p.add_argument("--axis", choices=tuple(SWEEP_AXES), default=None)
         p.add_argument("--points", default=None, help="start:stop:step or comma list")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--quiet", action="store_true")

@@ -5,13 +5,17 @@ trial_index), so results are bit-identical for any chunking or worker count.
 Trials are drawn per stream but processed in vectorized blocks: tap vectors,
 symbol indices and noise are stacked and the whole receive/detect chain runs
 batched through numpy.
+
+`RECEIVERS` is a table of `ReceiverSpec` entries, one per curve: its CSI
+label, its detector and the closed-form companions the paper pairs with it.
+Adding a receiver means adding one entry.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,11 +27,7 @@ from srofdm.channel import (
     realization_from_taps,
 )
 from srofdm.numerics import RandomStream, draw_cn
-from srofdm.receiver import (
-    DetectionOutput,
-    run_algorithm1,
-    run_ml_benchmark,
-)
+from srofdm.receiver import run_algorithm1, run_ml_benchmark
 from srofdm.txchain import (
     FrameObservation,
     SystemConfig,
@@ -39,7 +39,9 @@ from srofdm.txchain import (
 
 __all__ = [
     "RECEIVERS",
+    "ReceiverSpec",
     "Scenario",
+    "ScenarioError",
     "SweepSpec",
     "PointResult",
     "BerCurve",
@@ -52,35 +54,101 @@ __all__ = [
 
 CHUNK_TRIALS = 256  # fixed block size; results never depend on it
 
-SWEEP_AXES = (
-    "direct_snr_db",
-    "snr_ratio_db",
-    "stx_distance_m",
-    "sync_error_samples",
-    "backscatter_snr_db",
-)
+# each sweep axis, with the channel models whose gain it sets or scales: with
+# such a model at "none" the axis would divide by a zero gain or do nothing
+SWEEP_AXES = {
+    "direct_snr_db": ("direct_model",),
+    "snr_ratio_db": ("direct_model", "backscatter_model"),
+    "stx_distance_m": (),
+    "sync_error_samples": (),
+    "backscatter_snr_db": ("backscatter_model",),
+}
 
-# receiver registry: how each curve runs the detector and which analytic
-# companions belong to it (None = the paper gives no closed form there)
+
+class ScenarioError(ValueError):
+    """Configuration problem: a bad scenario value, or an axis the scenario
+    cannot sweep."""
+
+
+def _algorithm1(method: str = "method2", **flags):
+    # run_algorithm1 is looked up at call time, so a wrapper installed on the
+    # module name (a profiler's, say) sees every call
+    return lambda obs, system, taps, detect_c: run_algorithm1(
+        obs, system, method, taps=taps, detect_c=detect_c, **flags
+    )
+
+
+def _ml(csi: str, pilot_structure: bool = True):
+    def detect(obs, system, taps, detect_c):
+        out = run_ml_benchmark(obs, system, csi=csi, pilot_structure=pilot_structure, taps=taps)
+        return out if detect_c else replace(out, c_hat=None)
+    return detect
+
+
+# Closed-form companions, conditioned on the drawn realizations (the analytic
+# curve is the average of per-realization evaluations over exactly the
+# simulated channels). Each returns the chunk's sums under the CSV's theory
+# keys, or nothing where its formula does not apply.
+def _primary_perfect(obs, system, taps):
+    real = obs.realization
+    ser, ber = theory.primary_rates_perfect(real.H_d, real.H_b, system, c_values=obs.c_values)
+    return {"primary_ser_theory": float(np.sum(ser)), "primary_ber_theory": float(np.sum(ber))}
+
+
+def _primary_estimated(obs, system, taps):
+    if system.n_p < taps:  # the comb cannot resolve the composite response
+        return {}
+    real = obs.realization
+    ser, ber = theory.primary_rates_estimated(
+        real.H_d, real.H_b, system, taps, c_values=obs.c_values
+    )
+    return {"primary_ser_theory": float(np.sum(ser)), "primary_ber_theory": float(np.sum(ber))}
+
+
+def _secondary_perfect(obs, system, taps):  # eq. 15, the lower bound
+    ber = theory.ber_secondary_perfect(obs.realization.H_b, system)
+    return {"secondary_ber_theory": float(np.sum(ber))}
+
+
+def _secondary_method1(obs, system, taps):
+    snr = theory.snr_secondary_method1(obs.realization.H_b, system)
+    return {"secondary_ber_theory": float(np.sum(theory.ber_psk_from_snr(snr, system.m_c)))}
+
+
+def _secondary_method2(obs, system, taps):
+    snr = theory.snr_secondary_method2(obs.realization.H_b, system, taps)
+    return {"secondary_ber_theory": float(np.sum(theory.ber_psk_from_snr(snr, system.m_c)))}
+
+
+@dataclass(frozen=True)
+class ReceiverSpec:
+    """One receiver curve. `detect(obs, system, taps, detect_c)` returns a
+    DetectionOutput; each companion maps (obs, system, taps) to theory sums,
+    and None marks a curve the paper gives no closed form for."""
+
+    csi: str
+    detect: Callable
+    primary_theory: Optional[Callable] = None
+    secondary_theory: Optional[Callable] = None
+
+
 RECEIVERS = {
-    "perfect_csi": dict(kind="algo", perfect_csi=True, csi="perfect",
-                        primary_theory="perfect", secondary_theory="eq15"),
-    "proposed_m1": dict(kind="algo", method="method1", csi="estimated",
-                        primary_theory="estimated", secondary_theory="m1"),
-    "proposed_m2": dict(kind="algo", method="method2", csi="estimated",
-                        primary_theory="estimated", secondary_theory="m2"),
-    "proposed_m1_genie": dict(kind="algo", method="method1", genie=True, csi="estimated",
-                              primary_theory="estimated", secondary_theory="m1"),
-    "proposed_m2_genie": dict(kind="algo", method="method2", genie=True, csi="estimated",
-                              primary_theory="estimated", secondary_theory="m2"),
-    "pilot_only": dict(kind="algo", method="pilot_only", csi="estimated",
-                       primary_theory="estimated", secondary_theory=None),
-    "ml_perfect": dict(kind="ml", csi="perfect",
-                       primary_theory=None, secondary_theory=None),
-    "ml_estimated": dict(kind="ml", csi="estimated",
-                         primary_theory=None, secondary_theory=None),
-    "ml_nopilot": dict(kind="ml", csi="perfect", pilot_structure=False,
-                       primary_theory=None, secondary_theory=None),
+    "perfect_csi": ReceiverSpec(
+        "perfect", _algorithm1(perfect_csi=True), _primary_perfect, _secondary_perfect),
+    "proposed_m1": ReceiverSpec(
+        "estimated", _algorithm1("method1"), _primary_estimated, _secondary_method1),
+    "proposed_m2": ReceiverSpec(
+        "estimated", _algorithm1("method2"), _primary_estimated, _secondary_method2),
+    "proposed_m1_genie": ReceiverSpec(
+        "estimated", _algorithm1("method1", genie_primary=True),
+        _primary_estimated, _secondary_method1),
+    "proposed_m2_genie": ReceiverSpec(
+        "estimated", _algorithm1("method2", genie_primary=True),
+        _primary_estimated, _secondary_method2),
+    "pilot_only": ReceiverSpec("estimated", _algorithm1("pilot_only"), _primary_estimated),
+    "ml_perfect": ReceiverSpec("perfect", _ml("perfect")),
+    "ml_estimated": ReceiverSpec("estimated", _ml("estimated")),
+    "ml_nopilot": ReceiverSpec("perfect", _ml("perfect", pilot_structure=False)),
 }
 
 
@@ -105,8 +173,8 @@ def transmit_power(scenario: Scenario, chan: ChannelConfig) -> float:
     s2 = scenario.system.sigma2
     if chan.direct_model != "none":
         return 10 ** (scenario.direct_snr_db / 10.0) * s2 / chan.beta_direct
-    if scenario.backscatter_snr_db is None:
-        raise ValueError("no direct link: scenario needs backscatter_snr_db")
+    if scenario.backscatter_snr_db is None or chan.backscatter_model == "none":
+        raise ScenarioError("no direct link: scenario needs backscatter_snr_db and a backscatter link")
     return 10 ** (scenario.backscatter_snr_db / 10.0) * s2 / chan.beta_backscatter
 
 
@@ -115,6 +183,9 @@ def apply_axis(scenario: Scenario, axis: str, value: float):
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
     chan = scenario.chan
+    for model in SWEEP_AXES[axis]:
+        if getattr(chan, model) == "none":
+            raise ScenarioError(f"axis {axis} needs the link that {model} = none removes")
     xi = scenario.sync_error
     if axis == "snr_ratio_db":
         chan = replace(
@@ -144,7 +215,6 @@ class SweepSpec:
     points: tuple
     trials_per_point: int
     receivers: tuple = ("perfect_csi", "proposed_m1", "proposed_m2")
-    csi_mode: str = "mixed"  # informational; each receiver carries its own
     with_theory: bool = True  # attach per-realization analytic companions
 
     def __post_init__(self):
@@ -282,28 +352,6 @@ def draw_frame_batch(
     )
 
 
-def _run_receiver(name: str, obs: FrameObservation, system: SystemConfig, taps: int,
-                  detect_c: bool) -> DetectionOutput:
-    spec = RECEIVERS[name]
-    if spec["kind"] == "algo":
-        return run_algorithm1(
-            obs,
-            system,
-            spec.get("method", "method2"),
-            taps=taps,
-            genie_primary=spec.get("genie", False),
-            perfect_csi=spec.get("perfect_csi", False),
-            detect_c=detect_c,
-        )
-    return run_ml_benchmark(
-        obs,
-        system,
-        csi=spec["csi"],
-        pilot_structure=spec.get("pilot_structure", True),
-        taps=taps,
-    )
-
-
 def _count_errors(result: PointResult, obs, out, system: SystemConfig):
     batch = obs.s_indices.shape[0]
     result.trials += batch
@@ -319,56 +367,6 @@ def _count_errors(result: PointResult, obs, out, system: SystemConfig):
         )
 
 
-def _needed_companions(receivers) -> set:
-    need = set()
-    for name in receivers:
-        spec = RECEIVERS[name]
-        if spec["primary_theory"]:
-            need.add("primary_" + spec["primary_theory"])
-        if spec["secondary_theory"]:
-            need.add(spec["secondary_theory"])
-    return need
-
-
-def _theory_companions(obs, system: SystemConfig, pilot_taps: int, taps: int,
-                       with_backscatter: bool, estimable: bool, need: set) -> dict:
-    """Per-chunk sums of the closed-form companions, conditioned on the drawn
-    realizations (the analytic curve is the average of per-realization
-    evaluations over exactly the simulated channels)."""
-    real = obs.realization
-    c_values = obs.c_values
-    sums = {}
-    if "primary_perfect" in need:
-        ser, ber = theory.primary_rates_perfect(real.H_d, real.H_b, system, c_values=c_values)
-        sums["primary_ser_perfect"] = float(np.sum(ser))
-        sums["primary_ber_perfect"] = float(np.sum(ber))
-    if "primary_estimated" in need and estimable:
-        ser, ber = theory.primary_rates_estimated(
-            real.H_d, real.H_b, system, pilot_taps, c_values=c_values
-        )
-        sums["primary_ser_estimated"] = float(np.sum(ser))
-        sums["primary_ber_estimated"] = float(np.sum(ber))
-    if with_backscatter:
-        moments = theory.qam_moments(system.m_s)
-        if "eq15" in need:
-            sums["secondary_eq15"] = float(
-                np.sum(theory.ber_secondary_perfect(real.H_b, system, moments))
-            )
-        if "m1" in need:
-            sums["secondary_m1"] = float(np.sum(
-                theory.ber_psk_from_snr(
-                    theory.snr_secondary_method1(real.H_b, system, moments), system.m_c
-                )
-            ))
-        if "m2" in need:
-            sums["secondary_m2"] = float(np.sum(
-                theory.ber_psk_from_snr(
-                    theory.snr_secondary_method2(real.H_b, system, taps), system.m_c
-                )
-            ))
-    return sums
-
-
 def _process_chunk(args):
     (scenario, axis, value, master_seed, trial_ids, receivers, with_theory) = args
     system, chan, xi = apply_axis(scenario, axis, value)
@@ -376,51 +374,29 @@ def _process_chunk(args):
     obs = draw_frame_batch(system, chan, master_seed, trial_ids, xi=xi, path=path)
     taps = composite_tap_count(chan, xi)
     with_backscatter = chan.backscatter_model != "none"
-    pilot_taps = min(taps, system.n_p) if system.n_p else 0
+    sums = {}  # companion -> its sums over this chunk; receivers share them
     results = {}
     for name in receivers:
-        res = PointResult(point=value)
-        out = _run_receiver(name, obs, system, taps, detect_c=with_backscatter)
-        _count_errors(res, obs, out, system)
-        results[name] = res
-    companions = {}
-    if with_theory:
-        companions = _theory_companions(
-            obs, system, pilot_taps, taps, with_backscatter,
-            estimable=pilot_taps >= taps, need=_needed_companions(receivers),
-        )
-    return results, companions
-
-
-_COMPANION_KEYS = {
-    "perfect": ("primary_ser_perfect", "primary_ber_perfect"),
-    "estimated": ("primary_ser_estimated", "primary_ber_estimated"),
-}
-
-
-def _attach_companions(res: PointResult, name: str, companions: dict):
-    spec = RECEIVERS[name]
-    pk = spec["primary_theory"]
-    if pk and _COMPANION_KEYS[pk][0] in companions:
-        ser_key, ber_key = _COMPANION_KEYS[pk]
-        res.theory_sums["primary_ser_theory"] = res.theory_sums.get("primary_ser_theory", 0.0) + companions[ser_key]
-        res.theory_sums["primary_ber_theory"] = res.theory_sums.get("primary_ber_theory", 0.0) + companions[ber_key]
-    sk = spec["secondary_theory"]
-    key = {"eq15": "secondary_eq15", "m1": "secondary_m1", "m2": "secondary_m2"}.get(sk)
-    if key and key in companions:
-        res.theory_sums["secondary_ber_theory"] = res.theory_sums.get("secondary_ber_theory", 0.0) + companions[key]
+        spec = RECEIVERS[name]
+        res = results[name] = PointResult(point=value)
+        _count_errors(res, obs, spec.detect(obs, system, taps, with_backscatter), system)
+        if not with_theory:
+            continue
+        for companion in (spec.primary_theory, spec.secondary_theory if with_backscatter else None):
+            if companion is not None:
+                if companion not in sums:
+                    sums[companion] = companion(obs, system, taps)
+                res.theory_sums.update(sums[companion])
+    return results
 
 
 def run_trial(scenario: Scenario, axis: str, value: float, trial_index: int,
               master_seed: int, receivers=("perfect_csi",)) -> dict:
     """One trial's error counts for each requested receiver; bitwise
     reproducible from (master_seed, trial_index)."""
-    results, companions = _process_chunk(
+    return _process_chunk(
         (scenario, axis, value, master_seed, [trial_index], receivers, True)
     )
-    for name, res in results.items():
-        _attach_companions(res, name, companions)
-    return results
 
 
 def run_sweep(
@@ -438,7 +414,7 @@ def run_sweep(
     scenario.validate()
     workers = workers or int(os.environ.get("SROFDM_WORKERS", "1"))
     curves = {
-        name: BerCurve(receiver=name, csi=RECEIVERS[name]["csi"], axis=spec.axis, points=[])
+        name: BerCurve(receiver=name, csi=RECEIVERS[name].csi, axis=spec.axis, points=[])
         for name in spec.receivers
     }
     for value in spec.points:
@@ -454,11 +430,9 @@ def run_sweep(
                 outputs = list(pool.map(_process_chunk, chunks, chunksize=1))
         else:
             outputs = [_process_chunk(c) for c in chunks]
-        for results, companions in outputs:  # fixed chunk order
+        for results in outputs:  # fixed chunk order
             for name in spec.receivers:
-                res = results[name]
-                _attach_companions(res, name, companions)
-                totals[name].merge(res)
+                totals[name].merge(results[name])
         for name in spec.receivers:
             curves[name].points.append(totals[name])
     return curves

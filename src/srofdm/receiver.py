@@ -15,7 +15,7 @@ import numpy as np
 
 from srofdm.channel import ChannelRealization
 from srofdm.numerics import SingularSystemError, partial_fourier
-from srofdm.txchain import FrameObservation, SystemConfig
+from srofdm.txchain import FrameObservation, SystemConfig, modulate_primary
 
 __all__ = [
     "ESTIMATOR_KINDS",
@@ -125,11 +125,7 @@ def detect_primary(y: np.ndarray, h_tilde: np.ndarray, cfg: SystemConfig):
 def full_symbol_vector(s_idx: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Recompose the full per-subcarrier symbol vector: known pilots at the
     comb, detected (or genie) QAM everywhere else."""
-    s = np.empty(s_idx.shape[:-1] + (cfg.n,), dtype=complex)
-    if cfg.n_p:
-        s[..., cfg.pilot_index_array] = cfg.pilot_value_array
-    s[..., cfg.data_indices] = cfg.qam.points[s_idx]
-    return s
+    return modulate_primary(s_idx, cfg)[0]
 
 
 def reestimate_method1(y: np.ndarray, s_hat: np.ndarray, cfg: SystemConfig) -> np.ndarray:

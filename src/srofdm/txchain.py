@@ -37,17 +37,6 @@ def _gray(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> 1)
 
 
-def _nearest_point(z: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Exhaustive nearest-point scan, argmin of |z - p|^2 over the alphabet.
-
-    Reference decision rule; the alphabets use closed-form slicers that the
-    tests pin to this scan.
-    """
-    z = np.asarray(z)
-    d = np.abs(z[..., None] - points) ** 2
-    return np.argmin(d, axis=-1)
-
-
 @dataclass(frozen=True)
 class QamAlphabet:
     """Square QAM with unit average power and independent Gray coding of the

@@ -13,6 +13,7 @@ from srofdm.cli import (
     parse_scenario_text,
     resolve_scenario,
 )
+from srofdm.harness import SweepSpec, run_sweep
 
 
 class TestScenarioParsing:
@@ -37,8 +38,9 @@ class TestScenarioParsing:
             parse_scenario_text("n = 64\nn = 32\n")
 
     def test_bad_value_reports_line(self):
-        with pytest.raises(ScenarioError, match=":1:"):
-            parse_scenario_text("n = sixty-four\n")
+        for text in ("n = sixty-four\n", "noise_dbm = nan\n", "direct_snr_db = inf\n", "n = auto\n"):
+            with pytest.raises(ScenarioError, match=":1:"):
+                parse_scenario_text(text)
 
     def test_comments_and_blank_lines_ignored(self):
         values = parse_scenario_text("# hi\n\nn = 32  # inline\nn_pilot = 4\n")
@@ -66,8 +68,9 @@ class TestPointRanges:
         assert parse_points("1, 2.5, 7") == (1.0, 2.5, 7.0)
 
     def test_bad_range_rejected(self):
-        with pytest.raises(ScenarioError):
-            parse_points("5:1")
+        for spec in ("5:1", "30:12:3", "1e400", "nan", "0:inf:1", "a:2:1", ","):
+            with pytest.raises(ScenarioError):
+                parse_points(spec)
 
 
 @pytest.fixture()
@@ -158,13 +161,56 @@ class TestSweepCommand:
 
     def test_bad_scenario_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
-        bad.write_text("nonsense = 1\n")
-        rc = main(["sweep", str(bad), "--out", str(tmp_path / "x"), "--quiet"])
-        assert rc == 1
-        assert "bad.txt:1" in capsys.readouterr().err
+        for text in ("nonsense = 1\n", "noise_dbm = nan\n", "dist_fwd = -inf\n"):
+            bad.write_text(text)
+            rc = main(["sweep", str(bad), "--out", str(tmp_path / "x"), "--quiet"])
+            assert rc == 1
+            assert "bad.txt:1" in capsys.readouterr().err
+        for points in ("1e400", "30:12:3"):
+            rc = main(["sweep", "paper_default", "--points", points, "--trials", "1000",
+                       "--out", str(tmp_path / "x"), "--quiet"])
+            assert rc == 1
+            assert "runtime error" not in capsys.readouterr().err
 
     def test_missing_scenario_exits_1(self, tmp_path):
         assert main(["sweep", "no_such_scenario", "--out", str(tmp_path / "x")]) == 1
+
+    def test_blocked_direct_scenario(self, tmp_path):
+        scen = tmp_path / "blocked.txt"
+        scen.write_text(
+            "direct_model = none\nbackscatter_snr_db = 20\ntrials = 1000\n"
+            "receivers = perfect_csi,proposed_m2\n"
+        )
+        out = tmp_path / "blocked_out"
+        rc = main([
+            "sweep", str(scen), "--axis", "backscatter_snr_db", "--points", "10,20",
+            "--trials", "1000", "--seed", "3", "--out", str(out), "--quiet",
+        ])
+        assert rc == 0
+        csv = (out / "backscatter_snr_db__proposed_m2.csv").read_text().splitlines()
+        assert len(csv) == 1 + 2
+        assert json.loads((out / "manifest.json").read_text())["scenario"]["direct_model"] == "none"
+
+    @pytest.mark.parametrize("axis, model", [
+        ("direct_snr_db", "direct_model"),
+        ("snr_ratio_db", "direct_model"),
+        ("backscatter_snr_db", "backscatter_model"),
+        ("snr_ratio_db", "backscatter_model"),
+    ])
+    def test_axis_without_its_link_rejected(self, tmp_path, capsys, axis, model):
+        scen = tmp_path / "cut.txt"
+        scen.write_text(f"{model} = none\nbackscatter_snr_db = 10\n")
+        scenario, _ = resolve_scenario(parse_scenario_text(scen.read_text()))
+        spec = SweepSpec(axis=axis, points=(10.0,), trials_per_point=1000)
+        with pytest.raises(ValueError, match=f"{axis}.*{model}"):
+            run_sweep(spec, scenario, master_seed=1)
+        rc = main([
+            "sweep", str(scen), "--axis", axis, "--points", "10", "--trials", "1000",
+            "--out", str(tmp_path / "x"), "--quiet",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert axis in err and model in err
 
     def test_unknown_receiver_exits_2(self, tmp_path, fast_scenario):
         rc = main([

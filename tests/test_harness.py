@@ -163,16 +163,17 @@ class TestSweep:
         scen = paper_scenario(chan=ChannelConfig(backscatter_model="none"))
         spec = SweepSpec(
             axis="direct_snr_db", points=(20.0,), trials_per_point=1000,
-            receivers=("perfect_csi",), with_theory=False,
+            receivers=("perfect_csi", "ml_perfect"), with_theory=False,
         )
-        p = run_sweep(spec, scen, master_seed=15)["perfect_csi"].points[0]
-        assert p.secondary_bits == 0
-        assert np.isnan(p.ber_secondary)
-        assert p.primary_bits > 0
+        for curve in run_sweep(spec, scen, master_seed=15).values():
+            p = curve.points[0]
+            assert p.secondary_bits == 0
+            assert np.isnan(p.ber_secondary)
+            assert p.primary_bits > 0
 
     def test_curve_metadata(self):
-        assert RECEIVERS["perfect_csi"]["csi"] == "perfect"
-        assert RECEIVERS["proposed_m2"]["csi"] == "estimated"
+        assert RECEIVERS["perfect_csi"].csi == "perfect"
+        assert RECEIVERS["proposed_m2"].csi == "estimated"
         scen = paper_scenario()
         spec = SweepSpec(
             axis="direct_snr_db", points=(20.0,), trials_per_point=1000,
