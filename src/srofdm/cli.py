@@ -36,6 +36,7 @@ CSV_HEADER = (
 )
 
 EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2
+MAX_POINTS = 10_000  # a start:stop:step range is sized against this before it is built
 
 
 def _finite(text) -> float:
@@ -191,7 +192,10 @@ def parse_points(spec: str) -> tuple:
         start, stop, step = values
         if step <= 0:
             raise ScenarioError("point range step must be positive")
-        count = int(np.floor((stop - start) / step + 0.5)) + 1
+        steps = np.floor((stop - start) / step + 0.5)
+        if not steps < MAX_POINTS:  # also an overflowing span
+            raise ScenarioError(f"point range {spec!r} has more than {MAX_POINTS} points")
+        count = int(steps) + 1
         values = [float(p) for p in start + step * np.arange(count) if p <= stop + step / 2]
     if not values:
         raise ScenarioError(f"no points in {spec!r}")
@@ -370,7 +374,12 @@ def cmd_single(args) -> int:
     values = load_scenario_file(args.scenario)
     scenario, defaults = resolve_scenario(values)
     axis = args.axis or defaults["axis"]
-    value = args.value if args.value is not None else scenario.direct_snr_db
+    value = scenario.direct_snr_db
+    if args.value is not None:
+        try:
+            value = _finite(args.value)
+        except ValueError as exc:
+            raise ScenarioError(f"bad --value: {exc}") from None
     seed = args.seed if args.seed is not None else int(os.environ.get("SROFDM_SEED", "1"))
     receivers = tuple((args.receivers or defaults["receivers"]).replace(" ", "").split(","))
     results = run_trial(scenario, axis, value, args.trial, seed, receivers)

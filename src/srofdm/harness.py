@@ -172,10 +172,24 @@ def transmit_power(scenario: Scenario, chan: ChannelConfig) -> float:
     path exists, otherwise the backscatter-link SNR."""
     s2 = scenario.system.sigma2
     if chan.direct_model != "none":
-        return 10 ** (scenario.direct_snr_db / 10.0) * s2 / chan.beta_direct
+        return _from_db(scenario.direct_snr_db) * s2 / chan.beta_direct
     if scenario.backscatter_snr_db is None or chan.backscatter_model == "none":
         raise ScenarioError("no direct link: scenario needs backscatter_snr_db and a backscatter link")
-    return 10 ** (scenario.backscatter_snr_db / 10.0) * s2 / chan.beta_backscatter
+    return _from_db(scenario.backscatter_snr_db) * s2 / chan.beta_backscatter
+
+
+def _from_db(db: float) -> float:
+    """10^(db/10), or inf where that overflows a float."""
+    try:
+        return 10 ** (db / 10.0)
+    except OverflowError:
+        return float("inf")
+
+
+def _positive_finite(axis: str, value: float, what: str, x: float) -> float:
+    if not 0 < x < float("inf"):
+        raise ScenarioError(f"axis {axis} = {value:g} gives {what} {x:g}; it must be positive and finite")
+    return x
 
 
 def apply_axis(scenario: Scenario, axis: str, value: float):
@@ -188,9 +202,8 @@ def apply_axis(scenario: Scenario, axis: str, value: float):
             raise ScenarioError(f"axis {axis} needs the link that {model} = none removes")
     xi = scenario.sync_error
     if axis == "snr_ratio_db":
-        chan = replace(
-            chan, beta_backscatter_override=10 ** (value / 10.0) * chan.beta_direct
-        )
+        ratio = _positive_finite(axis, value, "an SNR ratio of", _from_db(value))
+        chan = replace(chan, beta_backscatter_override=ratio * chan.beta_direct)
     elif axis == "stx_distance_m":
         chan = replace(chan, dist_fwd=float(value), dist_bwd=None)
     elif axis == "sync_error_samples":
@@ -198,11 +211,12 @@ def apply_axis(scenario: Scenario, axis: str, value: float):
 
     s2 = scenario.system.sigma2
     if axis == "direct_snr_db":
-        p_t = 10 ** (value / 10.0) * s2 / chan.beta_direct
+        p_t = _from_db(value) * s2 / chan.beta_direct
     elif axis == "backscatter_snr_db":
-        p_t = 10 ** (value / 10.0) * s2 / chan.beta_backscatter
+        p_t = _from_db(value) * s2 / chan.beta_backscatter
     else:
         p_t = transmit_power(scenario, chan)
+    p_t = _positive_finite(axis, value, "a transmit power of", p_t)
     system = replace(scenario.system, p_t=p_t)
     return system, chan, xi
 
@@ -328,8 +342,9 @@ def draw_frame_batch(
     s_idx = np.empty((batch, system.n_max, system.n_data), dtype=np.int64)
     c_idx = np.empty((batch, system.n_data_symbols), dtype=np.int64)
     noise = np.empty((batch, noise_len), dtype=complex) if system.sigma2 > 0 else None
+    stream = RandomStream(master_seed)  # rewound per trial; cheaper than a new one
     for i, tid in enumerate(trial_ids):
-        stream = RandomStream(master_seed, tid)
+        stream.reset(master_seed, tid)
         h_d[i], b[i], g[i] = draw_link_taps(chan, stream)
         s_idx[i] = stream.integers(0, system.m_s, size=(system.n_max, system.n_data))
         c_idx[i] = stream.integers(0, system.m_c, size=system.n_data_symbols)

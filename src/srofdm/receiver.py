@@ -312,38 +312,45 @@ def ml_symbol_metrics(
     """Two-step ML metric for one OFDM symbol (batched over leading dims).
 
     For every secondary candidate c the per-subcarrier minimum over the QAM
-    alphabet of |Y_k - sqrt(P)(H_d,k + c H_b,k) S|^2 is accumulated; pilot
-    subcarriers contribute their known symbol instead of a search. Returns
-    (totals, s_idx) with totals shaped (..., n_candidates) and s_idx the
-    per-candidate data-subcarrier decisions.
+    alphabet of |Y_k - a_k S|^2, a_k = sqrt(P)(H_d,k + c H_b,k), is
+    accumulated; pilot subcarriers contribute their known symbol instead of a
+    search. Returns (totals, s_idx) with totals shaped (..., n_candidates)
+    and s_idx the per-candidate data-subcarrier decisions.
+
+    The minimiser is the rail slicer on Y_k / a_k, and the distance is
+    recomputed from the sliced point, so totals and decisions are those of an
+    exhaustive first-index scan over the alphabet. Where |a_k| is zero or
+    subnormal every point ties in floating point and index 0 is kept. (Only
+    |a_k| below about 1e-11 |Y_k|, a fade some 220 dB deep, can leave the
+    scan's rounded distances tied where the slicer still separates them.)
     """
     y = np.asarray(y)
     cands = cfg.psk.points if candidates is None else np.asarray(candidates)
     data_idx = cfg.data_indices if pilot_structure else np.arange(cfg.n)
-    sqrtp = np.sqrt(cfg.p_t)
-    totals = np.empty(y.shape[:-1] + (len(cands),))
-    s_out = np.empty(y.shape[:-1] + (len(cands), len(data_idx)), dtype=np.int64)
-    for ci, c in enumerate(cands):
-        a = sqrtp * (np.asarray(h_d) + c * np.asarray(h_b))
-        a = np.broadcast_to(a, y.shape)
-        y_d, a_d = y[..., data_idx], a[..., data_idx]
-        best = np.full(y_d.shape, np.inf)
-        best_idx = np.zeros(y_d.shape, dtype=np.int64)
-        for si, s in enumerate(cfg.qam.points):
-            d = np.abs(y_d - a_d * s) ** 2
-            better = d < best
-            best = np.where(better, d, best)
-            best_idx = np.where(better, si, best_idx)
-        total = best.sum(axis=-1)
-        if pilot_structure and cfg.n_p:
-            pilots = list(cfg.pilot_indices)
-            total = total + np.sum(
-                np.abs(y[..., pilots] - a[..., pilots] * np.asarray(cfg.pilot_values)) ** 2,
-                axis=-1,
-            )
-        totals[..., ci] = total
-        s_out[..., ci, :] = best_idx
-    return totals, s_out
+    a = np.sqrt(cfg.p_t) * (
+        np.asarray(h_d)[..., None, :] + cands[:, None] * np.asarray(h_b)[..., None, :]
+    )
+    a = np.broadcast_to(a, y.shape[:-1] + a.shape[-2:])  # (..., n_cand, n)
+    y_d = np.take(y, data_idx, axis=-1)[..., None, :]
+    # np.take keeps the subcarrier axis contiguous, so the sum over it below
+    # is numpy's pairwise one, as in the scan
+    a_d = np.take(a, data_idx, axis=-1)
+    tied = np.abs(a_d) < np.finfo(float).tiny
+    with np.errstate(over="ignore"):
+        s_idx = cfg.qam.detect(y_d / np.where(tied, 1, a_d))
+    s_idx[tied] = 0
+    # np.multiply, not *, keeps a_d the first factor: numpy's fused complex
+    # product rounds differently with the operands swapped, which operator
+    # temporaries of 256 KiB and more would do
+    totals = np.sum(np.abs(y_d - np.multiply(a_d, cfg.qam.points[s_idx])) ** 2, axis=-1)
+    if pilot_structure and cfg.n_p:
+        pilots = list(cfg.pilot_indices)
+        y_p, s_p = y[..., pilots], np.asarray(cfg.pilot_values)
+        # one candidate at a time: how numpy orders this sum follows the
+        # memory layout of the fancy-indexed operands
+        for ci in range(len(cands)):
+            totals[..., ci] += np.sum(np.abs(y_p - a[..., ci, :][..., pilots] * s_p) ** 2, axis=-1)
+    return totals, s_idx
 
 
 def run_ml_benchmark(

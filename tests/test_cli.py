@@ -6,6 +6,7 @@ import pytest
 
 from srofdm.cli import (
     CSV_HEADER,
+    MAX_POINTS,
     ScenarioError,
     load_scenario_file,
     main,
@@ -70,6 +71,13 @@ class TestPointRanges:
     def test_bad_range_rejected(self):
         for spec in ("5:1", "30:12:3", "1e400", "nan", "0:inf:1", "a:2:1", ","):
             with pytest.raises(ScenarioError):
+                parse_points(spec)
+
+    def test_range_sized_before_it_is_built(self):
+        assert len(parse_points(f"1:{MAX_POINTS}:1")) == MAX_POINTS
+        # each of these would need gigabytes or more, or overflows the span
+        for spec in (f"0:{MAX_POINTS}:1", "0:1e9:1", "0:1e300:1", "-1e308:1e308:1e-300"):
+            with pytest.raises(ScenarioError, match=f"point range '{spec}' has more than"):
                 parse_points(spec)
 
 
@@ -166,11 +174,15 @@ class TestSweepCommand:
             rc = main(["sweep", str(bad), "--out", str(tmp_path / "x"), "--quiet"])
             assert rc == 1
             assert "bad.txt:1" in capsys.readouterr().err
-        for points in ("1e400", "30:12:3"):
+        for points in ("1e400", "30:12:3", "0:1e300:1"):
             rc = main(["sweep", "paper_default", "--points", points, "--trials", "1000",
                        "--out", str(tmp_path / "x"), "--quiet"])
             assert rc == 1
             assert "runtime error" not in capsys.readouterr().err
+        for value in ("nan", "inf", "-inf"):
+            assert main(["single", "paper_default", f"--value={value}"]) == 1
+            err = capsys.readouterr().err
+            assert "--value" in err and "runtime error" not in err
 
     def test_missing_scenario_exits_1(self, tmp_path):
         assert main(["sweep", "no_such_scenario", "--out", str(tmp_path / "x")]) == 1
@@ -211,6 +223,26 @@ class TestSweepCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert axis in err and model in err
+
+    @pytest.mark.parametrize("axis, value, what", [
+        ("direct_snr_db", -4000.0, "transmit power"),  # underflows to 0 W
+        ("direct_snr_db", 4000.0, "transmit power"),  # overflows a float
+        ("backscatter_snr_db", 4000.0, "transmit power"),
+        ("snr_ratio_db", 4000.0, "SNR ratio"),
+    ])
+    def test_unusable_point_rejected(self, tmp_path, capsys, axis, value, what):
+        scenario, _ = resolve_scenario(parse_scenario_text("backscatter_snr_db = 10\n"))
+        spec = SweepSpec(axis=axis, points=(value,), trials_per_point=1000)
+        with pytest.raises(ValueError, match=f"{axis} = {value:g} gives .*{what}"):
+            run_sweep(spec, scenario, master_seed=1)
+        rc = main([
+            "sweep", "paper_default", "--axis", axis, f"--points={value:g}", "--trials", "1000",
+            "--out", str(tmp_path / "x"), "--quiet",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{axis} = {value:g}" in err and what in err
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_receiver_exits_2(self, tmp_path, fast_scenario):
         rc = main([

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from srofdm.channel import ChannelConfig, composite_tap_count, draw_channel, realization_from_taps
-from srofdm.harness import Scenario, draw_frame_batch
+from srofdm.harness import Scenario, apply_axis, draw_frame_batch
 from srofdm.numerics import RandomStream, SingularSystemError, draw_cn, partial_fourier, q_function
 from srofdm.receiver import (
     PilotEstimator,
@@ -473,3 +475,117 @@ class TestMlBenchmark:
         out = run_ml_benchmark(obs, cfg, csi="perfect", pilot_structure=True)
         np.testing.assert_array_equal(out.s_hat, obs.s_indices)
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
+
+
+def exhaustive_ml_symbol_metrics(
+    y, h_d, h_b, cfg, *, pilot_structure=True, candidates=None
+):
+    """Reference ML metric: scan every QAM point for every candidate and keep
+    the first strict minimum. ml_symbol_metrics must reproduce it bit for bit."""
+    y = np.asarray(y)
+    cands = cfg.psk.points if candidates is None else np.asarray(candidates)
+    data_idx = cfg.data_indices if pilot_structure else np.arange(cfg.n)
+    sqrtp = np.sqrt(cfg.p_t)
+    totals = np.empty(y.shape[:-1] + (len(cands),))
+    s_out = np.empty(y.shape[:-1] + (len(cands), len(data_idx)), dtype=np.int64)
+    for ci, c in enumerate(cands):
+        a = sqrtp * (np.asarray(h_d) + c * np.asarray(h_b))
+        a = np.broadcast_to(a, y.shape)
+        y_d, a_d = y[..., data_idx], a[..., data_idx]
+        best = np.full(y_d.shape, np.inf)
+        best_idx = np.zeros(y_d.shape, dtype=np.int64)
+        for si, s in enumerate(cfg.qam.points):
+            d = np.abs(y_d - a_d * s) ** 2
+            better = d < best
+            best = np.where(better, d, best)
+            best_idx = np.where(better, si, best_idx)
+        total = best.sum(axis=-1)
+        if pilot_structure and cfg.n_p:
+            pilots = list(cfg.pilot_indices)
+            total = total + np.sum(
+                np.abs(y[..., pilots] - a[..., pilots] * np.asarray(cfg.pilot_values)) ** 2,
+                axis=-1,
+            )
+        totals[..., ci] = total
+        s_out[..., ci, :] = best_idx
+    return totals, s_out
+
+
+def random_ml_symbol(rng, cfg, shape):
+    """Rayleigh direct and (10 dB weaker) backscatter responses and one
+    received symbol per batch entry, at cfg's P and noise power."""
+    def cn(scale=1.0):
+        size = shape + (cfg.n,)
+        return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
+
+    h_d, h_b = cn(), cn(np.sqrt(0.1))
+    s = cfg.qam.points[rng.integers(0, cfg.m_s, shape + (cfg.n,))]
+    c = cfg.psk.points[rng.integers(0, cfg.m_c, shape)][..., None]
+    y = np.sqrt(cfg.p_t) * (h_d + c * h_b) * s + cn(np.sqrt(cfg.sigma2))
+    return y, h_d, h_b
+
+
+def assert_same_metrics(got, want):
+    assert got[0].shape == want[0].shape and got[0].dtype == want[0].dtype
+    assert got[1].shape == want[1].shape and got[1].dtype == want[1].dtype
+    assert np.array_equal(got[0], want[0])  # totals, bit for bit
+    assert np.array_equal(got[1], want[1])
+
+
+class TestMlSearchOracle:
+    # (300,) makes every per-candidate array larger than 256 KiB, where numpy
+    # starts reusing operator temporaries in place
+    SHAPES = [(), (1,), (2, 3), (300,)]
+
+    @pytest.mark.parametrize("pilot_structure", [True, False])
+    @pytest.mark.parametrize("m_s", [4, 16, 64])
+    def test_matches_exhaustive_scan(self, m_s, pilot_structure):
+        rng = np.random.default_rng(m_s + 100 * pilot_structure)
+        for snr_db in (-10, 0, 10, 20, 30, 40):
+            cfg = cfg_with(m_s=m_s, p_t=10 ** (snr_db / 10), sigma2=1.0)
+            for shape in self.SHAPES:
+                y, h_d, h_b = random_ml_symbol(rng, cfg, shape)
+                if snr_db == -10:  # noise-dominated: the slicer clips
+                    z = y / (np.sqrt(cfg.p_t) * h_d)
+                    assert np.mean(np.abs(z.real) > np.max(cfg.qam.points.real)) > 0.2
+                for cands in (None, cfg.psk.points[[3]]):
+                    kw = dict(pilot_structure=pilot_structure, candidates=cands)
+                    assert_same_metrics(
+                        ml_symbol_metrics(y, h_d, h_b, cfg, **kw),
+                        exhaustive_ml_symbol_metrics(y, h_d, h_b, cfg, **kw),
+                    )
+
+    @pytest.mark.parametrize("pilot_structure", [True, False])
+    def test_null_and_subnormal_gains_keep_index_0(self, pilot_structure):
+        # every point ties in floating point where a = sqrt(P)(H_d + c H_b)
+        # is zero or subnormal; y / a alone would be inf or nan there
+        cfg = cfg_with(p_t=2.0, sigma2=1.0)
+        y, h_d, h_b = random_ml_symbol(np.random.default_rng(7), cfg, (5,))
+        h_d[:, 3] = h_b[:, 3] = 0  # a = 0 for every candidate
+        y[:, 3] = 0
+        h_d[:, 10] = -h_b[:, 10]  # a = 0 for c = 1 only
+        h_d[:, 20], h_b[:, 20] = 5e-324, 0  # smallest subnormal
+        h_d[:, 21], h_b[:, 21] = 1e-310 - 2e-310j, 3e-311j
+        h_d[:, 22], h_b[:, 22] = 5e-324, 0
+        y[:, 22] = 1j  # zero real part: the complex quotient would be nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ml_symbol_metrics(y, h_d, h_b, cfg, pilot_structure=pilot_structure)
+        assert_same_metrics(
+            got, exhaustive_ml_symbol_metrics(y, h_d, h_b, cfg, pilot_structure=pilot_structure)
+        )
+        searched = list(cfg.data_indices if pilot_structure else range(cfg.n))
+        assert np.all(got[1][..., [searched.index(k) for k in (3, 20, 21, 22)]] == 0)
+        assert np.all(got[1][:, 0, searched.index(10)] == 0)
+
+    @pytest.mark.parametrize("pilot_structure", [True, False])
+    @pytest.mark.parametrize("csi", ["perfect", "estimated"])
+    def test_chunk_matches_exhaustive_scan(self, monkeypatch, csi, pilot_structure):
+        scen = Scenario(system=cfg_with(sigma2=1e-11), chan=ChannelConfig())
+        system, chan, _ = apply_axis(scen, "direct_snr_db", 12.0)
+        obs = draw_frame_batch(system, chan, master_seed=3, trial_ids=range(256))
+        got = run_ml_benchmark(obs, system, csi=csi, pilot_structure=pilot_structure)
+        monkeypatch.setattr("srofdm.receiver.ml_symbol_metrics", exhaustive_ml_symbol_metrics)
+        want = run_ml_benchmark(obs, system, csi=csi, pilot_structure=pilot_structure)
+        for name in ("s_hat", "c_hat", "H_tilde", "H_hat", "H_hat_d", "H_hat_b", "n_erased"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
