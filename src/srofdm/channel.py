@@ -16,9 +16,8 @@ __all__ = [
     "draw_channel",
     "draw_link_taps",
     "realization_from_taps",
-    "composite_cfr",
-    "composite_cir",
     "composite_tap_count",
+    "composite_response",
 ]
 
 DIRECT_MODELS = ("rayleigh", "none")
@@ -239,25 +238,9 @@ def draw_channel(cfg: ChannelConfig, stream: RandomStream, n: int = 64) -> Chann
     return realization_from_taps(h_d, b, g, cfg.d_b, n)
 
 
-def composite_cfr(real: ChannelRealization, c) -> np.ndarray:
-    """Per-subcarrier combined response H_d + c * H_b for secondary symbol c."""
-    c = np.asarray(c)
-    if np.any(np.abs(c) > 1 + 1e-12):
-        raise ValueError("reflection coefficient magnitude must not exceed 1")
-    return real.H_d + c[..., None] * real.H_b if c.ndim else real.H_d + c * real.H_b
-
-
-def composite_cir(real: ChannelRealization, c, taps: int, xi: int = 0) -> np.ndarray:
-    """Time-domain combined response: padded direct taps plus the backscatter
-    taps shifted by the propagation delay and the timing error xi."""
-    l_d = real.h_d.shape[-1]
-    l_b = real.h_b.shape[-1]
-    shift = real.d_b + xi
-    if taps < max(l_d, l_b + shift):
-        raise ValueError(f"{taps} taps cannot hold the composite response")
-    c = np.asarray(c)
-    batch = np.broadcast_shapes(real.h_d.shape[:-1], c.shape)
-    h = np.zeros(batch + (taps,), dtype=complex)
-    h[..., :l_d] += real.h_d
-    h[..., shift : shift + l_b] += c[..., None] * real.h_b
-    return h
+def composite_response(h_d, h_b, c_values) -> np.ndarray:
+    """Combined per-subcarrier response H_d + c(n) H_b during each secondary
+    symbol n, shaped (..., n_sym, n) from (..., n) responses and (..., n_sym)
+    symbol values."""
+    h_d, h_b, c_values = np.asarray(h_d), np.asarray(h_b), np.asarray(c_values)
+    return h_d[..., None, :] + c_values[..., :, None] * h_b[..., None, :]

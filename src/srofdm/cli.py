@@ -24,6 +24,7 @@ from srofdm.harness import (
     Scenario,
     ScenarioError,
     SweepSpec,
+    _from_db,
     apply_axis,
     run_sweep,
     run_trial,
@@ -311,6 +312,15 @@ def cmd_theory(args) -> int:
     scenario, defaults = resolve_scenario(values)
     axis = args.axis or defaults["axis"]
     points = parse_points(args.points or defaults["points"])
+    # SNR grid in dB: the points of an SNR axis, else a fixed 0..40 dB grid
+    gamma_grid = points if axis in ("direct_snr_db", "backscatter_snr_db") else tuple(
+        float(v) for v in np.arange(0.0, 42.0, 2.0)
+    )
+    snrs = [_from_db(db) for db in gamma_grid]
+    for db, snr in zip(gamma_grid, snrs):
+        if not 0 < snr < float("inf"):
+            raise ScenarioError(
+                f"point {db:g} dB gives a linear SNR of {snr:g}; it must be positive and finite")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     system = scenario.system
@@ -323,15 +333,10 @@ def cmd_theory(args) -> int:
         outputs[name] = fname
 
     # averaged secondary BER over i.i.d. Rayleigh taps: closed form per tap count
-    gamma_grid = points if axis in ("direct_snr_db", "backscatter_snr_db") else tuple(
-        float(v) for v in np.arange(0.0, 42.0, 2.0)
-    )
     for l_b in (1, 2, 4):
         rows = []
-        for db in gamma_grid:
-            exact, approx = theory.avg_ber_secondary(
-                theory.AvgSnrParams(gamma_b=10 ** (db / 10.0), l_b=l_b)
-            )
+        for db, snr in zip(gamma_grid, snrs):
+            exact, approx = theory.avg_ber_secondary(theory.AvgSnrParams(gamma_b=snr, l_b=l_b))
             rows.append(
                 f"{_fmt(db)},theory_avg_secondary_lb{l_b},perfect,,,,,,{_fmt(exact)}"
             )
@@ -342,8 +347,8 @@ def cmd_theory(args) -> int:
     taps = composite_tap_count(scenario.chan)
     unit_tap = np.ones(1)
     rows15, rows1, rows2 = [], [], []
-    for db in gamma_grid:
-        point = replace(system, p_t=10 ** (db / 10.0), sigma2=1.0)
+    for db, snr in zip(gamma_grid, snrs):
+        point = replace(system, p_t=snr, sigma2=1.0)
         b15 = theory.ber_secondary_perfect(unit_tap, point, moments)
         b1 = theory.ber_psk_from_snr(theory.snr_secondary_method1(unit_tap, point, moments), system.m_c)
         b2 = theory.ber_psk_from_snr(theory.snr_secondary_method2(unit_tap, point, taps), system.m_c)

@@ -195,7 +195,7 @@ def _positive_finite(axis: str, value: float, what: str, x: float) -> float:
 def apply_axis(scenario: Scenario, axis: str, value: float):
     """Resolve one sweep point into (SystemConfig, ChannelConfig, xi)."""
     if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}")
+        raise ScenarioError(f"unknown sweep axis {axis!r}")
     chan = scenario.chan
     for model in SWEEP_AXES[axis]:
         if getattr(chan, model) == "none":
@@ -205,8 +205,16 @@ def apply_axis(scenario: Scenario, axis: str, value: float):
         ratio = _positive_finite(axis, value, "an SNR ratio of", _from_db(value))
         chan = replace(chan, beta_backscatter_override=ratio * chan.beta_direct)
     elif axis == "stx_distance_m":
+        if not 0 < value < chan.dist_direct:
+            raise ScenarioError(
+                f"axis {axis} = {value:g} gives a tag position outside the"
+                f" {chan.dist_direct:g} m link; it must lie strictly between the endpoints")
         chan = replace(chan, dist_fwd=float(value), dist_bwd=None)
     elif axis == "sync_error_samples":
+        period = scenario.system.symbol_period
+        if not -0.5 < value < period - 0.5:  # round(value) in [0, period)
+            raise ScenarioError(
+                f"axis {axis} = {value:g} gives a sync error outside [0, {period}) samples")
         xi = int(round(value))
 
     s2 = scenario.system.sigma2
@@ -233,15 +241,18 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis {self.axis!r}")
+            raise ScenarioError(f"unknown sweep axis {self.axis!r}")
         pts = np.asarray(self.points, dtype=float)
         if pts.size == 0 or np.any(np.diff(pts) <= 0):
-            raise ValueError("sweep points must be strictly increasing")
+            raise ScenarioError("sweep points must be strictly increasing")
         if self.trials_per_point < 10**3:
-            raise ValueError("need at least 10^3 trials per point")
-        for r in self.receivers:
+            raise ScenarioError(
+                f"need at least 10^3 trials per point, got {self.trials_per_point}")
+        for i, r in enumerate(self.receivers):
             if r not in RECEIVERS:
-                raise ValueError(f"unknown receiver {r!r}")
+                raise ScenarioError(f"unknown receiver {r!r}")
+            if r in self.receivers[:i]:
+                raise ScenarioError(f"receiver {r!r} is listed twice")
 
 
 @dataclass
@@ -352,8 +363,8 @@ def draw_frame_batch(
             noise[i] = draw_cn(stream, noise_len, system.sigma2)
 
     real = realization_from_taps(h_d, b, g, chan.d_b, system.n)
-    s_values, _ = modulate_primary(s_idx, system)
-    c_values, _ = secondary_frame(c_idx, system)
+    s_values = modulate_primary(s_idx, system)
+    c_values = secondary_frame(c_idx, system)
     if path == "sample":
         return sample_level_rx(
             s_values, c_values, real, system, xi=xi,

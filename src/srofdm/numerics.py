@@ -1,5 +1,5 @@
-"""Complex-vector kernels shared by every stage: DFT matrices, least squares,
-the Gaussian tail function, and reproducible counter-based random streams."""
+"""Complex-vector kernels shared by every stage: partial DFT matrices, the
+Gaussian tail function, and reproducible counter-based random streams."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,9 +8,7 @@ from scipy.special import erfc
 __all__ = [
     "SingularSystemError",
     "RandomStream",
-    "dft_matrix",
     "partial_fourier",
-    "ls_solve",
     "q_function",
     "draw_cn",
 ]
@@ -70,48 +68,15 @@ class RandomStream:
         return self._gen.standard_normal(size)
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """N-point DFT matrix with entries exp(-j*2*pi*p*q/n), 0-based p, q.
-
-    Unnormalized: W^H W = n*I. Row k of the product W @ x is the k-th DFT bin
-    of x, matching numpy.fft.fft conventions.
-    """
-    if n < 1:
-        raise ValueError(f"DFT size must be >= 1, got {n}")
-    pq = np.outer(np.arange(n), np.arange(n))
-    return np.exp(-2j * np.pi * pq / n)
-
-
 def partial_fourier(n: int, l: int) -> np.ndarray:
-    """First l columns of the n-point DFT matrix (n x l, F^H F = n*I_l)."""
+    """First l columns of the n-point DFT matrix, entries exp(-j*2*pi*p*q/n)
+    (n x l, F^H F = n*I_l). l = n gives the whole matrix, whose product with
+    x is numpy.fft.fft(x)."""
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
     p = np.arange(n)[:, None]
     q = np.arange(l)[None, :]
     return np.exp(-2j * np.pi * p * q / n)
-
-
-def ls_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares solve min_x ||a x - b||_2 via orthogonal factorization.
-
-    Solved through numpy's SVD-backed lstsq rather than normal equations; raises
-    SingularSystemError on rank deficiency, which is how an over-parameterized
-    channel model (more taps than pilots) announces itself.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2:
-        raise ValueError("ls_solve expects a 2-D system matrix")
-    if a.shape[0] < a.shape[1]:
-        raise SingularSystemError(
-            f"underdetermined system: {a.shape[0]} rows < {a.shape[1]} columns"
-        )
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < a.shape[1]:
-        raise SingularSystemError(
-            f"rank-deficient system: rank {rank} < {a.shape[1]} columns"
-        )
-    return x
 
 
 def q_function(z):

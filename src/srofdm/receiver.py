@@ -9,11 +9,11 @@ Monte Carlo trials runs through one call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from srofdm.channel import ChannelRealization
+from srofdm.channel import ChannelRealization, composite_response
 from srofdm.numerics import SingularSystemError, partial_fourier
 from srofdm.txchain import FrameObservation, SystemConfig, modulate_primary
 
@@ -22,8 +22,6 @@ __all__ = [
     "UndetectableSecondaryError",
     "DetectionOutput",
     "PilotEstimator",
-    "estimate_pilot_cir",
-    "cir_to_cfr",
     "detect_primary",
     "full_symbol_vector",
     "reestimate_method1",
@@ -92,19 +90,6 @@ class PilotEstimator:
         return h @ self.f_l.T
 
 
-def estimate_pilot_cir(y_pilot: np.ndarray, cfg: SystemConfig, taps: int) -> np.ndarray:
-    """Tap-domain least squares from the pilot subcarriers alone."""
-    return PilotEstimator(cfg, taps).estimate_cir(np.asarray(y_pilot))
-
-
-def cir_to_cfr(h: np.ndarray, n: int) -> np.ndarray:
-    """Expand tap estimates to all n subcarriers (zero-padded DFT)."""
-    h = np.asarray(h)
-    if h.shape[-1] > n:
-        raise ValueError(f"{h.shape[-1]} taps exceed {n} subcarriers")
-    return h @ partial_fourier(n, h.shape[-1]).T
-
-
 def detect_primary(y: np.ndarray, h_tilde: np.ndarray, cfg: SystemConfig):
     """Single-tap equalization then nearest-QAM decision on data subcarriers.
 
@@ -125,7 +110,7 @@ def detect_primary(y: np.ndarray, h_tilde: np.ndarray, cfg: SystemConfig):
 def full_symbol_vector(s_idx: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Recompose the full per-subcarrier symbol vector: known pilots at the
     comb, detected (or genie) QAM everywhere else."""
-    return modulate_primary(s_idx, cfg)[0]
+    return modulate_primary(s_idx, cfg)
 
 
 def reestimate_method1(y: np.ndarray, s_hat: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -221,8 +206,7 @@ def _effective_backscatter(real: ChannelRealization, xi: int) -> np.ndarray:
 
 
 def _true_composite(real: ChannelRealization, c_values: np.ndarray, xi: int = 0) -> np.ndarray:
-    h_b = _effective_backscatter(real, xi)
-    return real.H_d[..., None, :] + np.asarray(c_values)[..., :, None] * h_b[..., None, :]
+    return composite_response(real.H_d, _effective_backscatter(real, xi), c_values)
 
 
 def run_algorithm1(
@@ -230,7 +214,7 @@ def run_algorithm1(
     cfg: SystemConfig,
     method: str = "method2",
     *,
-    taps: Optional[int] = None,
+    taps: int,
     genie_primary: bool = False,
     perfect_csi: bool = False,
     detect_c: bool = True,
@@ -244,10 +228,10 @@ def run_algorithm1(
     split into direct and backscatter responses, after which each data
     symbol's secondary value is detected by projection.
 
-    taps is the receiver's model order for the composite response; it
-    defaults to the true span recorded in the observation. When the comb is
-    too short for it, the pilot stage runs with its maximum resolvable order
-    instead (estimates alias), which is the over-delay failure regime.
+    taps is the receiver's model order for the composite response. When the
+    comb is too short for it, the pilot stage runs with its maximum
+    resolvable order instead (estimates alias), which is the over-delay
+    failure regime.
     genie_primary feeds true symbols to the re-estimation stage;
     perfect_csi detects the primary against the true composite response and
     uses the true split responses for secondary detection (noise still limits
@@ -257,11 +241,6 @@ def run_algorithm1(
         raise ValueError(f"method must be one of {ESTIMATOR_KINDS}, got {method!r}")
     y = obs.y
     real = obs.realization
-    if taps is None:
-        l_d = real.h_d.shape[-1]
-        l_b = real.h_b.shape[-1] if np.any(real.h_b) else 0
-        taps = max(l_d, l_b + real.d_b + obs.xi) if l_b else l_d
-
     if perfect_csi:
         h_tilde = _true_composite(real, obs.c_values, obs.xi)
         s_idx, erased = detect_primary(y, h_tilde, cfg)
@@ -327,9 +306,7 @@ def ml_symbol_metrics(
     y = np.asarray(y)
     cands = cfg.psk.points if candidates is None else np.asarray(candidates)
     data_idx = cfg.data_indices if pilot_structure else np.arange(cfg.n)
-    a = np.sqrt(cfg.p_t) * (
-        np.asarray(h_d)[..., None, :] + cands[:, None] * np.asarray(h_b)[..., None, :]
-    )
+    a = np.sqrt(cfg.p_t) * composite_response(h_d, h_b, cands)
     a = np.broadcast_to(a, y.shape[:-1] + a.shape[-2:])  # (..., n_cand, n)
     y_d = np.take(y, data_idx, axis=-1)[..., None, :]
     # np.take keeps the subcarrier axis contiguous, so the sum over it below
@@ -357,16 +334,16 @@ def run_ml_benchmark(
     obs: FrameObservation,
     cfg: SystemConfig,
     *,
-    csi: Union[str, tuple] = "perfect",
+    csi: str = "perfect",
     pilot_structure: bool = True,
-    taps: Optional[int] = None,
+    taps: int,
 ) -> DetectionOutput:
     """Two-step ML receiver: joint per-symbol search over the secondary
     candidate and per-subcarrier QAM symbols.
 
     csi selects the link responses: "perfect" uses the realization's truth,
-    "estimated" runs the method-2 pipeline first and reuses its separated
-    estimates, or pass an explicit (H_d, H_b) pair. With pilot_structure the
+    "estimated" runs the method-2 pipeline with model order taps first and
+    reuses its separated estimates. With pilot_structure the
     comb symbols are fixed in the metric and the preamble symbols are known;
     without it every subcarrier is searched and every symbol's secondary
     value is a free candidate (which leaves a sign ambiguity when the direct
@@ -378,14 +355,14 @@ def run_ml_benchmark(
         pipeline = run_algorithm1(obs, cfg, "method2", taps=taps)
         h_d, h_b = pipeline.H_hat_d, pipeline.H_hat_b
     else:
-        h_d, h_b = csi
+        raise ValueError(f"csi must be 'perfect' or 'estimated', got {csi!r}")
 
     y = obs.y
     n_sym = y.shape[-2]
     batch = y.shape[:-2]
     s_hat = np.empty(batch + (n_sym, cfg.n_data), dtype=np.int64)
     c_dec = np.empty(batch + (n_sym,), dtype=np.int64)
-    h_hat = np.empty(batch + (n_sym, cfg.n), dtype=complex)
+    c_val = np.empty(batch + (n_sym,), dtype=complex)
     for m in range(n_sym):
         if pilot_structure and m < cfg.t_preamble:
             cands = np.asarray([cfg.preamble[m]])
@@ -402,8 +379,8 @@ def run_ml_benchmark(
             keep = np.isin(np.arange(cfg.n), cfg.data_indices)
             chosen = chosen[..., keep]
         s_hat[..., m, :] = chosen
-        c_val = cands[pick] if len(cands) > 1 else np.broadcast_to(cands[0], pick.shape)
-        h_hat[..., m, :] = np.asarray(h_d) + c_val[..., None] * np.asarray(h_b)
+        c_val[..., m] = cands[pick]
+    h_hat = composite_response(h_d, h_b, c_val)
     c_hat = c_dec[..., cfg.t_preamble :]
     return DetectionOutput(
         s_hat=s_hat,

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from srofdm.numerics import RandomStream, draw_cn, partial_fourier, q_function
+from srofdm.channel import composite_response
+from srofdm.numerics import partial_fourier, q_function
 from srofdm.txchain import QamAlphabet, SystemConfig, _gray
 
 __all__ = [
@@ -23,22 +24,16 @@ __all__ = [
     "AvgSnrParams",
     "qam_moments",
     "qam_error_rates",
-    "ser_qam_awgn",
-    "ber_bits_qam_awgn",
     "ber_psk_from_snr",
     "primary_rates_perfect",
-    "ber_primary_perfect",
-    "snr_primary_estimated",
     "snr_primary_estimated_grid",
     "primary_rates_estimated",
-    "ber_primary_estimated",
     "ber_secondary_perfect",
     "snr_secondary_method1",
     "snr_secondary_method2",
     "avg_ber_secondary",
     "fit_diversity_slope",
     "eq_noise_moment_predictions",
-    "mc_ber_secondary_method1",
 ]
 
 
@@ -64,8 +59,9 @@ def qam_error_rates(snr, m_s: int):
     deciding level j given level i is a difference of Gaussian tails at the
     interior decision edges, weighted by the Hamming distance of the rail
     Gray labels for the bit rate. The symbol rate is the standard
-    1 - (1 - rail_error)^2 display; the bit rate matches bit-counting Monte
-    Carlo to sampling noise at any SNR.
+    1 - (1 - rail_error)^2 display; the bit rate is the exact Gray-coded
+    one of K. Cho and D. Yoon, IEEE Trans. Commun. 50(7), 2002, and matches
+    bit-counting Monte Carlo to sampling noise at any SNR.
     """
     snr = np.asarray(snr, dtype=float)
     m = int(round(np.sqrt(m_s)))
@@ -91,19 +87,6 @@ def qam_error_rates(snr, m_s: int):
     return ser, ber
 
 
-def ser_qam_awgn(snr, m_s: int):
-    """Per-subcarrier square-QAM symbol error rate at linear SNR."""
-    snr = np.asarray(snr, dtype=float)
-    q = q_function(np.sqrt(3.0 * snr / (m_s - 1)))
-    rail = 2.0 * (1.0 - 1.0 / np.sqrt(m_s)) * q
-    return 1.0 - (1.0 - rail) ** 2
-
-
-def ber_bits_qam_awgn(snr, m_s: int):
-    """Exact Gray-coded bit error rate of square QAM in AWGN."""
-    return qam_error_rates(snr, m_s)[1]
-
-
 def ber_psk_from_snr(snr, m_c: int):
     """Gray PSK bit error rate at linear post-combining SNR.
 
@@ -119,9 +102,7 @@ def ber_psk_from_snr(snr, m_c: int):
 
 def _composite_snr(h_d, h_b, c_values, cfg: SystemConfig):
     """Per (symbol, data subcarrier) SNR of the composite link, perfect CSI."""
-    h_d = np.asarray(h_d)[..., None, :]
-    h = h_d + np.asarray(c_values)[..., :, None] * np.asarray(h_b)[..., None, :]
-    h = h[..., list(cfg.data_indices)]
+    h = composite_response(h_d, h_b, c_values)[..., list(cfg.data_indices)]
     return cfg.p_t * np.abs(h) ** 2 / cfg.sigma2
 
 
@@ -133,22 +114,13 @@ def _c_grid(cfg: SystemConfig, c_values):
 
 def primary_rates_perfect(h_d, h_b, cfg: SystemConfig, *, c_values=None):
     """(symbol, bit) primary error rates with perfect composite-channel
-    knowledge, averaged over data subcarriers and secondary symbols."""
+    knowledge, averaged over data subcarriers and secondary symbols.
+
+    By default the secondary symbol averages over the whole PSK alphabet;
+    pass the realized c sequence to condition on one frame."""
     snr = _composite_snr(h_d, h_b, _c_grid(cfg, c_values), cfg)
     ser, ber = qam_error_rates(snr, cfg.m_s)
     return ser.mean(axis=(-2, -1)), ber.mean(axis=(-2, -1))
-
-
-def ber_primary_perfect(h_d, h_b, cfg: SystemConfig, *, c_values=None, per_bit: bool = False):
-    """Primary error rate with perfect composite-channel knowledge, averaged
-    over data subcarriers and secondary symbols.
-
-    By default the secondary symbol averages over the whole PSK alphabet;
-    pass the realized c sequence to condition on one frame. per_bit swaps the
-    symbol-error display for the exact Gray bit error rate.
-    """
-    ser, ber = primary_rates_perfect(h_d, h_b, cfg, c_values=c_values)
-    return ber if per_bit else ser
 
 
 def _pilot_leverage(cfg: SystemConfig, taps: int) -> np.ndarray:
@@ -161,22 +133,13 @@ def _pilot_leverage(cfg: SystemConfig, taps: int) -> np.ndarray:
     return np.real(np.einsum("kl,lk->k", f_l, sol))
 
 
-def snr_primary_estimated(h_d, h_b, c, k: int, cfg: SystemConfig, taps: int) -> float:
-    """Post-equalization SNR of one data subcarrier when the composite
+def snr_primary_estimated_grid(h_d, h_b, c_values, cfg: SystemConfig, taps: int):
+    """Post-equalization SNR per (symbol, data subcarrier) when the composite
     response comes from the comb-pilot least squares with `taps` coefficients.
 
     Channel-estimation noise both perturbs the equalizer and adds a residual
     term, so the effective noise grows by (N_p + L)/N_p plus an SNR-dependent
     correction (equally spaced comb)."""
-    h = np.asarray(h_d)[k] + c * np.asarray(h_b)[k]
-    lev = float(_pilot_leverage(cfg, taps)[k])
-    sig = cfg.p_t * np.abs(h) ** 2
-    return float(sig / (cfg.sigma2 * (lev + 1.0 + cfg.sigma2 * lev / sig)))
-
-
-def snr_primary_estimated_grid(h_d, h_b, c_values, cfg: SystemConfig, taps: int):
-    """Vectorized counterpart of snr_primary_estimated over (symbols, data
-    subcarriers)."""
     snr_perfect = _composite_snr(h_d, h_b, np.asarray(c_values), cfg)
     lev = _pilot_leverage(cfg, taps)[list(cfg.data_indices)]
     return snr_perfect / (lev + 1.0 + lev / snr_perfect)
@@ -187,15 +150,6 @@ def primary_rates_estimated(h_d, h_b, cfg: SystemConfig, taps: int, *, c_values=
     snr = snr_primary_estimated_grid(h_d, h_b, _c_grid(cfg, c_values), cfg, taps)
     ser, ber = qam_error_rates(snr, cfg.m_s)
     return ser.mean(axis=(-2, -1)), ber.mean(axis=(-2, -1))
-
-
-def ber_primary_estimated(
-    h_d, h_b, cfg: SystemConfig, taps: int, *, c_values=None, per_bit: bool = False
-):
-    """Primary error rate with pilot-estimated composite response (the
-    perfect-CSI expression evaluated at the degraded per-subcarrier SNR)."""
-    ser, ber = primary_rates_estimated(h_d, h_b, cfg, taps, c_values=c_values)
-    return ber if per_bit else ser
 
 
 def _hb_energy(h_b) -> np.ndarray:
@@ -282,29 +236,3 @@ def eq_noise_moment_predictions(taps: int, sigma2: float, p_t: float) -> dict:
         "cross_symbol_sq": taps * sigma2**2 / p_t**2,
         "mean_energy": taps * sigma2 / p_t,
     }
-
-
-def mc_ber_secondary_method1(
-    h_b,
-    cfg: SystemConfig,
-    n_draws: int,
-    stream: RandomStream,
-) -> float:
-    """Monte Carlo of the conditional-error expectation for BPSK secondary
-    detection with per-subcarrier re-estimation (unit-modulus primary).
-
-    Draws the frame-level separation errors, evaluates the conditional
-    Q-expression (real part of the projected statistic over the per-symbol
-    noise deviation), and averages. Brackets the closed-form approximation at
-    high SNR."""
-    h_b = np.asarray(h_b)
-    n = h_b.shape[-1]
-    var_entry = cfg.sigma2 / cfg.p_t  # unit-modulus per-symbol estimation error
-    eps_d = draw_cn(stream, n_draws * n, var_entry / 2.0).reshape(n_draws, n)
-    eps_b = draw_cn(stream, n_draws * n, var_entry / 2.0).reshape(n_draws, n)
-    hb_eff = h_b + eps_b
-    numer = np.real(np.einsum("dk,dk->d", hb_eff.conj(), h_b - eps_d))
-    denom = np.sqrt(
-        cfg.sigma2 / (2.0 * cfg.p_t) * (_hb_energy(h_b) + np.sum(np.abs(eps_b) ** 2, axis=-1))
-    )
-    return float(np.mean(q_function(numer / denom)))

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
-from srofdm.channel import ChannelConfig, ChannelRealization, composite_tap_count
-from srofdm.numerics import RandomStream, draw_cn
+from srofdm.channel import (
+    ChannelConfig,
+    ChannelRealization,
+    composite_response,
+    composite_tap_count,
+)
 
 __all__ = [
     "QamAlphabet",
@@ -139,8 +142,6 @@ class SystemConfig:
     n_max: int = 10
     p_t: float = 1.0
     sigma2: float = 1.0
-    # gate value assumed for the tag before the frame starts (idle reflector)
-    preceding_gate_symbol: complex = 1.0
 
     def __post_init__(self):
         if not self.preamble:
@@ -245,50 +246,33 @@ class FrameObservation:
     xi: int = 0
 
 
-def modulate_primary(data_indices, cfg: SystemConfig, stream: Optional[RandomStream] = None):
+def modulate_primary(data_indices, cfg: SystemConfig) -> np.ndarray:
     """Build frame symbol vectors: pilots at the comb positions, Gray QAM at
-    the rest. Pass data_indices=None to draw them from the stream.
-
-    Returns (s_values, data_indices) with s_values shaped (..., n_sym, n).
-    """
-    if data_indices is None:
-        if stream is None:
-            raise ValueError("need a stream when data indices are not given")
-        data_indices = stream.integers(0, cfg.m_s, size=(cfg.n_max, cfg.n_data))
+    the rest. Returns s_values shaped (..., n_sym, n)."""
     data_indices = np.asarray(data_indices)
     s = np.empty(data_indices.shape[:-1] + (cfg.n,), dtype=complex)
     if cfg.n_p:
         s[..., cfg.pilot_index_array] = cfg.pilot_value_array
     s[..., cfg.data_indices] = cfg.qam.points[data_indices]
-    return s, data_indices
+    return s
 
 
-def secondary_frame(c_indices, cfg: SystemConfig, stream: Optional[RandomStream] = None):
-    """Preamble followed by Gray PSK data symbols.
-
-    Returns (c_values, c_indices) with c_values shaped (..., n_max).
-    """
-    if c_indices is None:
-        if stream is None:
-            raise ValueError("need a stream when secondary indices are not given")
-        c_indices = stream.integers(0, cfg.m_c, size=cfg.n_data_symbols)
+def secondary_frame(c_indices, cfg: SystemConfig) -> np.ndarray:
+    """Preamble followed by Gray PSK data symbols. Returns c_values shaped
+    (..., n_max)."""
     c_indices = np.asarray(c_indices)
     c = np.empty(c_indices.shape[:-1] + (cfg.n_max,), dtype=complex)
     c[..., : cfg.t_preamble] = np.asarray(cfg.preamble)
     c[..., cfg.t_preamble :] = cfg.psk.points[c_indices]
-    return c, c_indices
+    return c
 
 
-def _observation(y, s_values, s_indices, c_values, c_indices, realization, xi=0):
-    return FrameObservation(
-        y=y,
-        s_indices=s_indices,
-        s_values=s_values,
-        c_indices=c_indices,
-        c_values=c_values,
-        realization=realization,
-        xi=xi,
-    )
+def _noise_or_zero(noise, cfg: SystemConfig):
+    if noise is not None:
+        return noise
+    if cfg.sigma2 > 0:
+        raise ValueError("need explicit noise when sigma2 > 0")
+    return 0.0
 
 
 def frequency_domain_rx(
@@ -296,7 +280,6 @@ def frequency_domain_rx(
     c_values,
     realization: ChannelRealization,
     cfg: SystemConfig,
-    stream: Optional[RandomStream] = None,
     *,
     s_indices=None,
     c_indices=None,
@@ -306,16 +289,12 @@ def frequency_domain_rx(
     Y(n) = sqrt(P) * diag(s(n)) * (H_d + c(n) H_b) + U(n)."""
     s_values = np.asarray(s_values)
     c_values = np.asarray(c_values)
-    h = realization.H_d[..., None, :] + c_values[..., :, None] * realization.H_b[..., None, :]
-    if noise is None:
-        if cfg.sigma2 > 0:
-            if stream is None:
-                raise ValueError("need a stream or explicit noise")
-            noise = draw_cn(stream, s_values.size, cfg.sigma2).reshape(s_values.shape)
-        else:
-            noise = 0.0
-    y = np.sqrt(cfg.p_t) * s_values * h + noise
-    return _observation(y, s_values, s_indices, c_values, c_indices, realization)
+    h = composite_response(realization.H_d, realization.H_b, c_values)
+    y = np.sqrt(cfg.p_t) * s_values * h + _noise_or_zero(noise, cfg)
+    return FrameObservation(
+        y=y, s_indices=s_indices, s_values=s_values,
+        c_indices=c_indices, c_values=c_values, realization=realization,
+    )
 
 
 def _tap_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -354,7 +333,6 @@ def sample_level_rx(
     realization: ChannelRealization,
     cfg: SystemConfig,
     xi: int = 0,
-    stream: Optional[RandomStream] = None,
     *,
     s_indices=None,
     c_indices=None,
@@ -383,17 +361,11 @@ def sample_level_rx(
         incident = _tap_convolve(x_stream, realization.b)
         emitted = tag_emitted_stream(incident, c_values, cfg, xi)
         rx = rx + _delay(_tap_convolve(emitted, realization.g), realization.d_b)
-    rx = np.sqrt(cfg.p_t) * rx
-
-    if noise is None:
-        if cfg.sigma2 > 0:
-            if stream is None:
-                raise ValueError("need a stream or explicit noise")
-            noise = draw_cn(stream, rx.size, cfg.sigma2).reshape(rx.shape)
-        else:
-            noise = 0.0
-    rx = rx + noise
+    rx = np.sqrt(cfg.p_t) * rx + _noise_or_zero(noise, cfg)
 
     blocks = rx.reshape(rx.shape[:-1] + (cfg.n_max, cfg.symbol_period))[..., n_cp:]
     y = np.fft.fft(blocks, axis=-1) / np.sqrt(n)
-    return _observation(y, s_values, s_indices, c_values, c_indices, realization, xi=xi)
+    return FrameObservation(
+        y=y, s_indices=s_indices, s_values=s_values,
+        c_indices=c_indices, c_values=c_values, realization=realization, xi=xi,
+    )

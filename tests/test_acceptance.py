@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import factorial
 
+from oracles import draw_noise, draw_primary, draw_secondary
 from srofdm.channel import ChannelConfig, composite_tap_count, draw_channel
 from srofdm.harness import Scenario, SweepSpec, run_sweep
 from srofdm.numerics import RandomStream, draw_cn, q_function
@@ -21,13 +22,7 @@ from srofdm.receiver import (
     separate_links,
 )
 from srofdm.theory import AvgSnrParams, avg_ber_secondary, fit_diversity_slope
-from srofdm.txchain import (
-    SystemConfig,
-    default_pilot_indices,
-    frequency_domain_rx,
-    modulate_primary,
-    secondary_frame,
-)
+from srofdm.txchain import SystemConfig, default_pilot_indices, frequency_domain_rx
 
 NOISE_W = 10 ** (-80 / 10) * 1e-3  # -80 dBm
 WORKERS = min(2, os.cpu_count() or 1)
@@ -218,10 +213,10 @@ class TestAcceptance:
             ChannelConfig(direct_model="none", l_d=2, l_1=1, l_2=2, d_b=0),
             RandomStream(1066, 0), cfg.n,
         )
-        s, si = modulate_primary(None, cfg, RandomStream(1066, 1))
-        c, ci = secondary_frame(None, cfg, RandomStream(1066, 2))
-        obs = frequency_domain_rx(s, c, real, cfg, RandomStream(1066, 3),
-                                  s_indices=si, c_indices=ci)
+        s, si = draw_primary(cfg, RandomStream(1066, 1))
+        c, ci = draw_secondary(cfg, RandomStream(1066, 2))
+        u = draw_noise(cfg, RandomStream(1066, 3), s.shape)
+        obs = frequency_domain_rx(s, c, real, cfg, noise=u, s_indices=si, c_indices=ci)
         for m in range(cfg.n_max):
             totals, _ = ml_symbol_metrics(obs.y[m], real.H_d, real.H_b, cfg,
                                           pilot_structure=False)

@@ -1,0 +1,71 @@
+"""The package exports only what it runs or documents: every name in a
+srofdm module's `__all__` is used by another srofdm module or listed under
+the README's "Analysis API" heading. Code that only the tests call belongs in
+the tests (see tests/oracles.py)."""
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "srofdm"
+README = ROOT / "README.md"
+
+
+def module_name(path: Path) -> str:
+    return "srofdm" if path.stem == "__init__" else f"srofdm.{path.stem}"
+
+
+def exporting_modules():
+    return sorted(
+        module_name(p) for p in SRC.glob("*.py")
+        if hasattr(importlib.import_module(module_name(p)), "__all__")
+    )
+
+
+def identifiers(path: Path) -> set:
+    """Every name, attribute and imported name that a module's code mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def documented_api() -> dict:
+    """{module: names} from the Analysis API section's "- `srofdm.x`: ..." lines."""
+    section = README.read_text().split("\n## Analysis API\n", 1)[1].split("\n## ", 1)[0]
+    api = {}
+    for line in section.splitlines():
+        entry = re.match(r"- `(srofdm(?:\.\w+)?)`:(.*)", line)
+        if entry:
+            api.setdefault(entry.group(1), set()).update(re.findall(r"`(\w+)", entry.group(2)))
+    return api
+
+
+@pytest.mark.parametrize("module", exporting_modules())
+def test_every_export_is_used_or_documented(module):
+    used_elsewhere = set().union(
+        *(identifiers(p) for p in SRC.glob("*.py") if module_name(p) != module)
+    )
+    documented = documented_api().get(module, set())
+    orphans = [
+        name for name in importlib.import_module(module).__all__
+        if name not in used_elsewhere and name not in documented
+    ]
+    assert not orphans, (
+        f"{module} exports {orphans}, which no other srofdm module uses and the "
+        "README's Analysis API does not list; move test-only code into tests/"
+    )
+
+
+def test_documented_names_are_exported():
+    for module, names in documented_api().items():
+        exported = set(importlib.import_module(module).__all__)
+        assert names <= exported, f"README lists {sorted(names - exported)} under {module}"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import composite_cfr, composite_cir
 from srofdm.channel import (
     ChannelConfig,
-    composite_cfr,
-    composite_cir,
+    composite_response,
     composite_tap_count,
     draw_channel,
     pathloss,
@@ -197,3 +197,28 @@ class TestDerivedResponses:
         out = composite_cfr(batched, np.array([1.0, -1.0, 0.5]))
         for i, r in enumerate(singles):
             np.testing.assert_allclose(out[i], composite_cfr(r, [1.0, -1.0, 0.5][i]))
+
+    def test_composite_response_matches_oracles(self):
+        # one row per symbol value: the per-symbol combined response, which
+        # is also the DFT of the explicit tap-domain construction
+        cfg = ChannelConfig()
+        real = draw_channel(cfg, RandomStream(18, 0), 64)
+        c = np.array([1.0, -1.0, 1j, 0.0])
+        got = composite_response(real.H_d, real.H_b, c)
+        assert got.shape == (4, 64)
+        for row, cn in zip(got, c):
+            np.testing.assert_allclose(row, composite_cfr(real, cn), rtol=1e-14, atol=0)
+            cir = composite_cir(real, cn, composite_tap_count(cfg))
+            np.testing.assert_allclose(row, np.fft.fft(cir, n=64), atol=1e-9)
+
+    def test_composite_response_batched(self):
+        # (batch, n) responses with (batch, n_sym) symbols give (batch, n_sym, n)
+        cfg = ChannelConfig()
+        singles = [draw_channel(cfg, RandomStream(19, i), 64) for i in range(3)]
+        h_d = np.stack([r.H_d for r in singles])
+        h_b = np.stack([r.H_b for r in singles])
+        c = np.array([[1.0, -1.0], [1j, -1j], [0.5, 0.0]])
+        got = composite_response(h_d, h_b, c)
+        assert got.shape == (3, 2, 64)
+        for i, r in enumerate(singles):
+            np.testing.assert_allclose(got[i], composite_cfr(r, c[i]), rtol=1e-14, atol=0)

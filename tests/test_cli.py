@@ -183,6 +183,18 @@ class TestSweepCommand:
             assert main(["single", "paper_default", f"--value={value}"]) == 1
             err = capsys.readouterr().err
             assert "--value" in err and "runtime error" not in err
+        for axis, value in (("stx_distance_m", "500"), ("sync_error_samples", "1e6"),
+                            ("sync_error_samples", "-3")):
+            assert main(["single", "paper_default", "--axis", axis, f"--value={value}"]) == 1
+            err = capsys.readouterr().err
+            assert f"axis {axis} = {float(value):g}" in err and "runtime error" not in err
+        for points in ("4000", "-4000"):
+            rc = main(["theory", "paper_default", f"--points={points}",
+                       "--out", str(tmp_path / "x"), "--quiet"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert f"point {points} dB" in err and "runtime error" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_scenario_exits_1(self, tmp_path):
         assert main(["sweep", "no_such_scenario", "--out", str(tmp_path / "x")]) == 1
@@ -229,6 +241,9 @@ class TestSweepCommand:
         ("direct_snr_db", 4000.0, "transmit power"),  # overflows a float
         ("backscatter_snr_db", 4000.0, "transmit power"),
         ("snr_ratio_db", 4000.0, "SNR ratio"),
+        ("stx_distance_m", 500.0, "tag position"),  # beyond the 200 m link
+        ("sync_error_samples", 100000.0, "sync error"),  # beyond the 80-sample symbol
+        ("sync_error_samples", -3.0, "sync error"),
     ])
     def test_unusable_point_rejected(self, tmp_path, capsys, axis, value, what):
         scenario, _ = resolve_scenario(parse_scenario_text("backscatter_snr_db = 10\n"))
@@ -244,12 +259,26 @@ class TestSweepCommand:
         assert f"{axis} = {value:g}" in err and what in err
         assert not (tmp_path / "x").exists()
 
-    def test_unknown_receiver_exits_2(self, tmp_path, fast_scenario):
+    def test_unknown_receiver_exits_1(self, tmp_path, capsys, fast_scenario):
         rc = main([
             "sweep", str(fast_scenario), "--receivers", "nope", "--points", "20",
             "--trials", "1000", "--out", str(tmp_path / "x"), "--quiet",
         ])
-        assert rc == 2
+        assert rc == 1
+        assert "unknown receiver 'nope'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--receivers", "perfect_csi,perfect_csi"],
+                     "'perfect_csi' is listed twice", id="duplicate_receiver"),
+        pytest.param(["--trials", "5"], "at least 10^3 trials", id="too_few_trials"),
+    ])
+    def test_bad_sweep_spec_exits_1(self, tmp_path, capsys, fast_scenario, flags, message):
+        argv = ["sweep", str(fast_scenario), "--points", "20", "--trials", "1000",
+                "--out", str(tmp_path / "x"), "--quiet"]
+        assert main(argv + flags) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestTheoryCommand:

@@ -5,6 +5,7 @@ from srofdm.channel import ChannelConfig
 from srofdm.harness import (
     RECEIVERS,
     Scenario,
+    ScenarioError,
     SweepSpec,
     apply_axis,
     draw_frame_batch,
@@ -62,6 +63,21 @@ class TestAxes:
         with pytest.raises(ValueError):
             apply_axis(paper_scenario(), "carrier_frequency", 1.0)
 
+    def test_distance_outside_link_rejected(self):
+        scen = paper_scenario()  # 200 m direct link
+        for value in (0.0, -3.0, 200.0, 500.0, float("nan")):
+            with pytest.raises(ScenarioError, match="stx_distance_m = .* tag position"):
+                apply_axis(scen, "stx_distance_m", value)
+        assert apply_axis(scen, "stx_distance_m", 199.5)[1].dist_bwd == pytest.approx(0.5)
+
+    def test_sync_error_outside_symbol_rejected(self):
+        scen = paper_scenario()  # 80-sample symbol period
+        for value in (-3.0, -0.5, 79.5, 1e6, float("inf")):
+            with pytest.raises(ScenarioError, match="sync_error_samples = .* sync error"):
+                apply_axis(scen, "sync_error_samples", value)
+        assert apply_axis(scen, "sync_error_samples", -0.4)[2] == 0
+        assert apply_axis(scen, "sync_error_samples", 79.4)[2] == 79
+
 
 class TestSweepSpec:
     def test_rejects_nonincreasing_points(self):
@@ -78,6 +94,26 @@ class TestSweepSpec:
                 axis="direct_snr_db", points=(10.0,), trials_per_point=1000,
                 receivers=("magic",),
             )
+
+    def test_rejects_duplicate_receivers(self):
+        # a repeated name would merge its counts twice into one curve
+        with pytest.raises(ScenarioError, match="'perfect_csi' is listed twice"):
+            SweepSpec(
+                axis="direct_snr_db", points=(10.0,), trials_per_point=1000,
+                receivers=("perfect_csi", "proposed_m2", "perfect_csi"),
+            )
+
+    @pytest.mark.parametrize("bad", [
+        dict(axis="carrier_frequency"),
+        dict(points=(10.0, 10.0)),
+        dict(trials_per_point=5),
+        dict(receivers=("magic",)),
+    ])
+    def test_rejections_are_scenario_errors(self, bad):
+        kw = dict(axis="direct_snr_db", points=(10.0,), trials_per_point=1000)
+        kw.update(bad)
+        with pytest.raises(ScenarioError):
+            SweepSpec(**kw)
 
 
 class TestTrialDeterminism:

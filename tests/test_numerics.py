@@ -7,10 +7,7 @@ from scipy.integrate import quad
 
 from srofdm.numerics import (
     RandomStream,
-    SingularSystemError,
-    dft_matrix,
     draw_cn,
-    ls_solve,
     partial_fourier,
     q_function,
 )
@@ -18,15 +15,15 @@ from srofdm.numerics import (
 
 class TestDftMatrix:
     def test_single_point(self):
-        np.testing.assert_array_equal(dft_matrix(1), np.array([[1.0 + 0j]]))
+        np.testing.assert_array_equal(partial_fourier(1, 1), np.array([[1.0 + 0j]]))
 
     def test_two_point_roots_of_unity(self):
         np.testing.assert_allclose(
-            dft_matrix(2), np.array([[1, 1], [1, -1]], dtype=complex), atol=1e-15
+            partial_fourier(2, 2), np.array([[1, 1], [1, -1]], dtype=complex), atol=1e-15
         )
 
     def test_unitarity_n64(self):
-        w = dft_matrix(64)
+        w = partial_fourier(64, 64)
         gram = w.conj().T @ w
         np.testing.assert_allclose(gram, 64 * np.eye(64), atol=1e-10)
 
@@ -35,13 +32,13 @@ class TestDftMatrix:
         rng = np.random.default_rng(3)
         for n in (2, 8, 64, 128):
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            direct = dft_matrix(n) @ x
+            direct = partial_fourier(n, n) @ x
             fast = np.fft.fft(x)
             assert np.max(np.abs(fast - direct)) <= 1e-9 * np.linalg.norm(x)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            dft_matrix(0)
+            partial_fourier(0, 0)
 
 
 class TestPartialFourier:
@@ -54,45 +51,11 @@ class TestPartialFourier:
 
     def test_matches_dft_columns(self):
         f = partial_fourier(8, 3)
-        np.testing.assert_array_equal(f, dft_matrix(8)[:, :3])
+        np.testing.assert_array_equal(f, partial_fourier(8, 8)[:, :3])
 
     def test_rejects_l_greater_than_n(self):
         with pytest.raises(ValueError):
             partial_fourier(4, 5)
-
-
-class TestLsSolve:
-    def test_identity_system(self):
-        b = np.array([1 + 2j, -0.5j, 3.0])
-        np.testing.assert_allclose(ls_solve(np.eye(3), b), b)
-
-    def test_mean_of_observations(self):
-        a = np.array([[1.0], [1.0]])
-        x = ls_solve(a, np.array([2.0, 4.0]))
-        np.testing.assert_allclose(x, [3.0])
-
-    def test_construct_then_solve(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        x0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        x = ls_solve(a, a @ x0)
-        np.testing.assert_allclose(x, x0, atol=1e-8)
-
-    def test_residual_orthogonal_to_column_space(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
-        b = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        x = ls_solve(a, b)
-        assert np.linalg.norm(a.conj().T @ (a @ x - b)) <= 1e-8 * np.linalg.norm(b)
-
-    def test_rank_deficient_raises(self):
-        a = np.ones((4, 2), dtype=complex)  # duplicated columns
-        with pytest.raises(SingularSystemError):
-            ls_solve(a, np.ones(4))
-
-    def test_underdetermined_raises(self):
-        with pytest.raises(SingularSystemError):
-            ls_solve(np.ones((2, 3)), np.ones(2))
 
 
 class TestQFunction:

@@ -3,16 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import draw_noise, draw_primary, draw_secondary, ser_qam_awgn
 from srofdm.channel import ChannelConfig, composite_tap_count, draw_channel, realization_from_taps
 from srofdm.harness import Scenario, apply_axis, draw_frame_batch
 from srofdm.numerics import RandomStream, SingularSystemError, draw_cn, partial_fourier, q_function
 from srofdm.receiver import (
     PilotEstimator,
     UndetectableSecondaryError,
-    cir_to_cfr,
     detect_primary,
     detect_secondary,
-    estimate_pilot_cir,
     full_symbol_vector,
     ml_symbol_metrics,
     reestimate_method1,
@@ -21,13 +20,7 @@ from srofdm.receiver import (
     run_ml_benchmark,
     separate_links,
 )
-from srofdm.txchain import (
-    SystemConfig,
-    default_pilot_indices,
-    frequency_domain_rx,
-    modulate_primary,
-    secondary_frame,
-)
+from srofdm.txchain import SystemConfig, default_pilot_indices, frequency_domain_rx
 
 
 def cfg_with(**kw) -> SystemConfig:
@@ -49,8 +42,8 @@ def noise_free_obs(seed=1, ms=16, mc=8, ch=None):
     cfg = cfg_with(sigma2=0.0, m_s=ms, m_c=mc)
     ch = ch or ChannelConfig()
     real = draw_channel(ch, RandomStream(seed, 0), cfg.n)
-    s, si = modulate_primary(None, cfg, RandomStream(seed, 1))
-    c, ci = secondary_frame(None, cfg, RandomStream(seed, 2))
+    s, si = draw_primary(cfg, RandomStream(seed, 1))
+    c, ci = draw_secondary(cfg, RandomStream(seed, 2))
     obs = frequency_domain_rx(s, c, real, cfg, s_indices=si, c_indices=ci)
     return cfg, ch, obs
 
@@ -63,7 +56,7 @@ class TestPilotEstimation:
         h_true = np.zeros(taps, dtype=complex)
         h_true[0] = 1.0
         y_p = np.sqrt(cfg.p_t) * np.asarray(cfg.pilot_values) * (f_p @ h_true)
-        h = estimate_pilot_cir(y_p, cfg, taps)
+        h = PilotEstimator(cfg, taps).estimate_cir(y_p)
         np.testing.assert_allclose(h, h_true, atol=1e-10)
 
     def test_equally_spaced_comb_is_matched_filter(self):
@@ -78,7 +71,7 @@ class TestPilotEstimation:
 
     def test_too_many_taps_rejected(self):
         with pytest.raises(SingularSystemError):
-            estimate_pilot_cir(np.ones(8), cfg_with(), taps=9)
+            PilotEstimator(cfg_with(), taps=9).estimate_cir(np.ones(8))
 
     def test_noisy_tap_error_variance(self):
         # per-tap error variance sigma^2 / (N_p P_T)
@@ -94,15 +87,16 @@ class TestPilotEstimation:
 
 class TestCirToCfr:
     def test_unit_first_tap(self):
-        np.testing.assert_allclose(cir_to_cfr(np.array([1.0 + 0j]), 8), np.ones(8))
+        h = np.array([1.0 + 0j])
+        np.testing.assert_allclose(h @ partial_fourier(8, 1).T, np.ones(8))
 
     def test_second_tap_is_second_column(self):
         h = np.array([0.0, 1.0], dtype=complex)
-        np.testing.assert_allclose(cir_to_cfr(h, 8), partial_fourier(8, 2)[:, 1], atol=1e-12)
+        np.testing.assert_allclose(h @ partial_fourier(8, 2).T, partial_fourier(8, 2)[:, 1], atol=1e-12)
 
     def test_matches_zero_padded_fft(self):
         h = draw_cn(RandomStream(41, 0), 5, 1.0)
-        np.testing.assert_allclose(cir_to_cfr(h, 64), np.fft.fft(h, n=64), atol=1e-9)
+        np.testing.assert_allclose(h @ partial_fourier(64, 5).T, np.fft.fft(h, n=64), atol=1e-9)
 
 
 class TestDetectPrimary:
@@ -131,8 +125,6 @@ class TestDetectPrimary:
 
     def test_single_subcarrier_ser_matches_formula(self):
         # flat unit channel at 20 dB; exact conditional symbol error rate
-        from srofdm.theory import ser_qam_awgn
-
         cfg = SystemConfig(
             n=1, n_cp=0, pilot_indices=(), m_s=16, m_c=2, n_max=3, t_preamble=2, p_t=100.0, sigma2=1.0
         )
@@ -310,19 +302,19 @@ class TestAlgorithm1:
     @pytest.mark.parametrize("method", ["pilot_only", "method1", "method2"])
     def test_noise_free_end_to_end(self, method):
         cfg, ch, obs = noise_free_obs(seed=5)
-        out = run_algorithm1(obs, cfg, method)
+        out = run_algorithm1(obs, cfg, method, taps=composite_tap_count(ch))
         np.testing.assert_array_equal(out.s_hat, obs.s_indices)
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
 
     def test_no_direct_link_decoupled(self):
         cfg, ch, obs = noise_free_obs(seed=6, ch=ChannelConfig(direct_model="none"))
-        out = run_algorithm1(obs, cfg, "method2")
+        out = run_algorithm1(obs, cfg, "method2", taps=composite_tap_count(ch))
         np.testing.assert_array_equal(out.s_hat, obs.s_indices)
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
 
     def test_perfect_csi_noise_free(self):
         cfg, ch, obs = noise_free_obs(seed=7)
-        out = run_algorithm1(obs, cfg, "method2", perfect_csi=True)
+        out = run_algorithm1(obs, cfg, "method2", taps=composite_tap_count(ch), perfect_csi=True)
         np.testing.assert_array_equal(out.s_hat, obs.s_indices)
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
 
@@ -413,15 +405,21 @@ class TestNoiseMomentIdentities:
 class TestMlBenchmark:
     def test_noise_free_joint_recovery(self):
         cfg, ch, obs = noise_free_obs(seed=9, ms=4, mc=2)
-        out = run_ml_benchmark(obs, cfg, csi="perfect")
+        out = run_ml_benchmark(obs, cfg, csi="perfect", taps=composite_tap_count(ch))
         np.testing.assert_array_equal(out.s_hat, obs.s_indices)
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
 
     def test_estimated_csi_noise_free(self):
         cfg, ch, obs = noise_free_obs(seed=10, ms=4, mc=2)
-        out = run_ml_benchmark(obs, cfg, csi="estimated")
+        out = run_ml_benchmark(obs, cfg, csi="estimated", taps=composite_tap_count(ch))
         np.testing.assert_array_equal(out.s_hat, obs.s_indices)
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
+
+    def test_unknown_csi_rejected(self):
+        cfg, ch, obs = noise_free_obs(seed=9, ms=4, mc=2)
+        with pytest.raises(ValueError, match="csi must be 'perfect' or 'estimated'"):
+            run_ml_benchmark(obs, cfg, csi=(obs.realization.H_d, obs.realization.H_b),
+                             taps=composite_tap_count(ch))
 
     def test_sign_ambiguity_metric_tie_without_pilot_structure(self):
         # absent direct path + BPSK secondary: (c, S) and (-c, -S) explain the
@@ -434,9 +432,10 @@ class TestMlBenchmark:
             ChannelConfig(direct_model="none", l_d=2, l_1=1, l_2=2, d_b=0),
             RandomStream(64, 0), cfg.n,
         )
-        s, si = modulate_primary(None, cfg, RandomStream(64, 1))
-        c, ci = secondary_frame(None, cfg, RandomStream(64, 2))
-        obs = frequency_domain_rx(s, c, real, cfg, RandomStream(64, 3), s_indices=si, c_indices=ci)
+        s, si = draw_primary(cfg, RandomStream(64, 1))
+        c, ci = draw_secondary(cfg, RandomStream(64, 2))
+        u = draw_noise(cfg, RandomStream(64, 3), s.shape)
+        obs = frequency_domain_rx(s, c, real, cfg, noise=u, s_indices=si, c_indices=ci)
         for m in range(cfg.n_max):
             totals, _ = ml_symbol_metrics(
                 obs.y[m], real.H_d, real.H_b, cfg, pilot_structure=False
@@ -469,10 +468,12 @@ class TestMlBenchmark:
         # noise 60 dB below the (path-loss-scaled) backscatter signal
         cfg = cfg_with(sigma2=1e-18, m_s=4, m_c=2)
         real = draw_channel(ChannelConfig(direct_model="none"), RandomStream(65, 0), cfg.n)
-        s, si = modulate_primary(None, cfg, RandomStream(65, 1))
-        c, ci = secondary_frame(None, cfg, RandomStream(65, 2))
-        obs = frequency_domain_rx(s, c, real, cfg, RandomStream(65, 3), s_indices=si, c_indices=ci)
-        out = run_ml_benchmark(obs, cfg, csi="perfect", pilot_structure=True)
+        s, si = draw_primary(cfg, RandomStream(65, 1))
+        c, ci = draw_secondary(cfg, RandomStream(65, 2))
+        u = draw_noise(cfg, RandomStream(65, 3), s.shape)
+        obs = frequency_domain_rx(s, c, real, cfg, noise=u, s_indices=si, c_indices=ci)
+        taps = composite_tap_count(ChannelConfig(direct_model="none"))
+        out = run_ml_benchmark(obs, cfg, csi="perfect", pilot_structure=True, taps=taps)
         np.testing.assert_array_equal(out.s_hat, obs.s_indices)
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
 
@@ -584,8 +585,9 @@ class TestMlSearchOracle:
         scen = Scenario(system=cfg_with(sigma2=1e-11), chan=ChannelConfig())
         system, chan, _ = apply_axis(scen, "direct_snr_db", 12.0)
         obs = draw_frame_batch(system, chan, master_seed=3, trial_ids=range(256))
-        got = run_ml_benchmark(obs, system, csi=csi, pilot_structure=pilot_structure)
+        kw = dict(csi=csi, pilot_structure=pilot_structure, taps=composite_tap_count(chan))
+        got = run_ml_benchmark(obs, system, **kw)
         monkeypatch.setattr("srofdm.receiver.ml_symbol_metrics", exhaustive_ml_symbol_metrics)
-        want = run_ml_benchmark(obs, system, csi=csi, pilot_structure=pilot_structure)
+        want = run_ml_benchmark(obs, system, **kw)
         for name in ("s_hat", "c_hat", "H_tilde", "H_hat", "H_hat_d", "H_hat_b", "n_erased"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name

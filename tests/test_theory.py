@@ -6,23 +6,19 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import factorial
 
+from oracles import mc_ber_secondary_method1, ser_qam_awgn
 from srofdm.channel import ChannelConfig, composite_tap_count, draw_channel
 from srofdm.numerics import RandomStream, draw_cn, q_function
 from srofdm.theory import (
     AvgSnrParams,
     avg_ber_secondary,
-    ber_bits_qam_awgn,
-    ber_primary_estimated,
-    ber_primary_perfect,
     ber_psk_from_snr,
     ber_secondary_perfect,
     eq_noise_moment_predictions,
     fit_diversity_slope,
-    mc_ber_secondary_method1,
+    primary_rates_perfect,
     qam_error_rates,
     qam_moments,
-    ser_qam_awgn,
-    snr_primary_estimated,
     snr_primary_estimated_grid,
     snr_secondary_method1,
     snr_secondary_method2,
@@ -84,12 +80,12 @@ class TestPrimaryPerfect:
     def test_vanishing_noise(self):
         cfg = cfg_with(sigma2=1e-30)
         real = draw_channel(ChannelConfig(), RandomStream(101, 0), cfg.n)
-        assert ber_primary_perfect(real.H_d, real.H_b, cfg) == pytest.approx(0.0, abs=1e-12)
+        assert primary_rates_perfect(real.H_d, real.H_b, cfg)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_no_backscatter_reduces_to_qam_over_direct(self):
         cfg = cfg_with(p_t=1e9)
         real = draw_channel(ChannelConfig(), RandomStream(102, 0), cfg.n)
-        got = ber_primary_perfect(real.H_d, np.zeros(cfg.n), cfg)
+        got = primary_rates_perfect(real.H_d, np.zeros(cfg.n), cfg)[0]
         snr = cfg.p_t * np.abs(real.H_d[cfg.data_indices]) ** 2 / cfg.sigma2
         want = ser_qam_awgn(snr, cfg.m_s).mean()
         assert got == pytest.approx(want, rel=1e-12)
@@ -100,7 +96,7 @@ class TestPrimaryPerfect:
         vals = []
         for snr_db in np.arange(60, 125, 5):
             cfg = cfg_with(p_t=10 ** (snr_db / 10))
-            v = float(ber_primary_perfect(real.H_d, real.H_b, cfg))
+            v = float(primary_rates_perfect(real.H_d, real.H_b, cfg)[0])
             assert 0.0 <= v <= 1.0
             vals.append(v)
         assert np.all(np.diff(vals) <= 1e-15)
@@ -115,7 +111,7 @@ class TestPrimaryPerfect:
 
         def perfect_at(pt):
             return float(
-                ber_primary_perfect(real.H_d, real.H_b, cfg_with(p_t=pt))
+                primary_rates_perfect(real.H_d, real.H_b, cfg_with(p_t=pt))[0]
             ) - 1e-3
 
         p_t = brentq(perfect_at, 1e6, 1e16, xtol=1e-2)
@@ -130,8 +126,8 @@ class TestPrimaryPerfect:
             blk = 2000
             s_idx = stream.integers(0, 16, size=(blk, cfg.n_max, cfg.n_data))
             c_idx = stream.integers(0, 8, size=(blk, cfg.n_data_symbols))
-            s, _ = modulate_primary(s_idx, cfg)
-            c, _ = secondary_frame(c_idx, cfg)
+            s = modulate_primary(s_idx, cfg)
+            c = secondary_frame(c_idx, cfg)
             u = draw_cn(stream, blk * cfg.n_max * cfg.n, cfg.sigma2).reshape(blk, cfg.n_max, cfg.n)
             obs = frequency_domain_rx(s, c, real, cfg, noise=u)
             h_true = real.H_d[None, None, :] + c[:, :, None] * real.H_b[None, None, :]
@@ -139,7 +135,7 @@ class TestPrimaryPerfect:
             err += int(np.sum(idx != s_idx))
             tot += idx.size
             want_sum += float(
-                np.sum(ber_primary_perfect(real.H_d, real.H_b, cfg, c_values=c))
+                np.sum(primary_rates_perfect(real.H_d, real.H_b, cfg, c_values=c)[0])
             )
         ser = err / tot
         want = want_sum / trials
@@ -177,7 +173,7 @@ class TestPrimaryEstimated:
             perfect = (
                 cfg_p.p_t * np.abs(real.H_d[k] + real.H_b[k]) ** 2 / cfg_p.sigma2
             )
-            est = snr_primary_estimated(real.H_d, real.H_b, 1.0, k, cfg_p, taps=5)
+            est = snr_primary_estimated_grid(real.H_d, real.H_b, np.ones(1), cfg_p, taps=5)[0, 5]
             assert perfect / est >= 13 / 8 - 1e-9
 
     def test_display_tracks_pipeline_on_fading_sweep(self):
@@ -322,8 +318,8 @@ class TestSecondaryClosedForms:
             nblk = min(blk, trials - start)
             s_idx = stream.integers(0, cfg.m_s, size=(nblk, cfg.n_max, cfg.n_data))
             c_idx = stream.integers(0, cfg.m_c, size=(nblk, cfg.n_data_symbols))
-            s, _ = modulate_primary(s_idx, cfg)
-            c, _ = secondary_frame(c_idx, cfg)
+            s = modulate_primary(s_idx, cfg)
+            c = secondary_frame(c_idx, cfg)
             u = draw_cn(stream, nblk * cfg.n_max * cfg.n, cfg.sigma2).reshape(
                 nblk, cfg.n_max, cfg.n
             )
@@ -372,7 +368,7 @@ class TestMonotonicity:
         "fn",
         [
             lambda snr: ser_qam_awgn(snr, 16),
-            lambda snr: ber_bits_qam_awgn(snr, 16),
+            lambda snr: qam_error_rates(snr, 16)[1],
             lambda snr: ber_psk_from_snr(snr, 8),
             lambda snr: ber_psk_from_snr(snr, 2),
             lambda snr: np.array(

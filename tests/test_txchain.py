@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from srofdm.channel import ChannelConfig, composite_cir, draw_channel, realization_from_taps
+from oracles import composite_cir, draw_noise, draw_primary, draw_secondary
+from srofdm.channel import ChannelConfig, draw_channel, realization_from_taps
 from srofdm.numerics import RandomStream, draw_cn
 from srofdm.txchain import (
     FrameObservation,
@@ -13,7 +14,6 @@ from srofdm.txchain import (
     frequency_domain_rx,
     modulate_primary,
     sample_level_rx,
-    secondary_frame,
     tag_emitted_stream,
 )
 
@@ -120,19 +120,19 @@ class TestModulation:
     def test_constant_fill(self):
         cfg = paper_cfg()
         idx = np.zeros((cfg.n_max, cfg.n_data), dtype=int)
-        s, _ = modulate_primary(idx, cfg)
+        s = modulate_primary(idx, cfg)
         np.testing.assert_allclose(s[..., cfg.data_indices], cfg.qam.points[0])
         np.testing.assert_allclose(s[..., list(cfg.pilot_indices)], 1.0)
 
     def test_round_trip(self):
         cfg = paper_cfg()
-        s, idx = modulate_primary(None, cfg, RandomStream(21, 0))
+        s, idx = draw_primary(cfg, RandomStream(21, 0))
         recovered = cfg.qam.detect(s[..., cfg.data_indices])
         np.testing.assert_array_equal(recovered, idx)
 
     def test_secondary_frame_layout(self):
         cfg = paper_cfg()
-        c, idx = secondary_frame(None, cfg, RandomStream(22, 0))
+        c, idx = draw_secondary(cfg, RandomStream(22, 0))
         np.testing.assert_allclose(c[:2], [1.0, -1.0])
         np.testing.assert_array_equal(cfg.psk.detect(c[2:]), idx)
 
@@ -141,15 +141,15 @@ class TestFrequencyDomainRx:
     def test_transparent_channel(self):
         cfg = paper_cfg(sigma2=0.0)
         real = realization_from_taps([1.0], [0.0], [1.0], d_b=0, n=cfg.n)
-        s, _ = modulate_primary(None, cfg, RandomStream(23, 0))
+        s, _ = draw_primary(cfg, RandomStream(23, 0))
         obs = frequency_domain_rx(s, np.zeros(cfg.n_max), real, cfg)
         np.testing.assert_allclose(obs.y, s, atol=1e-12)
 
     def test_noise_free_ratio_recovers_composite(self):
         cfg = paper_cfg(sigma2=0.0)
         real = draw_channel(ChannelConfig(), RandomStream(24, 0), cfg.n)
-        s, _ = modulate_primary(None, cfg, RandomStream(24, 1))
-        c, _ = secondary_frame(None, cfg, RandomStream(24, 2))
+        s, _ = draw_primary(cfg, RandomStream(24, 1))
+        c, _ = draw_secondary(cfg, RandomStream(24, 2))
         obs = frequency_domain_rx(s, c, real, cfg)
         h = obs.y / (np.sqrt(cfg.p_t) * s)
         expect = real.H_d[None, :] + c[:, None] * real.H_b[None, :]
@@ -158,8 +158,8 @@ class TestFrequencyDomainRx:
     def test_matches_sample_level_with_shared_noise(self):
         cfg = paper_cfg(sigma2=1e-2, p_t=2.0)
         real = draw_channel(ChannelConfig(), RandomStream(25, 0), cfg.n)
-        s, _ = modulate_primary(None, cfg, RandomStream(25, 1))
-        c, _ = secondary_frame(None, cfg, RandomStream(25, 2))
+        s, _ = draw_primary(cfg, RandomStream(25, 1))
+        c, _ = draw_secondary(cfg, RandomStream(25, 2))
         u = draw_cn(RandomStream(25, 3), cfg.n_max * cfg.symbol_period, cfg.sigma2)
         sample = sample_level_rx(s, c, real, cfg, xi=0, noise=u)
         u_freq = (
@@ -170,14 +170,26 @@ class TestFrequencyDomainRx:
         np.testing.assert_allclose(sample.y, freq.y, atol=1e-8)
 
 
+    def test_noisy_link_needs_explicit_noise(self):
+        # the receive paths never draw: the harness supplies every noise sample
+        cfg = paper_cfg(sigma2=1e-2)
+        real = draw_channel(ChannelConfig(), RandomStream(32, 0), cfg.n)
+        s, _ = draw_primary(cfg, RandomStream(32, 1))
+        c, _ = draw_secondary(cfg, RandomStream(32, 2))
+        for rx in (frequency_domain_rx, sample_level_rx):
+            with pytest.raises(ValueError, match="need explicit noise"):
+                rx(s, c, real, cfg)
+
+
 class TestSampleLevelRx:
     def _run(self, xi, ch=None, sigma2=0.0, seed=26):
         cfg = paper_cfg(sigma2=sigma2)
         ch = ch or ChannelConfig()
         real = draw_channel(ch, RandomStream(seed, 0), cfg.n)
-        s, _ = modulate_primary(None, cfg, RandomStream(seed, 1))
-        c, _ = secondary_frame(None, cfg, RandomStream(seed, 2))
-        obs = sample_level_rx(s, c, real, cfg, xi=xi, stream=RandomStream(seed, 3))
+        s, _ = draw_primary(cfg, RandomStream(seed, 1))
+        c, _ = draw_secondary(cfg, RandomStream(seed, 2))
+        noise = draw_noise(cfg, RandomStream(seed, 3), (cfg.n_max * cfg.symbol_period,))
+        obs = sample_level_rx(s, c, real, cfg, xi=xi, noise=noise)
         return cfg, ch, real, s, c, obs
 
     @pytest.mark.parametrize("xi", [0, 1, 3, 5, 14])
@@ -203,10 +215,13 @@ class TestSampleLevelRx:
     def test_out_of_range_xi_rejected(self):
         cfg = paper_cfg()
         real = draw_channel(ChannelConfig(), RandomStream(27, 0), cfg.n)
-        s, _ = modulate_primary(None, cfg, RandomStream(27, 1))
-        c, _ = secondary_frame(None, cfg, RandomStream(27, 2))
+        s, _ = draw_primary(cfg, RandomStream(27, 1))
+        c, _ = draw_secondary(cfg, RandomStream(27, 2))
         with pytest.raises(ValueError):
-            sample_level_rx(s, c, real, cfg, xi=cfg.n + cfg.n_cp, stream=RandomStream(27, 3))
+            sample_level_rx(
+                s, c, real, cfg, xi=cfg.n + cfg.n_cp,
+                noise=draw_noise(cfg, RandomStream(27, 3), (cfg.n_max * cfg.symbol_period,)),
+            )
 
     def test_reflection_causality(self):
         # first xi samples of each symbol period at the tag still carry the
@@ -231,8 +246,8 @@ class TestSampleLevelRx:
         trials = 400
         for t in range(trials):
             real = draw_channel(ch, RandomStream(29, t), cfg.n)
-            s, _ = modulate_primary(None, cfg, RandomStream(30, t))
-            c, _ = secondary_frame(None, cfg, RandomStream(31, t))
+            s, _ = draw_primary(cfg, RandomStream(30, t))
+            c, _ = draw_secondary(cfg, RandomStream(31, t))
             obs = frequency_domain_rx(s, c, real, cfg)
             rx_power += np.mean(np.abs(obs.y) ** 2)
             h = real.H_d[None, :] + c[:, None] * real.H_b[None, :]
@@ -244,8 +259,8 @@ class TestSampleLevelRx:
         singles = []
         for i in range(3):
             real = draw_channel(ChannelConfig(), RandomStream(33, i), cfg.n)
-            s, si = modulate_primary(None, cfg, RandomStream(34, i))
-            c, ci = secondary_frame(None, cfg, RandomStream(35, i))
+            s, si = draw_primary(cfg, RandomStream(34, i))
+            c, ci = draw_secondary(cfg, RandomStream(35, i))
             singles.append((real, s, c, sample_level_rx(s, c, real, cfg, xi=2)))
         from srofdm.channel import ChannelRealization
 
