@@ -47,6 +47,22 @@ def _finite(text) -> float:
     return value
 
 
+def _noise_power(noise_dbm: float) -> float:
+    """dBm to watts; the power must be positive and finite."""
+    watts = _from_db(noise_dbm) * 1e-3
+    if not 0 < watts < float("inf"):
+        raise ValueError(
+            f"noise_dbm = {noise_dbm:g} gives a noise power of {watts:g} W;"
+            " it must be positive and finite")
+    return watts
+
+
+def _noise_dbm(text) -> float:
+    value = _finite(text)
+    _noise_power(value)
+    return value
+
+
 _SCENARIO_KEYS = {
     # key: (parser, default); 'auto', 'none' or an empty value selects a None default
     "n": (int, 64),
@@ -56,7 +72,7 @@ _SCENARIO_KEYS = {
     "m_c": (int, 8),
     "t_preamble": (int, 2),
     "n_max": (int, 10),
-    "noise_dbm": (_finite, -80.0),
+    "noise_dbm": (_noise_dbm, -80.0),
     "direct_snr_db": (_finite, 20.0),
     "backscatter_snr_db": (_finite, None),
     "sync_error": (int, 0),
@@ -121,7 +137,6 @@ def load_scenario_file(path: str) -> dict:
 def resolve_scenario(values: dict):
     """Turn parsed key-values into (Scenario, sweep defaults dict)."""
     get = lambda k: values.get(k, _SCENARIO_KEYS[k][1])
-    sigma2 = 10.0 ** (get("noise_dbm") / 10.0) * 1e-3  # dBm to watts, once
     preamble = ()
     if get("preamble"):
         try:
@@ -129,6 +144,7 @@ def resolve_scenario(values: dict):
         except ValueError as exc:
             raise ScenarioError(f"bad preamble list: {exc}") from None
     try:
+        sigma2 = _noise_power(get("noise_dbm"))
         system = SystemConfig(
             n=get("n"),
             n_cp=get("n_cp"),
@@ -392,8 +408,10 @@ def cmd_single(args) -> int:
     print(f"scenario: N={system.n} N_cp={system.n_cp} N_p={system.n_p} "
           f"M_s={system.m_s} M_c={system.m_c} N_max={system.n_max}")
     print(f"point: {axis}={value:g} xi={xi} P_T={system.p_t:.6g} W sigma2={system.sigma2:.6g} W")
+    with np.errstate(divide="ignore"):  # no backscatter link: a ratio of 0 is -inf dB
+        ratio_db = 10 * np.log10(chan.snr_ratio) if chan.beta_direct else float("nan")
     print(f"channel: beta_direct={chan.beta_direct:.6g} beta_backscatter={chan.beta_backscatter:.6g} "
-          f"snr_ratio={10 * np.log10(chan.snr_ratio) if chan.beta_direct else float('nan'):.2f} dB")
+          f"snr_ratio={ratio_db:.2f} dB")
     for name, res in results.items():
         print(
             f"{name}: primary {res.primary_bit_errors}/{res.primary_bits} bit errors "

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -229,6 +230,14 @@ def apply_axis(scenario: Scenario, axis: str, value: float):
     return system, chan, xi
 
 
+def _check_receivers(receivers):
+    for i, r in enumerate(receivers):
+        if r not in RECEIVERS:
+            raise ScenarioError(f"unknown receiver {r!r}")
+        if r in receivers[:i]:
+            raise ScenarioError(f"receiver {r!r} is listed twice")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One experiment: an axis, its points, and the receiver curves to run."""
@@ -248,11 +257,7 @@ class SweepSpec:
         if self.trials_per_point < 10**3:
             raise ScenarioError(
                 f"need at least 10^3 trials per point, got {self.trials_per_point}")
-        for i, r in enumerate(self.receivers):
-            if r not in RECEIVERS:
-                raise ScenarioError(f"unknown receiver {r!r}")
-            if r in self.receivers[:i]:
-                raise ScenarioError(f"receiver {r!r} is listed twice")
+        _check_receivers(self.receivers)
 
 
 @dataclass
@@ -420,6 +425,7 @@ def run_trial(scenario: Scenario, axis: str, value: float, trial_index: int,
               master_seed: int, receivers=("perfect_csi",)) -> dict:
     """One trial's error counts for each requested receiver; bitwise
     reproducible from (master_seed, trial_index)."""
+    _check_receivers(receivers)
     return _process_chunk(
         (scenario, axis, value, master_seed, [trial_index], receivers, True)
     )
@@ -433,32 +439,32 @@ def run_sweep(
 ) -> dict:
     """Run every (point, receiver) cell and return {receiver: BerCurve}.
 
-    Trials split into fixed-size chunks; chunks may run on a process pool but
-    are reduced in index order, so error counts and companion sums are
+    Trials split into fixed-size chunks. With more than one worker the
+    chunks of every point run on one process pool, created once per sweep;
+    they are reduced in index order, so error counts and companion sums are
     identical for any worker count.
     """
     scenario.validate()
     workers = workers or int(os.environ.get("SROFDM_WORKERS", "1"))
-    curves = {
-        name: BerCurve(receiver=name, csi=RECEIVERS[name].csi, axis=spec.axis, points=[])
+    chunks = [
+        (scenario, spec.axis, float(value), master_seed,
+         range(start, min(start + CHUNK_TRIALS, spec.trials_per_point)),
+         tuple(spec.receivers), spec.with_theory)
+        for value in spec.points
+        for start in range(0, spec.trials_per_point, CHUNK_TRIALS)
+    ]
+    totals = {
+        name: {float(value): PointResult(point=float(value)) for value in spec.points}
         for name in spec.receivers
     }
-    for value in spec.points:
-        chunks = [
-            (scenario, spec.axis, float(value), master_seed,
-             range(start, min(start + CHUNK_TRIALS, spec.trials_per_point)),
-             tuple(spec.receivers), spec.with_theory)
-            for start in range(0, spec.trials_per_point, CHUNK_TRIALS)
-        ]
-        totals = {name: PointResult(point=float(value)) for name in spec.receivers}
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outputs = list(pool.map(_process_chunk, chunks, chunksize=1))
-        else:
-            outputs = [_process_chunk(c) for c in chunks]
-        for results in outputs:  # fixed chunk order
+    # one pool for the whole sweep; map yields in submission order
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        outputs = pool.map(_process_chunk, chunks, chunksize=1) if pool else map(_process_chunk, chunks)
+        for (_, _, value, *_), results in zip(chunks, outputs):  # fixed chunk order
             for name in spec.receivers:
-                totals[name].merge(results[name])
-        for name in spec.receivers:
-            curves[name].points.append(totals[name])
-    return curves
+                totals[name][value].merge(results[name])
+    return {
+        name: BerCurve(receiver=name, csi=RECEIVERS[name].csi, axis=spec.axis,
+                       points=list(totals[name].values()))
+        for name in spec.receivers
+    }

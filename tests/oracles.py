@@ -3,13 +3,14 @@ frame builders the tests share.
 
 The references are written the long way on purpose: an explicit composite
 response per symbol value and in the tap domain, the classic closed-form QAM
-symbol error rate, and a Monte Carlo of the method-1 secondary error
-expectation. The package itself never calls them.
+symbol error rate, a Monte Carlo of the method-1 secondary error
+expectation, and the method-2 tap fit by a batched QR of the full N x L
+system. The package itself never calls them.
 """
 import numpy as np
 
 from srofdm.channel import ChannelRealization
-from srofdm.numerics import RandomStream, draw_cn, q_function
+from srofdm.numerics import RandomStream, SingularSystemError, draw_cn, partial_fourier, q_function
 from srofdm.txchain import SystemConfig, modulate_primary, secondary_frame
 
 
@@ -70,6 +71,26 @@ def mc_ber_secondary_method1(
         * (np.sum(np.abs(h_b) ** 2, axis=-1) + np.sum(np.abs(eps_b) ** 2, axis=-1))
     )
     return float(np.mean(q_function(numer / denom)))
+
+
+def qr_reestimate_method2(
+    y: np.ndarray, s_hat: np.ndarray, cfg: SystemConfig, taps: int
+) -> np.ndarray:
+    """Data-aided estimate through the tap domain: least squares over `taps`
+    coefficients using every subcarrier, then expanded back. Solved by a
+    batched QR factorization; the tap system sees all N rows so it stays well
+    conditioned for any nonzero symbol decisions."""
+    if taps > cfg.n:
+        raise SingularSystemError(f"{taps} taps exceed {cfg.n} subcarriers")
+    f_l = partial_fourier(cfg.n, taps)
+    a = np.asarray(s_hat)[..., None] * f_l
+    q, r = np.linalg.qr(a)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    if np.min(diag) < 1e-12:
+        raise SingularSystemError("data-aided tap system is rank deficient")
+    rhs = np.einsum("...ij,...i->...j", q.conj(), np.asarray(y) / np.sqrt(cfg.p_t))
+    h = np.linalg.solve(r, rhs[..., None])[..., 0]
+    return h @ f_l.T
 
 
 def draw_primary(cfg: SystemConfig, stream: RandomStream):

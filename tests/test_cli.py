@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,8 @@ class TestScenarioParsing:
             parse_scenario_text("n = 64\nn = 32\n")
 
     def test_bad_value_reports_line(self):
-        for text in ("n = sixty-four\n", "noise_dbm = nan\n", "direct_snr_db = inf\n", "n = auto\n"):
+        for text in ("n = sixty-four\n", "noise_dbm = nan\n", "direct_snr_db = inf\n", "n = auto\n",
+                     "noise_dbm = 4000\n", "noise_dbm = -4000\n"):
             with pytest.raises(ScenarioError, match=":1:"):
                 parse_scenario_text(text)
 
@@ -169,11 +171,15 @@ class TestSweepCommand:
 
     def test_bad_scenario_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
-        for text in ("nonsense = 1\n", "noise_dbm = nan\n", "dist_fwd = -inf\n"):
+        for text in ("nonsense = 1\n", "noise_dbm = nan\n", "dist_fwd = -inf\n",
+                     "noise_dbm = 4000\n", "noise_dbm = -4000\n"):  # noise power inf, 0 W
             bad.write_text(text)
             rc = main(["sweep", str(bad), "--out", str(tmp_path / "x"), "--quiet"])
             assert rc == 1
             assert "bad.txt:1" in capsys.readouterr().err
+            assert main(["single", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert "bad.txt:1" in err and "runtime error" not in err
         for points in ("1e400", "30:12:3", "0:1e300:1"):
             rc = main(["sweep", "paper_default", "--points", points, "--trials", "1000",
                        "--out", str(tmp_path / "x"), "--quiet"])
@@ -267,6 +273,11 @@ class TestSweepCommand:
         assert rc == 1
         assert "unknown receiver 'nope'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+        for receivers, message in (("nope", "unknown receiver 'nope'"),
+                                   ("perfect_csi,perfect_csi", "'perfect_csi' is listed twice")):
+            assert main(["single", str(fast_scenario), "--receivers", receivers]) == 1
+            err = capsys.readouterr().err
+            assert message in err and "runtime error" not in err
 
     @pytest.mark.parametrize("flags, message", [
         pytest.param(["--receivers", "perfect_csi,perfect_csi"],
@@ -322,3 +333,12 @@ class TestSingleCommand:
         assert rc == 0
         text = capsys.readouterr().out
         assert "P_T=" in text and "perfect_csi:" in text and "bit errors" in text
+
+    def test_no_backscatter_ratio_is_minus_inf_without_warning(self, tmp_path, capsys):
+        scen = tmp_path / "direct_only.txt"
+        scen.write_text("backscatter_model = none\nreceivers = perfect_csi\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["single", str(scen)]) == 0
+        out, err = capsys.readouterr()
+        assert "snr_ratio=-inf dB" in out and err == ""

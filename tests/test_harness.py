@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from srofdm import harness
 from srofdm.channel import ChannelConfig
 from srofdm.harness import (
     RECEIVERS,
@@ -143,6 +144,14 @@ class TestTrialDeterminism:
         assert out.primary_bits == 10 * 56 * 4
         assert out.primary_symbols == 10 * 56
 
+    @pytest.mark.parametrize("receivers, message", [
+        (("magic",), "unknown receiver 'magic'"),
+        (("proposed_m2", "proposed_m2"), "'proposed_m2' is listed twice"),
+    ])
+    def test_run_trial_checks_receivers_like_sweep_spec(self, receivers, message):
+        with pytest.raises(ScenarioError, match=message):
+            run_trial(paper_scenario(), "direct_snr_db", 20.0, 0, 1, receivers)
+
 
 class TestSweep:
     def test_noise_free_zero_errors(self):
@@ -170,6 +179,26 @@ class TestSweep:
                 assert pa.secondary_bit_errors == pb.secondary_bit_errors
                 assert pa.erasures == pb.erasures
                 assert pa.theory_sums == pb.theory_sums  # float sums, fixed order
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        created = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        spec = SweepSpec(
+            axis="direct_snr_db", points=(14.0, 20.0, 26.0), trials_per_point=1000,
+            receivers=("perfect_csi",), with_theory=False,
+        )
+        two = run_sweep(spec, paper_scenario(), master_seed=9, workers=2)
+        assert created == [{"max_workers": 2}]
+        one = run_sweep(spec, paper_scenario(), master_seed=9, workers=1)
+        assert len(created) == 1
+        assert [vars(p) for p in two["perfect_csi"].points] == [
+            vars(p) for p in one["perfect_csi"].points]
 
     def test_statistical_consistency_perfect_csi(self):
         # simulated rates within 4 half-widths of the per-realization theory

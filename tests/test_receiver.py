@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import draw_noise, draw_primary, draw_secondary, ser_qam_awgn
+from oracles import draw_noise, draw_primary, draw_secondary, qr_reestimate_method2, ser_qam_awgn
 from srofdm.channel import ChannelConfig, composite_tap_count, draw_channel, realization_from_taps
 from srofdm.harness import Scenario, apply_axis, draw_frame_batch
 from srofdm.numerics import RandomStream, SingularSystemError, draw_cn, partial_fourier, q_function
@@ -201,6 +201,47 @@ class TestReestimation:
         cfg = cfg_with()
         with pytest.raises(SingularSystemError):
             reestimate_method2(np.ones(cfg.n), np.ones(cfg.n), cfg, cfg.n + 1)
+
+
+class TestMethod2Oracle:
+    """The normal-equation solve against the QR fit of the full N x L system."""
+
+    @pytest.mark.parametrize("shape", [(), (3,), (256, 10)], ids=str)
+    @pytest.mark.parametrize("m_s", [4, 16, 64])
+    def test_matches_qr(self, m_s, shape):
+        cfg = cfg_with(m_s=m_s, p_t=2.0)
+        rng = np.random.default_rng(m_s + len(shape))
+        for taps in (1, 4, 7, 23, cfg.n_p, cfg.n):  # taps = N: the circulant case
+            s = cfg.qam.points[rng.integers(0, m_s, shape + (cfg.n,))]
+            y = rng.standard_normal(shape + (cfg.n,)) + 1j * rng.standard_normal(shape + (cfg.n,))
+            got = reestimate_method2(y, s, cfg, taps)
+            want = qr_reestimate_method2(y, s, cfg, taps)
+            assert got.shape == want.shape == shape + (cfg.n,)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_rank_deficient_systems_rejected(self):
+        cfg = cfg_with()
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n)
+        s = cfg.qam.points[rng.integers(0, cfg.m_s, cfg.n)]
+        few = np.zeros(cfg.n, dtype=complex)
+        few[rng.choice(cfg.n, 6, replace=False)] = s[:6]
+        comb = np.zeros(cfg.n, dtype=complex)
+        comb[::16] = s[::16]  # 4 nonzeros: 8 taps alias onto 4
+        cases = [
+            (s, cfg.n + 1),
+            (np.zeros(cfg.n), 4),
+            (few, 7),
+            (comb, 8),
+            # 32 nonzeros, 33 taps: Cholesky ends on a rounding-size pivot,
+            # a diagonal near 1e-7, instead of failing
+            (np.tile([1.0, 0.0], cfg.n // 2), 33),
+            (np.stack([s, few]), 7),  # one deficient frame fails the batch
+        ]
+        for s_hat, taps in cases:
+            for solve in (reestimate_method2, qr_reestimate_method2):
+                with pytest.raises(SingularSystemError):
+                    solve(y, s_hat, cfg, taps)
 
 
 class TestSeparateLinks:
