@@ -96,6 +96,20 @@ _SCENARIO_KEYS = {
     "receivers": (str, "perfect_csi,proposed_m1,proposed_m2"),
     "with_theory": (str, "true"),
 }
+_SWEEP_KEYS = ("axis", "points", "trials", "receivers", "with_theory")
+
+
+def _parse_value(key: str, text: str, where: str):
+    """One scenario key's value from its text; errors start with `where`."""
+    if key not in _SCENARIO_KEYS:
+        raise ScenarioError(f"{where}: unknown key {key!r}")
+    parser, default = _SCENARIO_KEYS[key]
+    if default is None and text.lower() in ("auto", "none", ""):
+        return None
+    try:
+        return parser(text)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: bad value for {key!r}: {exc}") from None
 
 
 def parse_scenario_text(text: str, origin: str = "<scenario>") -> dict:
@@ -108,19 +122,48 @@ def parse_scenario_text(text: str, origin: str = "<scenario>") -> dict:
             raise ScenarioError(f"{origin}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _SCENARIO_KEYS:
-            raise ScenarioError(f"{origin}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ScenarioError(f"{origin}:{lineno}: duplicate key {key!r}")
-        parser, default = _SCENARIO_KEYS[key]
-        if default is None and val.lower() in ("auto", "none", ""):
-            values[key] = None
-            continue
-        try:
-            values[key] = parser(val)
-        except ValueError as exc:
-            raise ScenarioError(f"{origin}:{lineno}: bad value for {key!r}: {exc}") from None
+        values[key] = _parse_value(key, val, f"{origin}:{lineno}")
     return values
+
+
+def _read_manifest(path: str):
+    """(scenario values, sweep values, seed) of a sweep's manifest.json. Each
+    entry goes through its scenario key's parser, a list as its items joined
+    by commas; the manifest records parsed values, so a scalar must parse back
+    to itself ("64" for an int is refused)."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot read manifest {path}: {exc}") from None
+    for key in ("version", "master_seed", "scenario") + _SWEEP_KEYS:
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise ScenarioError(f"{path}: {key}: missing")
+    if manifest["version"] != __version__:
+        raise ScenarioError(f"{path}: version: written by srofdm {manifest['version']}, not"
+                            f" {__version__}; a replay reproduces the bytes of its own version only")
+    seed, block = manifest["master_seed"], manifest["scenario"]
+    if type(seed) is not int:
+        raise ScenarioError(f"{path}: master_seed: {seed!r} is not an integer")
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{path}: scenario: not a key-value block")
+    values, sweep = {}, {}
+    for parsed, entries in ((values, block), (sweep, {key: manifest[key] for key in _SWEEP_KEYS})):
+        for key, value in entries.items():
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            parsed[key] = _parse_value(key, text, f"{path}: {key}")
+            if not isinstance(value, (list, bool)) and parsed[key] not in (None, value):
+                raise ScenarioError(f"{path}: {key}: {value!r} should be written as {parsed[key]!r}")
+    return values, sweep, seed
+
+
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    try:
+        return default if text is None else int(text)
+    except ValueError:
+        raise ScenarioError(f"{name}={text!r} is not an integer") from None
 
 
 def load_scenario_file(path: str) -> dict:
@@ -184,13 +227,8 @@ def resolve_scenario(values: dict):
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(str(exc)) from None
-    sweep_defaults = {
-        "axis": get("axis"),
-        "points": get("points"),
-        "trials": get("trials"),
-        "receivers": get("receivers"),
-        "with_theory": str(get("with_theory")).lower() in ("1", "true", "yes"),
-    }
+    sweep_defaults = {key: get(key) for key in _SWEEP_KEYS}
+    sweep_defaults["with_theory"] = str(get("with_theory")).lower() in ("1", "true", "yes")
     return scenario, sweep_defaults
 
 
@@ -259,38 +297,30 @@ def _scenario_manifest_dict(values: dict) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    # the scenario's sweep keys, overridden by a manifest's run or the flags
     if args.from_manifest:
-        manifest = json.loads(Path(args.from_manifest).read_text())
-        values = manifest["scenario"]
-        seed = manifest["master_seed"]
-        axis, points = manifest["axis"], tuple(manifest["points"])
-        trials, receivers = manifest["trials"], tuple(manifest["receivers"])
-        with_theory = manifest["with_theory"]
-        scenario, _ = resolve_scenario(values)
+        values, sweep, seed = _read_manifest(args.from_manifest)
     else:
         values = load_scenario_file(args.scenario)
-        scenario, defaults = resolve_scenario(values)
-        axis = args.axis or defaults["axis"]
-        points = parse_points(args.points or defaults["points"])
-        trials = args.trials or defaults["trials"]
-        receivers = tuple(
-            (args.receivers or defaults["receivers"]).replace(" ", "").split(",")
-        )
-        seed = args.seed if args.seed is not None else int(os.environ.get("SROFDM_SEED", "1"))
-        with_theory = defaults["with_theory"] if args.theory is None else args.theory
-
+        sweep = dict(axis=args.axis, points=args.points, trials=args.trials,
+                     receivers=args.receivers, with_theory=args.theory)
+        seed = _env_int("SROFDM_SEED", 1) if args.seed is None else args.seed
+    scenario, sweep = resolve_scenario({**values, **{k: v for k, v in sweep.items() if v is not None}})
+    workers = _env_int("SROFDM_WORKERS", 1) if args.workers is None else args.workers
+    if workers < 1:
+        raise ScenarioError(f"need at least 1 worker (--workers, SROFDM_WORKERS), got {workers}")
     spec = SweepSpec(
-        axis=axis, points=tuple(points), trials_per_point=trials,
-        receivers=receivers, with_theory=with_theory,
-    )
-    curves = run_sweep(spec, scenario, master_seed=seed, workers=args.workers)
+        axis=sweep["axis"], points=parse_points(sweep["points"]), trials_per_point=sweep["trials"],
+        receivers=tuple(sweep["receivers"].replace(" ", "").split(",")),
+        with_theory=sweep["with_theory"])
+    curves = run_sweep(spec, scenario, master_seed=seed, workers=workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     moments = theory.qam_moments(scenario.system.m_s)
     outputs, digests = {}, {}
     for name, curve in curves.items():
-        fname = f"{axis}__{name}.csv"
+        fname = f"{spec.axis}__{name}.csv"
         write_curve_csv(out_dir / fname, curve)
         outputs[name] = fname
         digests[name] = {
@@ -301,7 +331,7 @@ def cmd_sweep(args) -> int:
         if not args.quiet:
             for p in curve.points:
                 print(
-                    f"{axis}={p.point:g} {name}: ber_primary={_fmt(p.ber_primary) or 'n/a'}"
+                    f"{spec.axis}={p.point:g} {name}: ber_primary={_fmt(p.ber_primary) or 'n/a'}"
                     f" ber_secondary={_fmt(p.ber_secondary) or 'n/a'}"
                 )
     manifest = {
@@ -309,11 +339,11 @@ def cmd_sweep(args) -> int:
         "version": __version__,
         "command": "sweep",
         "master_seed": seed,
-        "axis": axis,
-        "points": list(points),
-        "trials": trials,
-        "receivers": list(receivers),
-        "with_theory": with_theory,
+        "axis": spec.axis,
+        "points": list(spec.points),
+        "trials": spec.trials_per_point,
+        "receivers": list(spec.receivers),
+        "with_theory": spec.with_theory,
         "scenario": _scenario_manifest_dict(values),
         "constellation_moments": {"gamma1": moments.gamma1, "gamma2": moments.gamma2},
         "outputs": outputs,
@@ -401,7 +431,7 @@ def cmd_single(args) -> int:
             value = _finite(args.value)
         except ValueError as exc:
             raise ScenarioError(f"bad --value: {exc}") from None
-    seed = args.seed if args.seed is not None else int(os.environ.get("SROFDM_SEED", "1"))
+    seed = _env_int("SROFDM_SEED", 1) if args.seed is None else args.seed
     receivers = tuple((args.receivers or defaults["receivers"]).replace(" ", "").split(","))
     results = run_trial(scenario, axis, value, args.trial, seed, receivers)
     system, chan, xi = apply_axis(scenario, axis, value)

@@ -7,12 +7,11 @@ symbol indices and noise are stacked and the whole receive/detect chain runs
 batched through numpy.
 
 `RECEIVERS` is a table of `ReceiverSpec` entries, one per curve: its CSI
-label, its detector and the closed-form companions the paper pairs with it.
-Adding a receiver means adding one entry.
+label, its stage tuple and the companions the paper pairs with it. Adding a
+receiver means adding one entry; a chunk runs each stage prefix once.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -28,7 +27,7 @@ from srofdm.channel import (
     realization_from_taps,
 )
 from srofdm.numerics import RandomStream, draw_cn
-from srofdm.receiver import run_algorithm1, run_ml_benchmark
+from srofdm.receiver import run_algorithm1
 from srofdm.txchain import (
     FrameObservation,
     SystemConfig,
@@ -71,21 +70,6 @@ class ScenarioError(ValueError):
     cannot sweep."""
 
 
-def _algorithm1(method: str = "method2", **flags):
-    # run_algorithm1 is looked up at call time, so a wrapper installed on the
-    # module name (a profiler's, say) sees every call
-    return lambda obs, system, taps, detect_c: run_algorithm1(
-        obs, system, method, taps=taps, detect_c=detect_c, **flags
-    )
-
-
-def _ml(csi: str, pilot_structure: bool = True):
-    def detect(obs, system, taps, detect_c):
-        out = run_ml_benchmark(obs, system, csi=csi, pilot_structure=pilot_structure, taps=taps)
-        return out if detect_c else replace(out, c_hat=None)
-    return detect
-
-
 # Closed-form companions, conditioned on the drawn realizations (the analytic
 # curve is the average of per-realization evaluations over exactly the
 # simulated channels). Each returns the chunk's sums under the CSV's theory
@@ -123,33 +107,35 @@ def _secondary_method2(obs, system, taps):
 
 @dataclass(frozen=True)
 class ReceiverSpec:
-    """One receiver curve. `detect(obs, system, taps, detect_c)` returns a
-    DetectionOutput; each companion maps (obs, system, taps) to theory sums,
-    and None marks a curve the paper gives no closed form for."""
+    """One receiver curve. `stages` names its detection chain in order, as
+    `receiver.run_algorithm1` runs it; each companion maps (obs, system, taps)
+    to theory sums, and None marks a curve the paper gives no closed form for."""
 
     csi: str
-    detect: Callable
+    stages: tuple
     primary_theory: Optional[Callable] = None
     secondary_theory: Optional[Callable] = None
 
 
+_PILOT = ("pilot_ls", "primary")  # comb-pilot estimate, primary decisions against it
 RECEIVERS = {
+    # per-symbol composite extraction with the true symbols: noise still limits it
     "perfect_csi": ReceiverSpec(
-        "perfect", _algorithm1(perfect_csi=True), _primary_perfect, _secondary_perfect),
-    "proposed_m1": ReceiverSpec(
-        "estimated", _algorithm1("method1"), _primary_estimated, _secondary_method1),
-    "proposed_m2": ReceiverSpec(
-        "estimated", _algorithm1("method2"), _primary_estimated, _secondary_method2),
-    "proposed_m1_genie": ReceiverSpec(
-        "estimated", _algorithm1("method1", genie_primary=True),
-        _primary_estimated, _secondary_method1),
-    "proposed_m2_genie": ReceiverSpec(
-        "estimated", _algorithm1("method2", genie_primary=True),
-        _primary_estimated, _secondary_method2),
-    "pilot_only": ReceiverSpec("estimated", _algorithm1("pilot_only"), _primary_estimated),
-    "ml_perfect": ReceiverSpec("perfect", _ml("perfect")),
-    "ml_estimated": ReceiverSpec("estimated", _ml("estimated")),
-    "ml_nopilot": ReceiverSpec("perfect", _ml("perfect", pilot_structure=False)),
+        "perfect", ("true_composite", "primary", "genie", "method1", "true_links", "project"),
+        _primary_perfect, _secondary_perfect),
+    "proposed_m1": ReceiverSpec("estimated", _PILOT + ("decided", "method1", "split", "project"),
+                                _primary_estimated, _secondary_method1),
+    "proposed_m2": ReceiverSpec("estimated", _PILOT + ("decided", "method2", "split", "project"),
+                                _primary_estimated, _secondary_method2),
+    "proposed_m1_genie": ReceiverSpec("estimated", _PILOT + ("genie", "method1", "split", "project"),
+                                      _primary_estimated, _secondary_method1),
+    "proposed_m2_genie": ReceiverSpec("estimated", _PILOT + ("genie", "method2", "split", "project"),
+                                      _primary_estimated, _secondary_method2),
+    "pilot_only": ReceiverSpec("estimated", _PILOT + ("no_reestimate", "split", "project"),
+                               _primary_estimated),
+    "ml_perfect": ReceiverSpec("perfect", ("raw_links", "ml_search")),
+    "ml_estimated": ReceiverSpec("estimated", _PILOT + ("decided", "method2", "split", "ml_search")),
+    "ml_nopilot": ReceiverSpec("perfect", ("raw_links", "ml_search_nopilot")),
 }
 
 
@@ -405,19 +391,21 @@ def _process_chunk(args):
     obs = draw_frame_batch(system, chan, master_seed, trial_ids, xi=xi, path=path)
     taps = composite_tap_count(chan, xi)
     with_backscatter = chan.backscatter_model != "none"
+    memo = {}  # stage prefix -> its values over this chunk, while a later receiver shares it
+    results = {name: PointResult(point=value) for name in receivers}
+    for i, name in enumerate(receivers):  # no output outlives its counting
+        _count_errors(results[name], obs, run_algorithm1(
+            obs, system, RECEIVERS[name].stages, taps=taps, detect_c=with_backscatter, memo=memo), system)
+        later = [RECEIVERS[r].stages for r in receivers[i + 1 :]]
+        memo = {key: v for key, v in memo.items() if any(s[: len(key)] == key for s in later)}
     sums = {}  # companion -> its sums over this chunk; receivers share them
-    results = {}
-    for name in receivers:
+    for name in receivers if with_theory else ():
         spec = RECEIVERS[name]
-        res = results[name] = PointResult(point=value)
-        _count_errors(res, obs, spec.detect(obs, system, taps, with_backscatter), system)
-        if not with_theory:
-            continue
         for companion in (spec.primary_theory, spec.secondary_theory if with_backscatter else None):
             if companion is not None:
                 if companion not in sums:
                     sums[companion] = companion(obs, system, taps)
-                res.theory_sums.update(sums[companion])
+                results[name].theory_sums.update(sums[companion])
     return results
 
 
@@ -435,7 +423,7 @@ def run_sweep(
     spec: SweepSpec,
     scenario: Scenario,
     master_seed: int,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> dict:
     """Run every (point, receiver) cell and return {receiver: BerCurve}.
 
@@ -445,7 +433,6 @@ def run_sweep(
     identical for any worker count.
     """
     scenario.validate()
-    workers = workers or int(os.environ.get("SROFDM_WORKERS", "1"))
     chunks = [
         (scenario, spec.axis, float(value), master_seed,
          range(start, min(start + CHUNK_TRIALS, spec.trials_per_point)),

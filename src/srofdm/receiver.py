@@ -1,14 +1,15 @@
 """Joint detection pipeline: per-symbol pilot channel estimation, primary QAM
 detection, data-aided channel re-estimation (per-subcarrier or time-domain),
 direct/backscatter separation from the preamble, secondary PSK detection, and
-a two-step maximum-likelihood benchmark receiver.
+a two-step maximum-likelihood benchmark receiver. A receiver is a chain of
+these stages, named in order and run by `run_algorithm1`.
 
 All operations broadcast over leading batch dimensions so a whole block of
 Monte Carlo trials runs through one call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -18,7 +19,6 @@ from srofdm.numerics import SingularSystemError, partial_fourier
 from srofdm.txchain import FrameObservation, SystemConfig, modulate_primary
 
 __all__ = [
-    "ESTIMATOR_KINDS",
     "UndetectableSecondaryError",
     "DetectionOutput",
     "PilotEstimator",
@@ -33,7 +33,6 @@ __all__ = [
     "ml_symbol_metrics",
 ]
 
-ESTIMATOR_KINDS = ("pilot_only", "method1", "method2")
 ERASURE_THRESHOLD = 1e-12
 
 
@@ -224,80 +223,6 @@ def _effective_backscatter(real: ChannelRealization, xi: int) -> np.ndarray:
     return real.H_b * np.exp(-2j * np.pi * np.arange(n) * xi / n)
 
 
-def _true_composite(real: ChannelRealization, c_values: np.ndarray, xi: int = 0) -> np.ndarray:
-    return composite_response(real.H_d, _effective_backscatter(real, xi), c_values)
-
-
-def run_algorithm1(
-    obs: FrameObservation,
-    cfg: SystemConfig,
-    method: str = "method2",
-    *,
-    taps: int,
-    genie_primary: bool = False,
-    perfect_csi: bool = False,
-    detect_c: bool = True,
-) -> DetectionOutput:
-    """Joint primary/secondary detection over one frame.
-
-    Per symbol: estimate the composite response from the comb pilots, detect
-    the primary symbols against it, then re-estimate the composite response
-    from the full detected symbol vector (method1 per subcarrier, method2 in
-    the tap domain, pilot_only skips re-estimation). The preamble estimates
-    split into direct and backscatter responses, after which each data
-    symbol's secondary value is detected by projection.
-
-    taps is the receiver's model order for the composite response. When the
-    comb is too short for it, the pilot stage runs with its maximum
-    resolvable order instead (estimates alias), which is the over-delay
-    failure regime.
-    genie_primary feeds true symbols to the re-estimation stage;
-    perfect_csi detects the primary against the true composite response and
-    uses the true split responses for secondary detection (noise still limits
-    the per-symbol composite extraction).
-    """
-    if method not in ESTIMATOR_KINDS:
-        raise ValueError(f"method must be one of {ESTIMATOR_KINDS}, got {method!r}")
-    y = obs.y
-    real = obs.realization
-    if perfect_csi:
-        h_tilde = _true_composite(real, obs.c_values, obs.xi)
-        s_idx, erased = detect_primary(y, h_tilde, cfg)
-        # per-symbol composite extraction with known symbols; noise remains
-        h_hat = reestimate_method1(y, obs.s_values, cfg)
-        batch = h_tilde.shape[:-2] + (cfg.n,)
-        h_d = np.broadcast_to(real.H_d, batch)
-        h_b = np.broadcast_to(_effective_backscatter(real, obs.xi), batch)
-    else:
-        pilot_taps = min(taps, cfg.n_p)
-        est = PilotEstimator(cfg, pilot_taps)
-        h_tilde = est.estimate_cfr(y)
-        s_idx, erased = detect_primary(y, h_tilde, cfg)
-        s_full = obs.s_values if genie_primary else full_symbol_vector(s_idx, cfg)
-        if method == "pilot_only":
-            h_hat = h_tilde
-        elif method == "method1":
-            h_hat = reestimate_method1(y, s_full, cfg)
-        else:
-            h_hat = reestimate_method2(y, s_full, cfg, taps)
-        h_d, h_b = separate_links(h_hat[..., : cfg.t_preamble, :], cfg.preamble)
-
-    c_hat = (
-        detect_secondary(h_hat[..., cfg.t_preamble :, :], h_d, h_b, cfg)
-        if detect_c
-        else None
-    )
-    return DetectionOutput(
-        s_hat=s_idx,
-        c_hat=c_hat,
-        H_tilde=h_tilde,
-        H_hat=h_hat,
-        H_hat_d=h_d,
-        H_hat_b=h_b,
-        n_erased=np.sum(erased, axis=(-2, -1)),
-    )
-
-
 def ml_symbol_metrics(
     y: np.ndarray,
     h_d: np.ndarray,
@@ -352,30 +277,20 @@ def ml_symbol_metrics(
 def run_ml_benchmark(
     obs: FrameObservation,
     cfg: SystemConfig,
+    h_d: np.ndarray,
+    h_b: np.ndarray,
     *,
-    csi: str = "perfect",
     pilot_structure: bool = True,
-    taps: int,
 ) -> DetectionOutput:
     """Two-step ML receiver: joint per-symbol search over the secondary
-    candidate and per-subcarrier QAM symbols.
+    candidate and per-subcarrier QAM symbols, against the direct and
+    backscatter responses h_d and h_b (the truth, or estimates).
 
-    csi selects the link responses: "perfect" uses the realization's truth,
-    "estimated" runs the method-2 pipeline with model order taps first and
-    reuses its separated estimates. With pilot_structure the
-    comb symbols are fixed in the metric and the preamble symbols are known;
-    without it every subcarrier is searched and every symbol's secondary
-    value is a free candidate (which leaves a sign ambiguity when the direct
-    path is absent).
+    With pilot_structure the comb symbols are fixed in the metric and the
+    preamble symbols are known; without it every subcarrier is searched and
+    every symbol's secondary value is a free candidate (which leaves a sign
+    ambiguity when the direct path is absent).
     """
-    if csi == "perfect":
-        h_d, h_b = obs.realization.H_d, obs.realization.H_b
-    elif csi == "estimated":
-        pipeline = run_algorithm1(obs, cfg, "method2", taps=taps)
-        h_d, h_b = pipeline.H_hat_d, pipeline.H_hat_b
-    else:
-        raise ValueError(f"csi must be 'perfect' or 'estimated', got {csi!r}")
-
     y = obs.y
     n_sym = y.shape[-2]
     batch = y.shape[:-2]
@@ -383,30 +298,93 @@ def run_ml_benchmark(
     c_dec = np.empty(batch + (n_sym,), dtype=np.int64)
     c_val = np.empty(batch + (n_sym,), dtype=complex)
     for m in range(n_sym):
-        if pilot_structure and m < cfg.t_preamble:
-            cands = np.asarray([cfg.preamble[m]])
-        else:
-            cands = cfg.psk.points
-        totals, s_idx = ml_symbol_metrics(
-            y[..., m, :], h_d, h_b, cfg, pilot_structure=pilot_structure, candidates=cands
-        )
+        known = pilot_structure and m < cfg.t_preamble  # a preamble symbol
+        cands = np.asarray([cfg.preamble[m]]) if known else cfg.psk.points
+        totals, s_idx = ml_symbol_metrics(y[..., m, :], h_d, h_b, cfg,
+                                          pilot_structure=pilot_structure, candidates=cands)
         pick = np.argmin(totals, axis=-1)
         c_dec[..., m] = pick if len(cands) > 1 else -1
         chosen = np.take_along_axis(s_idx, pick[..., None, None], axis=-2)[..., 0, :]
-        if not pilot_structure:
-            # keep only the data positions for error accounting
-            keep = np.isin(np.arange(cfg.n), cfg.data_indices)
-            chosen = chosen[..., keep]
+        if not pilot_structure:  # keep only the data positions for error accounting
+            chosen = chosen[..., cfg.data_indices]
         s_hat[..., m, :] = chosen
         c_val[..., m] = cands[pick]
     h_hat = composite_response(h_d, h_b, c_val)
-    c_hat = c_dec[..., cfg.t_preamble :]
     return DetectionOutput(
         s_hat=s_hat,
-        c_hat=c_hat,
+        c_hat=c_dec[..., cfg.t_preamble :],
         H_tilde=h_hat,
         H_hat=h_hat,
         H_hat_d=np.broadcast_to(np.asarray(h_d), batch + (cfg.n,)),
         H_hat_b=np.broadcast_to(np.asarray(h_b), batch + (cfg.n,)),
         n_erased=np.zeros(batch, dtype=np.int64),
     )
+
+
+def _stage(stage: str, obs: FrameObservation, cfg: SystemConfig, taps: int, st: dict) -> dict:
+    """What one receiver stage adds to st, the values of the stages before it,
+    named as the fields of DetectionOutput (s_full: the symbols the
+    re-estimate divides out). The functions above are looked up at call time,
+    so a wrapper installed on a module name (a profiler's, say) sees each call."""
+    y, real = obs.y, obs.realization
+    if stage == "pilot_ls":  # a comb short of the model order runs at its own, aliasing
+        return {"H_tilde": PilotEstimator(cfg, min(taps, cfg.n_p)).estimate_cfr(y)}
+    if stage == "true_composite":
+        h_b = _effective_backscatter(real, obs.xi)
+        return {"H_tilde": composite_response(real.H_d, h_b, obs.c_values)}
+    if stage == "primary":
+        s_idx, erased = detect_primary(y, st["H_tilde"], cfg)
+        return {"s_hat": s_idx, "n_erased": np.sum(erased, axis=(-2, -1))}
+    if stage == "decided":
+        return {"s_full": full_symbol_vector(st["s_hat"], cfg)}
+    if stage == "genie":
+        return {"s_full": obs.s_values}
+    if stage == "method1":
+        return {"H_hat": reestimate_method1(y, st["s_full"], cfg)}
+    if stage == "method2":
+        return {"H_hat": reestimate_method2(y, st["s_full"], cfg, taps)}
+    if stage == "no_reestimate":
+        return {"H_hat": st["H_tilde"]}
+    if stage == "split":
+        h_d, h_b = separate_links(st["H_hat"][..., : cfg.t_preamble, :], cfg.preamble)
+        return {"H_hat_d": h_d, "H_hat_b": h_b}
+    if stage == "true_links":  # with the timing-error phase
+        batch = y.shape[:-2] + (cfg.n,)
+        h_b = _effective_backscatter(real, obs.xi)
+        return {"H_hat_d": np.broadcast_to(real.H_d, batch), "H_hat_b": np.broadcast_to(h_b, batch)}
+    if stage == "raw_links":  # without it
+        return {"H_hat_d": real.H_d, "H_hat_b": real.H_b}
+    if stage == "project":
+        h_n = st["H_hat"][..., cfg.t_preamble :, :]
+        return {"c_hat": detect_secondary(h_n, st["H_hat_d"], st["H_hat_b"], cfg)}
+    if stage in ("ml_search", "ml_search_nopilot"):
+        return vars(run_ml_benchmark(obs, cfg, st["H_hat_d"], st["H_hat_b"],
+                                     pilot_structure=stage == "ml_search"))
+    raise ValueError(f"unknown receiver stage {stage!r}")
+
+
+def run_algorithm1(obs: FrameObservation, cfg: SystemConfig, stages: tuple, *, taps: int,
+                   detect_c: bool = True, memo: Optional[dict] = None) -> DetectionOutput:
+    """Run a receiver's chain of stages over a frame (or batch of frames).
+
+    stages names one variant of each step, in order: composite estimate
+    ("pilot_ls", "true_composite"), primary decisions ("primary"), symbols for
+    re-estimation ("decided", "genie"), re-estimate ("method1", "method2",
+    "no_reestimate"), links ("split", "true_links", "raw_links") and secondary
+    ("project", "ml_search", "ml_search_nopilot"); the ML benchmark needs only
+    links and a search. The paper's Algorithm 1 is ("pilot_ls", "primary",
+    "decided", "method2", "split", "project"). taps is the receiver's model
+    order. detect_c=False (no backscatter link) skips the projection and
+    returns no secondary decisions. memo maps each stage prefix to its values:
+    receivers run with one memo over the same frames share their prefixes.
+    """
+    memo = {} if memo is None else memo
+    stages = tuple(s for s in stages if detect_c or s != "project")
+    st = {}
+    for i, stage in enumerate(stages):
+        key = stages[: i + 1]
+        if key not in memo:
+            memo[key] = {**st, **_stage(stage, obs, cfg, taps, st)}
+        st = memo[key]
+    out = DetectionOutput(**{f.name: st.get(f.name) for f in fields(DetectionOutput)})
+    return out if detect_c else replace(out, c_hat=None)

@@ -4,14 +4,31 @@ frame builders the tests share.
 The references are written the long way on purpose: an explicit composite
 response per symbol value and in the tap domain, the classic closed-form QAM
 symbol error rate, a Monte Carlo of the method-1 secondary error
-expectation, and the method-2 tap fit by a batched QR of the full N x L
-system. The package itself never calls them.
+expectation, the method-2 tap fit by a batched QR of the full N x L
+system, and the receivers composed by flags, each rerunning its whole chain
+(`flag_run_algorithm1`, `flag_run_ml_benchmark`), which the stage chains of
+`srofdm.harness.RECEIVERS` must reproduce bit for bit. The package itself
+never calls them.
 """
 import numpy as np
 
-from srofdm.channel import ChannelRealization
+from srofdm.channel import ChannelRealization, composite_response
 from srofdm.numerics import RandomStream, SingularSystemError, draw_cn, partial_fourier, q_function
-from srofdm.txchain import SystemConfig, modulate_primary, secondary_frame
+from srofdm.receiver import (
+    DetectionOutput,
+    PilotEstimator,
+    _effective_backscatter,
+    detect_primary,
+    detect_secondary,
+    full_symbol_vector,
+    ml_symbol_metrics,
+    reestimate_method1,
+    reestimate_method2,
+    separate_links,
+)
+from srofdm.txchain import FrameObservation, SystemConfig, modulate_primary, secondary_frame
+
+ESTIMATOR_KINDS = ("pilot_only", "method1", "method2")
 
 
 def composite_cfr(real: ChannelRealization, c) -> np.ndarray:
@@ -91,6 +108,144 @@ def qr_reestimate_method2(
     rhs = np.einsum("...ij,...i->...j", q.conj(), np.asarray(y) / np.sqrt(cfg.p_t))
     h = np.linalg.solve(r, rhs[..., None])[..., 0]
     return h @ f_l.T
+
+
+def _true_composite(real: ChannelRealization, c_values: np.ndarray, xi: int = 0) -> np.ndarray:
+    return composite_response(real.H_d, _effective_backscatter(real, xi), c_values)
+
+
+def flag_run_algorithm1(
+    obs: FrameObservation,
+    cfg: SystemConfig,
+    method: str = "method2",
+    *,
+    taps: int,
+    genie_primary: bool = False,
+    perfect_csi: bool = False,
+    detect_c: bool = True,
+) -> DetectionOutput:
+    """Joint primary/secondary detection over one frame.
+
+    Per symbol: estimate the composite response from the comb pilots, detect
+    the primary symbols against it, then re-estimate the composite response
+    from the full detected symbol vector (method1 per subcarrier, method2 in
+    the tap domain, pilot_only skips re-estimation). The preamble estimates
+    split into direct and backscatter responses, after which each data
+    symbol's secondary value is detected by projection.
+
+    taps is the receiver's model order for the composite response. When the
+    comb is too short for it, the pilot stage runs with its maximum
+    resolvable order instead (estimates alias), which is the over-delay
+    failure regime.
+    genie_primary feeds true symbols to the re-estimation stage;
+    perfect_csi detects the primary against the true composite response and
+    uses the true split responses for secondary detection (noise still limits
+    the per-symbol composite extraction).
+    """
+    if method not in ESTIMATOR_KINDS:
+        raise ValueError(f"method must be one of {ESTIMATOR_KINDS}, got {method!r}")
+    y = obs.y
+    real = obs.realization
+    if perfect_csi:
+        h_tilde = _true_composite(real, obs.c_values, obs.xi)
+        s_idx, erased = detect_primary(y, h_tilde, cfg)
+        # per-symbol composite extraction with known symbols; noise remains
+        h_hat = reestimate_method1(y, obs.s_values, cfg)
+        batch = h_tilde.shape[:-2] + (cfg.n,)
+        h_d = np.broadcast_to(real.H_d, batch)
+        h_b = np.broadcast_to(_effective_backscatter(real, obs.xi), batch)
+    else:
+        pilot_taps = min(taps, cfg.n_p)
+        est = PilotEstimator(cfg, pilot_taps)
+        h_tilde = est.estimate_cfr(y)
+        s_idx, erased = detect_primary(y, h_tilde, cfg)
+        s_full = obs.s_values if genie_primary else full_symbol_vector(s_idx, cfg)
+        if method == "pilot_only":
+            h_hat = h_tilde
+        elif method == "method1":
+            h_hat = reestimate_method1(y, s_full, cfg)
+        else:
+            h_hat = reestimate_method2(y, s_full, cfg, taps)
+        h_d, h_b = separate_links(h_hat[..., : cfg.t_preamble, :], cfg.preamble)
+
+    c_hat = (
+        detect_secondary(h_hat[..., cfg.t_preamble :, :], h_d, h_b, cfg)
+        if detect_c
+        else None
+    )
+    return DetectionOutput(
+        s_hat=s_idx,
+        c_hat=c_hat,
+        H_tilde=h_tilde,
+        H_hat=h_hat,
+        H_hat_d=h_d,
+        H_hat_b=h_b,
+        n_erased=np.sum(erased, axis=(-2, -1)),
+    )
+
+
+
+def flag_run_ml_benchmark(
+    obs: FrameObservation,
+    cfg: SystemConfig,
+    *,
+    csi: str = "perfect",
+    pilot_structure: bool = True,
+    taps: int,
+) -> DetectionOutput:
+    """Two-step ML receiver: joint per-symbol search over the secondary
+    candidate and per-subcarrier QAM symbols.
+
+    csi selects the link responses: "perfect" uses the realization's truth,
+    "estimated" runs the method-2 pipeline with model order taps first and
+    reuses its separated estimates. With pilot_structure the
+    comb symbols are fixed in the metric and the preamble symbols are known;
+    without it every subcarrier is searched and every symbol's secondary
+    value is a free candidate (which leaves a sign ambiguity when the direct
+    path is absent).
+    """
+    if csi == "perfect":
+        h_d, h_b = obs.realization.H_d, obs.realization.H_b
+    elif csi == "estimated":
+        pipeline = flag_run_algorithm1(obs, cfg, "method2", taps=taps)
+        h_d, h_b = pipeline.H_hat_d, pipeline.H_hat_b
+    else:
+        raise ValueError(f"csi must be 'perfect' or 'estimated', got {csi!r}")
+
+    y = obs.y
+    n_sym = y.shape[-2]
+    batch = y.shape[:-2]
+    s_hat = np.empty(batch + (n_sym, cfg.n_data), dtype=np.int64)
+    c_dec = np.empty(batch + (n_sym,), dtype=np.int64)
+    c_val = np.empty(batch + (n_sym,), dtype=complex)
+    for m in range(n_sym):
+        if pilot_structure and m < cfg.t_preamble:
+            cands = np.asarray([cfg.preamble[m]])
+        else:
+            cands = cfg.psk.points
+        totals, s_idx = ml_symbol_metrics(
+            y[..., m, :], h_d, h_b, cfg, pilot_structure=pilot_structure, candidates=cands
+        )
+        pick = np.argmin(totals, axis=-1)
+        c_dec[..., m] = pick if len(cands) > 1 else -1
+        chosen = np.take_along_axis(s_idx, pick[..., None, None], axis=-2)[..., 0, :]
+        if not pilot_structure:
+            # keep only the data positions for error accounting
+            keep = np.isin(np.arange(cfg.n), cfg.data_indices)
+            chosen = chosen[..., keep]
+        s_hat[..., m, :] = chosen
+        c_val[..., m] = cands[pick]
+    h_hat = composite_response(h_d, h_b, c_val)
+    c_hat = c_dec[..., cfg.t_preamble :]
+    return DetectionOutput(
+        s_hat=s_hat,
+        c_hat=c_hat,
+        H_tilde=h_hat,
+        H_hat=h_hat,
+        H_hat_d=np.broadcast_to(np.asarray(h_d), batch + (cfg.n,)),
+        H_hat_b=np.broadcast_to(np.asarray(h_b), batch + (cfg.n,)),
+        n_erased=np.zeros(batch, dtype=np.int64),
+    )
 
 
 def draw_primary(cfg: SystemConfig, stream: RandomStream):

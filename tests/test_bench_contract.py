@@ -6,6 +6,7 @@ the benchmark failing on a metric it cannot measure."""
 import importlib
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,22 @@ def test_patched_names_exist():
     assert inspect.isclass(harness.ProcessPoolExecutor)
     assert inspect.isfunction(harness.run_sweep) and inspect.isfunction(cli.run_sweep)
     assert inspect.isfunction(cli.cmd_sweep)
+
+
+def test_every_traced_receiver_function_records_calls(tmp_path):
+    # a stage table holding function objects captured at import would bypass
+    # the tracer's rebinding and read 0 calls without any error
+    sys.path.insert(0, str(SPEC.parent / "bench"))
+    try:
+        from tracer import Tracer
+    finally:
+        sys.path.remove(str(SPEC.parent / "bench"))
+    cli = importlib.import_module("srofdm.cli")
+    harness = importlib.import_module("srofdm.harness")
+    argv = ["sweep", "paper_default", "--points", "20", "--trials", "1000",
+            "--receivers", ",".join(harness.RECEIVERS), "--no-theory", "--seed", "7",
+            "--workers", "1", "--quiet", "--out", str(tmp_path / "out")]
+    with Tracer("contract") as tracer:
+        assert cli.main(argv) == 0
+    silent = [n for n in traced_names() if n.startswith("receiver.") and not tracer.stat(n).calls]
+    assert not silent, f"traced but never called: {silent}"

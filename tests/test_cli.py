@@ -200,6 +200,56 @@ class TestSweepCommand:
             assert rc == 1
             err = capsys.readouterr().err
             assert f"point {points} dB" in err and "runtime error" not in err
+        for flags, message in ((["--trials", "0"], "at least 10^3 trials per point, got 0"),
+                               (["--workers", "-3"], "at least 1 worker"),
+                               (["--workers", "0"], "at least 1 worker")):
+            rc = main(["sweep", "paper_default", "--points", "20", "--trials", "1000",
+                       "--out", str(tmp_path / "x"), "--quiet"] + flags)
+            assert rc == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("var", ["SROFDM_SEED", "SROFDM_WORKERS"])
+    def test_bad_environment_exits_1(self, tmp_path, capsys, monkeypatch, fast_scenario, var):
+        monkeypatch.setenv(var, "abc")
+        argv = ["sweep", str(fast_scenario), "--points", "20", "--out", str(tmp_path / "x"), "--quiet"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{var}='abc' is not an integer" in err and "runtime error" not in err
+        assert not (tmp_path / "x").exists()
+        if var == "SROFDM_SEED":
+            assert main(["single", str(fast_scenario)]) == 1
+            assert f"{var}='abc'" in capsys.readouterr().err
+        else:
+            monkeypatch.setenv(var, "0")
+            assert main(argv) == 1
+            assert "at least 1 worker" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda m: m["scenario"].update(n="64"), "manifest.json: n: '64' should be written as 64",
+                     id="n_string"),
+        pytest.param(lambda m: m["scenario"].update(sync_error=1.5), "manifest.json: sync_error: bad value",
+                     id="sync_error_float"),
+        pytest.param(lambda m: m.update(trials="1000"), "manifest.json: trials: '1000' should be written as 1000",
+                     id="trials_string"),
+        pytest.param(lambda m: m.pop("axis"), "manifest.json: axis: missing", id="no_axis"),
+        pytest.param(lambda m: m.update(points=[20, "x"]), "bad points", id="points"),
+        pytest.param(lambda m: m.update(version="0.0.9"), "manifest.json: version: written by srofdm 0.0.9, not 0.1.0",
+                     id="version"),
+        pytest.param(None, "cannot read manifest", id="missing_file"),
+    ])
+    def test_replay_rejects_an_edited_manifest(self, tmp_path, capsys, fast_scenario, edit, message):
+        first = tmp_path / "first"
+        assert main(["sweep", str(fast_scenario), "--points", "20", "--receivers", "perfect_csi",
+                     "--no-theory", "--out", str(first), "--quiet"]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        path = tmp_path / "manifest.json"
+        if edit is not None:
+            edit(manifest)
+            path.write_text(json.dumps(manifest))
+        assert main(["sweep", "--from-manifest", str(path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "runtime error" not in err
         assert not (tmp_path / "x").exists()
 
     def test_missing_scenario_exits_1(self, tmp_path):

@@ -200,6 +200,32 @@ class TestSweep:
         assert [vars(p) for p in two["perfect_csi"].points] == [
             vars(p) for p in one["perfect_csi"].points]
 
+    @pytest.mark.parametrize("receivers, calls", [
+        (("proposed_m1", "proposed_m2"),
+         dict(detect_primary=1, full_symbol_vector=1, reestimate_method1=1,
+              reestimate_method2=1, detect_secondary=2)),
+        # ml_estimated takes proposed_m2's split and projects nothing
+        (("proposed_m2", "ml_estimated"),
+         dict(detect_primary=1, full_symbol_vector=1, reestimate_method2=1,
+              separate_links=1, detect_secondary=1, run_ml_benchmark=1)),
+        (("ml_estimated",), dict(separate_links=1, detect_secondary=0)),
+    ])
+    def test_each_stage_runs_once_per_chunk(self, monkeypatch, receivers, calls):
+        import srofdm.receiver as receiver
+
+        counts = dict.fromkeys(calls, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(receiver, name, counting(name, getattr(receiver, name)))
+        run_trial(paper_scenario(), "direct_snr_db", 20.0, 0, master_seed=3, receivers=receivers)
+        assert counts == calls
+
     def test_statistical_consistency_perfect_csi(self):
         # simulated rates within 4 half-widths of the per-realization theory
         scen = paper_scenario()

@@ -1,11 +1,20 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import draw_noise, draw_primary, draw_secondary, qr_reestimate_method2, ser_qam_awgn
+from oracles import (
+    draw_noise,
+    draw_primary,
+    draw_secondary,
+    flag_run_algorithm1,
+    flag_run_ml_benchmark,
+    qr_reestimate_method2,
+    ser_qam_awgn,
+)
 from srofdm.channel import ChannelConfig, composite_tap_count, draw_channel, realization_from_taps
-from srofdm.harness import Scenario, apply_axis, draw_frame_batch
+from srofdm.harness import RECEIVERS, Scenario, apply_axis, draw_frame_batch
 from srofdm.numerics import RandomStream, SingularSystemError, draw_cn, partial_fourier, q_function
 from srofdm.receiver import (
     PilotEstimator,
@@ -17,7 +26,6 @@ from srofdm.receiver import (
     reestimate_method1,
     reestimate_method2,
     run_algorithm1,
-    run_ml_benchmark,
     separate_links,
 )
 from srofdm.txchain import SystemConfig, default_pilot_indices, frequency_domain_rx
@@ -339,23 +347,32 @@ class TestDetectSecondary:
         assert abs(ber - want) <= 3 * se
 
 
+def detect(receiver, obs, cfg, taps, **kw):
+    """One receiver of the table, by name, over obs."""
+    return run_algorithm1(obs, cfg, RECEIVERS[receiver].stages, taps=taps, **kw)
+
+
 class TestAlgorithm1:
-    @pytest.mark.parametrize("method", ["pilot_only", "method1", "method2"])
-    def test_noise_free_end_to_end(self, method):
+    @pytest.mark.parametrize("receiver", [
+        pytest.param("pilot_only", id="pilot_only"),
+        pytest.param("proposed_m1", id="method1"),
+        pytest.param("proposed_m2", id="method2"),
+    ])
+    def test_noise_free_end_to_end(self, receiver):
         cfg, ch, obs = noise_free_obs(seed=5)
-        out = run_algorithm1(obs, cfg, method, taps=composite_tap_count(ch))
+        out = detect(receiver, obs, cfg, composite_tap_count(ch))
         np.testing.assert_array_equal(out.s_hat, obs.s_indices)
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
 
     def test_no_direct_link_decoupled(self):
         cfg, ch, obs = noise_free_obs(seed=6, ch=ChannelConfig(direct_model="none"))
-        out = run_algorithm1(obs, cfg, "method2", taps=composite_tap_count(ch))
+        out = detect("proposed_m2", obs, cfg, composite_tap_count(ch))
         np.testing.assert_array_equal(out.s_hat, obs.s_indices)
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
 
     def test_perfect_csi_noise_free(self):
         cfg, ch, obs = noise_free_obs(seed=7)
-        out = run_algorithm1(obs, cfg, "method2", taps=composite_tap_count(ch), perfect_csi=True)
+        out = detect("perfect_csi", obs, cfg, composite_tap_count(ch))
         np.testing.assert_array_equal(out.s_hat, obs.s_indices)
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
 
@@ -408,11 +425,16 @@ class TestAlgorithm1:
         m2 = reestimate_method2(y, cfg.pilot_value_array, cfg, taps)
         np.testing.assert_allclose(pilot_est, m2, atol=1e-10)
 
+    def test_unknown_stage_rejected(self):
+        cfg, ch, obs = noise_free_obs(seed=5)
+        with pytest.raises(ValueError, match="unknown receiver stage 'bogus'"):
+            run_algorithm1(obs, cfg, ("pilot_ls", "bogus"), taps=composite_tap_count(ch))
+
     def test_receiver_model_order_cap(self):
         # over-length composite response: pilot stage caps at N_p and aliases,
         # tap-domain stage keeps the full order
         cfg, ch, obs = noise_free_obs(seed=8)
-        out = run_algorithm1(obs, cfg, "method2", taps=12)
+        out = detect("proposed_m2", obs, cfg, 12)
         assert out.H_hat.shape[-1] == cfg.n
         # with the cap the pilot-based estimate is off, but data-aided
         # re-estimation over 64 subcarriers still nails the response
@@ -446,21 +468,15 @@ class TestNoiseMomentIdentities:
 class TestMlBenchmark:
     def test_noise_free_joint_recovery(self):
         cfg, ch, obs = noise_free_obs(seed=9, ms=4, mc=2)
-        out = run_ml_benchmark(obs, cfg, csi="perfect", taps=composite_tap_count(ch))
+        out = detect("ml_perfect", obs, cfg, composite_tap_count(ch))
         np.testing.assert_array_equal(out.s_hat, obs.s_indices)
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
 
     def test_estimated_csi_noise_free(self):
         cfg, ch, obs = noise_free_obs(seed=10, ms=4, mc=2)
-        out = run_ml_benchmark(obs, cfg, csi="estimated", taps=composite_tap_count(ch))
+        out = detect("ml_estimated", obs, cfg, composite_tap_count(ch))
         np.testing.assert_array_equal(out.s_hat, obs.s_indices)
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
-
-    def test_unknown_csi_rejected(self):
-        cfg, ch, obs = noise_free_obs(seed=9, ms=4, mc=2)
-        with pytest.raises(ValueError, match="csi must be 'perfect' or 'estimated'"):
-            run_ml_benchmark(obs, cfg, csi=(obs.realization.H_d, obs.realization.H_b),
-                             taps=composite_tap_count(ch))
 
     def test_sign_ambiguity_metric_tie_without_pilot_structure(self):
         # absent direct path + BPSK secondary: (c, S) and (-c, -S) explain the
@@ -514,7 +530,7 @@ class TestMlBenchmark:
         u = draw_noise(cfg, RandomStream(65, 3), s.shape)
         obs = frequency_domain_rx(s, c, real, cfg, noise=u, s_indices=si, c_indices=ci)
         taps = composite_tap_count(ChannelConfig(direct_model="none"))
-        out = run_ml_benchmark(obs, cfg, csi="perfect", pilot_structure=True, taps=taps)
+        out = detect("ml_perfect", obs, cfg, taps)
         np.testing.assert_array_equal(out.s_hat, obs.s_indices)
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
 
@@ -620,15 +636,73 @@ class TestMlSearchOracle:
         assert np.all(got[1][..., [searched.index(k) for k in (3, 20, 21, 22)]] == 0)
         assert np.all(got[1][:, 0, searched.index(10)] == 0)
 
-    @pytest.mark.parametrize("pilot_structure", [True, False])
-    @pytest.mark.parametrize("csi", ["perfect", "estimated"])
-    def test_chunk_matches_exhaustive_scan(self, monkeypatch, csi, pilot_structure):
+    @pytest.mark.parametrize("search", [
+        pytest.param("ml_search", id="True"), pytest.param("ml_search_nopilot", id="False")])
+    @pytest.mark.parametrize("links", [
+        pytest.param(("raw_links",), id="perfect"),
+        pytest.param(RECEIVERS["proposed_m2"].stages[:-1], id="estimated"),
+    ])
+    def test_chunk_matches_exhaustive_scan(self, monkeypatch, links, search):
         scen = Scenario(system=cfg_with(sigma2=1e-11), chan=ChannelConfig())
         system, chan, _ = apply_axis(scen, "direct_snr_db", 12.0)
         obs = draw_frame_batch(system, chan, master_seed=3, trial_ids=range(256))
-        kw = dict(csi=csi, pilot_structure=pilot_structure, taps=composite_tap_count(chan))
-        got = run_ml_benchmark(obs, system, **kw)
+        kw = dict(stages=links + (search,), taps=composite_tap_count(chan))
+        got = run_algorithm1(obs, system, **kw)
         monkeypatch.setattr("srofdm.receiver.ml_symbol_metrics", exhaustive_ml_symbol_metrics)
-        want = run_ml_benchmark(obs, system, **kw)
+        want = run_algorithm1(obs, system, **kw)
         for name in ("s_hat", "c_hat", "H_tilde", "H_hat", "H_hat_d", "H_hat_b", "n_erased"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _flag_algorithm1(method="method2", **flags):
+    return lambda obs, cfg, taps, detect_c: flag_run_algorithm1(
+        obs, cfg, method, taps=taps, detect_c=detect_c, **flags)
+
+
+def _flag_ml(csi, pilot_structure=True):
+    def run(obs, cfg, taps, detect_c):
+        out = flag_run_ml_benchmark(obs, cfg, csi=csi, pilot_structure=pilot_structure, taps=taps)
+        return out if detect_c else replace(out, c_hat=None)
+    return run
+
+
+# each receiver as the flags composed it, rerunning its whole chain
+FLAG_RECEIVERS = {
+    "perfect_csi": _flag_algorithm1(perfect_csi=True),
+    "proposed_m1": _flag_algorithm1("method1"),
+    "proposed_m2": _flag_algorithm1("method2"),
+    "proposed_m1_genie": _flag_algorithm1("method1", genie_primary=True),
+    "proposed_m2_genie": _flag_algorithm1("method2", genie_primary=True),
+    "pilot_only": _flag_algorithm1("pilot_only"),
+    "ml_perfect": _flag_ml("perfect"),
+    "ml_estimated": _flag_ml("estimated"),
+    "ml_nopilot": _flag_ml("perfect", pilot_structure=False),
+}
+
+
+class TestStageChains:
+    """The stage chains of RECEIVERS, run through one memo per chunk, give
+    bit for bit what the flag-composed receivers gave."""
+
+    @pytest.mark.parametrize("chan, axis, value", [
+        pytest.param(ChannelConfig(), "direct_snr_db", 12.0, id="frequency"),
+        pytest.param(ChannelConfig(), "sync_error_samples", 4.0, id="sample_xi4"),
+        pytest.param(ChannelConfig(direct_model="none"), "backscatter_snr_db", 20.0, id="no_direct"),
+        pytest.param(ChannelConfig(backscatter_model="none"), "direct_snr_db", 20.0,
+                     id="no_backscatter"),
+    ])
+    def test_match_flag_composition(self, chan, axis, value):
+        scen = Scenario(system=cfg_with(sigma2=1e-11), chan=chan, backscatter_snr_db=20.0)
+        system, chan, xi = apply_axis(scen, axis, value)
+        path = "sample" if axis == "sync_error_samples" else "frequency"
+        obs = draw_frame_batch(system, chan, master_seed=5, trial_ids=range(256), xi=xi, path=path)
+        taps = composite_tap_count(chan, xi)
+        detect_c = chan.backscatter_model != "none"
+        assert set(FLAG_RECEIVERS) == set(RECEIVERS)
+        memo = {}
+        for name, flag_receiver in FLAG_RECEIVERS.items():
+            got = detect(name, obs, system, taps, detect_c=detect_c, memo=memo)
+            want = flag_receiver(obs, system, taps, detect_c)
+            for field in ("s_hat", "c_hat", "H_tilde", "H_hat", "H_hat_d", "H_hat_b", "n_erased"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (name, field)
+            assert (got.c_hat is None) == (not detect_c)

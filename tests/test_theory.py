@@ -308,6 +308,7 @@ class TestSecondaryClosedForms:
 
     @staticmethod
     def _genie_m2_ber(cfg, real, taps, trials, seed):
+        from srofdm.harness import RECEIVERS
         from srofdm.receiver import run_algorithm1
         from srofdm.txchain import frequency_domain_rx, modulate_primary, secondary_frame
 
@@ -324,7 +325,7 @@ class TestSecondaryClosedForms:
                 nblk, cfg.n_max, cfg.n
             )
             obs = frequency_domain_rx(s, c, real, cfg, noise=u, s_indices=s_idx, c_indices=c_idx)
-            out = run_algorithm1(obs, cfg, "method2", taps=taps, genie_primary=True)
+            out = run_algorithm1(obs, cfg, RECEIVERS["proposed_m2_genie"].stages, taps=taps)
             errors += int(np.sum(cfg.psk.bit_errors(c_idx, out.c_hat)))
             bits += c_idx.size * cfg.psk.bits_per_symbol
         return errors / bits
