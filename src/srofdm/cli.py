@@ -57,6 +57,17 @@ def _noise_power(noise_dbm: float) -> float:
     return watts
 
 
+_YES, _NO = ("1", "true", "yes"), ("0", "false", "no")
+
+
+def _yes_no(text: str) -> str:
+    """A yes/no word in any case, returned as written so that a manifest
+    records it unchanged."""
+    if text.lower() not in _YES + _NO:
+        raise ValueError(f"{text!r} is none of {', '.join(_YES + _NO)}")
+    return text
+
+
 def _noise_dbm(text) -> float:
     value = _finite(text)
     _noise_power(value)
@@ -94,7 +105,7 @@ _SCENARIO_KEYS = {
     "points": (str, "12:30:3"),
     "trials": (int, 100000),
     "receivers": (str, "perfect_csi,proposed_m1,proposed_m2"),
-    "with_theory": (str, "true"),
+    "with_theory": (_yes_no, "true"),
 }
 _SWEEP_KEYS = ("axis", "points", "trials", "receivers", "with_theory")
 
@@ -178,7 +189,8 @@ def load_scenario_file(path: str) -> dict:
 
 
 def resolve_scenario(values: dict):
-    """Turn parsed key-values into (Scenario, sweep defaults dict)."""
+    """Turn parsed key-values into (Scenario, run fields): the `_SWEEP_KEYS`,
+    with the receivers as a tuple and `with_theory` as a bool."""
     get = lambda k: values.get(k, _SCENARIO_KEYS[k][1])
     preamble = ()
     if get("preamble"):
@@ -186,50 +198,30 @@ def resolve_scenario(values: dict):
             preamble = tuple(complex(tok) for tok in str(get("preamble")).split(","))
         except ValueError as exc:
             raise ScenarioError(f"bad preamble list: {exc}") from None
+    same_name = lambda *keys: {key: get(key) for key in keys}
     try:
-        sigma2 = _noise_power(get("noise_dbm"))
         system = SystemConfig(
-            n=get("n"),
-            n_cp=get("n_cp"),
             pilot_indices=default_pilot_indices(get("n"), get("n_pilot")),
-            m_s=get("m_s"),
-            m_c=get("m_c"),
-            t_preamble=get("t_preamble"),
             preamble=preamble,
-            n_max=get("n_max"),
             p_t=1.0,  # pinned per sweep point by the anchor SNR
-            sigma2=sigma2,
+            sigma2=_noise_power(get("noise_dbm")),
+            **same_name("n", "n_cp", "m_s", "m_c", "t_preamble", "n_max"),
         )
         chan = ChannelConfig(
-            l_d=get("l_d"),
-            l_1=get("l_1"),
-            l_2=get("l_2"),
             d_b=get("delay_b"),
-            dist_direct=get("dist_direct"),
-            dist_fwd=get("dist_fwd"),
-            dist_bwd=get("dist_bwd"),
-            exp_direct=get("exp_direct"),
-            exp_fwd=get("exp_fwd"),
-            exp_bwd=get("exp_bwd"),
-            pathloss_ref=get("pathloss_ref"),
-            direct_model=get("direct_model"),
-            backscatter_model=get("backscatter_model"),
+            **same_name("l_d", "l_1", "l_2", "dist_direct", "dist_fwd", "dist_bwd", "exp_direct",
+                        "exp_fwd", "exp_bwd", "pathloss_ref", "direct_model", "backscatter_model"),
         )
-        scenario = Scenario(
-            system=system,
-            chan=chan,
-            direct_snr_db=get("direct_snr_db"),
-            backscatter_snr_db=get("backscatter_snr_db"),
-            sync_error=get("sync_error"),
-        )
+        scenario = Scenario(system, chan, **same_name("direct_snr_db", "backscatter_snr_db", "sync_error"))
         scenario.validate()
     except ValueError as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(str(exc)) from None
-    sweep_defaults = {key: get(key) for key in _SWEEP_KEYS}
-    sweep_defaults["with_theory"] = str(get("with_theory")).lower() in ("1", "true", "yes")
-    return scenario, sweep_defaults
+    run = {key: get(key) for key in _SWEEP_KEYS}
+    run["receivers"] = tuple(str(run["receivers"]).replace(" ", "").split(","))
+    run["with_theory"] = str(run["with_theory"]).lower() in _YES
+    return scenario, run
 
 
 def parse_points(spec: str) -> tuple:
@@ -248,6 +240,8 @@ def parse_points(spec: str) -> tuple:
         if step <= 0:
             raise ScenarioError("point range step must be positive")
         steps = np.floor((stop - start) / step + 0.5)
+        if steps < 0:  # the stop lies over half a step below the start
+            raise ScenarioError(f"no points in {spec!r}")
         if not steps < MAX_POINTS:  # also an overflowing span
             raise ScenarioError(f"point range {spec!r} has more than {MAX_POINTS} points")
         count = int(steps) + 1
@@ -266,100 +260,89 @@ def _fmt(x) -> str:
     return format(x, ".9g")
 
 
-def write_curve_csv(path: Path, curve) -> None:
-    rows = []
-    for p in sorted(curve.points, key=lambda q: q.point):
-        rows.append(
-            ",".join(
-                [
-                    _fmt(p.point),
-                    curve.receiver,
-                    curve.csi,
-                    _fmt(p.ber_primary),
-                    _fmt(p.ci_primary),
-                    _fmt(p.ber_secondary),
-                    _fmt(p.ci_secondary),
-                    _fmt(p.theory_mean("primary_ber_theory")),
-                    _fmt(p.theory_mean("secondary_ber_theory")),
-                ]
-            )
-        )
-    path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+def _row(point, receiver: str, csi: str, *columns) -> str:
+    """One CSV line: the point, the curve's name and CSI, then the CSV_HEADER
+    columns after them, blank where a value is None or not finite."""
+    return ",".join([_fmt(point), receiver, csi, *map(_fmt, columns)])
 
 
-def _scenario_manifest_dict(values: dict) -> dict:
-    out = {}
-    for key, (_, default) in _SCENARIO_KEYS.items():
-        v = values.get(key, default)
-        if v is not None:
-            out[key] = v
-    return out
-
-
-def cmd_sweep(args) -> int:
-    # the scenario's sweep keys, overridden by a manifest's run or the flags
-    if args.from_manifest:
-        values, sweep, seed = _read_manifest(args.from_manifest)
+def _resolve_run(args):
+    """(file values, Scenario, run fields, seed) of a command: the scenario
+    file with the command's flags on top, or a replayed manifest as recorded.
+    The run fields are the `_SWEEP_KEYS`; the file values alone go into the
+    manifest's scenario block."""
+    flags = {key: value for key in _SWEEP_KEYS + ("seed",) if (value := getattr(args, key, None)) is not None}
+    if getattr(args, "from_manifest", None):
+        for key in flags:  # the first flag given; a replay runs the manifest as recorded
+            flag = "--theory/--no-theory" if key == "with_theory" else f"--{key}"
+            raise ScenarioError(f"{flag} cannot be combined with --from-manifest")
+        values, run, seed = _read_manifest(args.from_manifest)
     else:
         values = load_scenario_file(args.scenario)
-        sweep = dict(axis=args.axis, points=args.points, trials=args.trials,
-                     receivers=args.receivers, with_theory=args.theory)
-        seed = _env_int("SROFDM_SEED", 1) if args.seed is None else args.seed
-    scenario, sweep = resolve_scenario({**values, **{k: v for k, v in sweep.items() if v is not None}})
-    workers = _env_int("SROFDM_WORKERS", 1) if args.workers is None else args.workers
-    if workers < 1:
-        raise ScenarioError(f"need at least 1 worker (--workers, SROFDM_WORKERS), got {workers}")
-    spec = SweepSpec(
-        axis=sweep["axis"], points=parse_points(sweep["points"]), trials_per_point=sweep["trials"],
-        receivers=tuple(sweep["receivers"].replace(" ", "").split(",")),
-        with_theory=sweep["with_theory"])
-    curves = run_sweep(spec, scenario, master_seed=seed, workers=workers)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        seed = flags.pop("seed", None)
+        if seed is None and args.command != "theory":  # theory draws nothing
+            seed = _env_int("SROFDM_SEED", 1)
+        run = flags
+    scenario, run = resolve_scenario({**values, **run})
+    return values, scenario, run, seed
 
+
+def _write_outputs(out: str, command: str, values: dict, scenario: Scenario, csvs: dict, **fields) -> None:
+    """Create the output directory and write each {name: (file name, rows)}
+    CSV and the manifest: the scenario file's values, the constellation
+    moments, the outputs and the command's own fields."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for fname, rows in csvs.values():
+        (out_dir / fname).write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     moments = theory.qam_moments(scenario.system.m_s)
-    outputs, digests = {}, {}
-    for name, curve in curves.items():
-        fname = f"{spec.axis}__{name}.csv"
-        write_curve_csv(out_dir / fname, curve)
-        outputs[name] = fname
-        digests[name] = {
-            "primary_bit_errors": sum(p.primary_bit_errors for p in curve.points),
-            "secondary_bit_errors": sum(p.secondary_bit_errors for p in curve.points),
-            "primary_symbol_errors": sum(p.primary_symbol_errors for p in curve.points),
-        }
-        if not args.quiet:
-            for p in curve.points:
-                print(
-                    f"{spec.axis}={p.point:g} {name}: ber_primary={_fmt(p.ber_primary) or 'n/a'}"
-                    f" ber_secondary={_fmt(p.ber_secondary) or 'n/a'}"
-                )
     manifest = {
         "tool": "srofdm",
         "version": __version__,
-        "command": "sweep",
-        "master_seed": seed,
-        "axis": spec.axis,
-        "points": list(spec.points),
-        "trials": spec.trials_per_point,
-        "receivers": list(spec.receivers),
-        "with_theory": spec.with_theory,
-        "scenario": _scenario_manifest_dict(values),
+        "command": command,
+        "scenario": {key: value for key, (_, default) in _SCENARIO_KEYS.items()
+                     if (value := values.get(key, default)) is not None},
         "constellation_moments": {"gamma1": moments.gamma1, "gamma2": moments.gamma2},
-        "outputs": outputs,
-        "error_digests": digests,
+        "outputs": {name: fname for name, (fname, _) in csvs.items()},
+        **fields,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def cmd_sweep(args) -> int:
+    values, scenario, run, seed = _resolve_run(args)
+    spec = SweepSpec(axis=run["axis"], points=parse_points(run["points"]), trials_per_point=run["trials"],
+                     receivers=run["receivers"], with_theory=run["with_theory"])
+    workers = _env_int("SROFDM_WORKERS", 1) if args.workers is None else args.workers
+    curves = run_sweep(spec, scenario, master_seed=seed, workers=workers)
+    csvs = {
+        name: (f"{spec.axis}__{name}.csv", [
+            _row(p.point, name, curve.csi, p.ber_primary, p.ci_primary, p.ber_secondary, p.ci_secondary,
+                 p.theory_mean("primary_ber_theory"), p.theory_mean("secondary_ber_theory"))
+            for p in sorted(curve.points, key=lambda q: q.point)])
+        for name, curve in curves.items()
+    }
+    digests = {
+        name: {key: sum(getattr(p, key) for p in curve.points)
+               for key in ("primary_bit_errors", "secondary_bit_errors", "primary_symbol_errors")}
+        for name, curve in curves.items()
+    }
+    _write_outputs(args.out, "sweep", values, scenario, csvs, master_seed=seed, axis=spec.axis,
+                   points=list(spec.points), trials=spec.trials_per_point, receivers=list(spec.receivers),
+                   with_theory=spec.with_theory, error_digests=digests)
+    if not args.quiet:
+        for name, curve in curves.items():
+            for p in curve.points:
+                print(f"{spec.axis}={p.point:g} {name}: ber_primary={_fmt(p.ber_primary) or 'n/a'}"
+                      f" ber_secondary={_fmt(p.ber_secondary) or 'n/a'}")
     return EXIT_OK
 
 
 def cmd_theory(args) -> int:
-    values = load_scenario_file(args.scenario)
-    scenario, defaults = resolve_scenario(values)
-    axis = args.axis or defaults["axis"]
-    points = parse_points(args.points or defaults["points"])
+    values, scenario, run, _ = _resolve_run(args)
+    points = parse_points(run["points"])
     # SNR grid in dB: the points of an SNR axis, else a fixed 0..40 dB grid
-    gamma_grid = points if axis in ("direct_snr_db", "backscatter_snr_db") else tuple(
+    gamma_grid = points if run["axis"] in ("direct_snr_db", "backscatter_snr_db") else tuple(
         float(v) for v in np.arange(0.0, 42.0, 2.0)
     )
     snrs = [_from_db(db) for db in gamma_grid]
@@ -367,73 +350,49 @@ def cmd_theory(args) -> int:
         if not 0 < snr < float("inf"):
             raise ScenarioError(
                 f"point {db:g} dB gives a linear SNR of {snr:g}; it must be positive and finite")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     system = scenario.system
     moments = theory.qam_moments(system.m_s)
-    outputs = {}
-
-    def emit(name, rows):
-        fname = f"theory__{name}.csv"
-        (out_dir / fname).write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
-        outputs[name] = fname
-
+    # name: (receiver, csi, secondary BER per point)
     # averaged secondary BER over i.i.d. Rayleigh taps: closed form per tap count
-    for l_b in (1, 2, 4):
-        rows = []
-        for db, snr in zip(gamma_grid, snrs):
-            exact, approx = theory.avg_ber_secondary(theory.AvgSnrParams(gamma_b=snr, l_b=l_b))
-            rows.append(
-                f"{_fmt(db)},theory_avg_secondary_lb{l_b},perfect,,,,,,{_fmt(exact)}"
-            )
-        emit(f"avg_secondary_lb{l_b}", rows)
-
+    curves = {
+        f"avg_secondary_lb{l_b}": (f"theory_avg_secondary_lb{l_b}", "perfect", [
+            theory.avg_ber_secondary(theory.AvgSnrParams(gamma_b=snr, l_b=l_b))[0] for snr in snrs])
+        for l_b in (1, 2, 4)
+    }
     # fixed-point secondary curves at the expected backscatter energy: one unit
     # tap with P / sigma^2 set to the axis value
     taps = composite_tap_count(scenario.chan)
     unit_tap = np.ones(1)
-    rows15, rows1, rows2 = [], [], []
-    for db, snr in zip(gamma_grid, snrs):
-        point = replace(system, p_t=snr, sigma2=1.0)
-        b15 = theory.ber_secondary_perfect(unit_tap, point, moments)
-        b1 = theory.ber_psk_from_snr(theory.snr_secondary_method1(unit_tap, point, moments), system.m_c)
-        b2 = theory.ber_psk_from_snr(theory.snr_secondary_method2(unit_tap, point, taps), system.m_c)
-        rows15.append(f"{_fmt(db)},theory_secondary_perfect,perfect,,,,,,{_fmt(b15)}")
-        rows1.append(f"{_fmt(db)},theory_secondary_m1,estimated,,,,,,{_fmt(b1)}")
-        rows2.append(f"{_fmt(db)},theory_secondary_m2,estimated,,,,,,{_fmt(b2)}")
-    emit("secondary_perfect", rows15)
-    emit("secondary_m1", rows1)
-    emit("secondary_m2", rows2)
-
-    manifest = {
-        "tool": "srofdm",
-        "version": __version__,
-        "command": "theory",
-        "axis": axis,
-        "points": list(gamma_grid),
-        "scenario": _scenario_manifest_dict(values),
-        "constellation_moments": {"gamma1": moments.gamma1, "gamma2": moments.gamma2},
-        "outputs": outputs,
+    fixed = [replace(system, p_t=snr, sigma2=1.0) for snr in snrs]
+    curves["secondary_perfect"] = ("theory_secondary_perfect", "perfect", [
+        theory.ber_secondary_perfect(unit_tap, point, moments) for point in fixed])
+    curves["secondary_m1"] = ("theory_secondary_m1", "estimated", [
+        theory.ber_psk_from_snr(theory.snr_secondary_method1(unit_tap, point, moments), system.m_c)
+        for point in fixed])
+    curves["secondary_m2"] = ("theory_secondary_m2", "estimated", [
+        theory.ber_psk_from_snr(theory.snr_secondary_method2(unit_tap, point, taps), system.m_c)
+        for point in fixed])
+    csvs = {  # a closed form fills the secondary theory column only
+        name: (f"theory__{name}.csv", [_row(db, receiver, csi, *[None] * 5, ber)
+                                      for db, ber in zip(gamma_grid, bers)])
+        for name, (receiver, csi, bers) in curves.items()
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_outputs(args.out, "theory", values, scenario, csvs, axis=run["axis"], points=list(gamma_grid))
     if not args.quiet:
         print(f"gamma1={moments.gamma1:.6f} gamma2={moments.gamma2:.6f}")
     return EXIT_OK
 
 
 def cmd_single(args) -> int:
-    values = load_scenario_file(args.scenario)
-    scenario, defaults = resolve_scenario(values)
-    axis = args.axis or defaults["axis"]
+    _, scenario, run, seed = _resolve_run(args)
+    axis = run["axis"]
     value = scenario.direct_snr_db
     if args.value is not None:
         try:
             value = _finite(args.value)
         except ValueError as exc:
             raise ScenarioError(f"bad --value: {exc}") from None
-    seed = _env_int("SROFDM_SEED", 1) if args.seed is None else args.seed
-    receivers = tuple((args.receivers or defaults["receivers"]).replace(" ", "").split(","))
-    results = run_trial(scenario, axis, value, args.trial, seed, receivers)
+    results = run_trial(scenario, axis, value, args.trial, seed, run["receivers"])
     system, chan, xi = apply_axis(scenario, axis, value)
     print(f"scenario: N={system.n} N_cp={system.n_cp} N_p={system.n_p} "
           f"M_s={system.m_s} M_c={system.m_c} N_max={system.n_max}")
@@ -475,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--receivers", default=None, help="comma list of receiver names")
     sw.add_argument("--workers", type=int, default=None)
     sw.add_argument("--out", default="out", help="output directory")
-    sw.add_argument("--theory", action=argparse.BooleanOptionalAction, default=None,
+    sw.add_argument("--theory", dest="with_theory", action=argparse.BooleanOptionalAction, default=None,
                     help="attach per-realization analytic companions")
     sw.add_argument("--from-manifest", default=None,
                     help="replay a previous run from its manifest.json")

@@ -432,6 +432,8 @@ def run_sweep(
     they are reduced in index order, so error counts and companion sums are
     identical for any worker count.
     """
+    if workers < 1:
+        raise ScenarioError(f"need at least 1 worker, got {workers}")
     scenario.validate()
     chunks = [
         (scenario, spec.axis, float(value), master_seed,

@@ -191,7 +191,6 @@ class AvgSnrParams:
 
     gamma_b: float
     l_b: int
-    sigma_b2: float = 1.0
 
     @property
     def mu(self) -> float:

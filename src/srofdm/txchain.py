@@ -8,6 +8,7 @@ secondary symbol timing error.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,7 +53,7 @@ class QamAlphabet:
 
     @classmethod
     def build(cls, order: int) -> "QamAlphabet":
-        m = int(round(np.sqrt(order)))
+        m = math.isqrt(max(order, 0))  # exact for a Python int of any size
         if m * m != order or order < 4 or (order & (order - 1)):
             raise ValueError(f"square QAM order must be a power of 4, got {order}")
         levels = 2.0 * np.arange(m) - (m - 1)
@@ -144,6 +145,11 @@ class SystemConfig:
     sigma2: float = 1.0
 
     def __post_init__(self):
+        if self.t_preamble < 2:
+            raise ValueError("preamble length must be >= 2")
+        if self.n_max <= self.t_preamble:  # before a default preamble of t_preamble symbols is built
+            raise ValueError(f"n_max = {self.n_max} leaves no data symbols after"
+                             f" the t_preamble = {self.t_preamble} preamble symbols")
         if not self.preamble:
             pre = (1.0 + 0j, -1.0 + 0j) if self.t_preamble == 2 else default_preamble(self.t_preamble)
             object.__setattr__(self, "preamble", pre)
@@ -161,20 +167,16 @@ class SystemConfig:
             vals = np.asarray(self.pilot_values)
             if vals.shape != idx.shape:
                 raise ValueError("pilot_values length must match pilot_indices")
-            if np.max(np.abs(np.abs(vals) - 1)) > 1e-12:
+            if not np.max(np.abs(np.abs(vals) - 1)) <= 1e-12:  # also NaN
                 raise ValueError("pilot values must have unit modulus")
-        if self.t_preamble < 2:
-            raise ValueError("preamble length must be >= 2")
         pre = np.asarray(self.preamble)
         if pre.shape != (self.t_preamble,):
             raise ValueError("preamble length must equal t_preamble")
-        if np.max(np.abs(np.abs(pre) - 1)) > 1e-12:
+        if not np.max(np.abs(np.abs(pre) - 1)) <= 1e-12:  # also NaN
             raise ValueError("preamble symbols must have unit modulus")
-        if abs(pre.sum()) > 1e-9:
+        if not abs(pre.sum()) <= 1e-9:
             raise ValueError("preamble symbols must sum to zero")
-        if self.n_max <= self.t_preamble:
-            raise ValueError("frame must contain data symbols after the preamble")
-        if self.p_t <= 0 or self.sigma2 < 0:
+        if not (self.p_t > 0 and self.sigma2 >= 0):  # also NaN
             raise ValueError("powers must be positive (noise may be zero)")
         QamAlphabet.build(self.m_s)
         PskAlphabet.build(self.m_c)

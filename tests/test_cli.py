@@ -1,21 +1,28 @@
 import json
 import warnings
+from types import NoneType
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srofdm.cli import (
+    _SCENARIO_KEYS,
+    _SWEEP_KEYS,
     CSV_HEADER,
     MAX_POINTS,
     ScenarioError,
+    _resolve_run,
+    build_parser,
     load_scenario_file,
     main,
     parse_points,
     parse_scenario_text,
     resolve_scenario,
 )
-from srofdm.harness import SweepSpec, run_sweep
+from srofdm.harness import RECEIVERS, SweepSpec, run_sweep
 
 
 class TestScenarioParsing:
@@ -41,9 +48,16 @@ class TestScenarioParsing:
 
     def test_bad_value_reports_line(self):
         for text in ("n = sixty-four\n", "noise_dbm = nan\n", "direct_snr_db = inf\n", "n = auto\n",
-                     "noise_dbm = 4000\n", "noise_dbm = -4000\n"):
+                     "noise_dbm = 4000\n", "noise_dbm = -4000\n", "with_theory = maybe\n"):
             with pytest.raises(ScenarioError, match=":1:"):
                 parse_scenario_text(text)
+
+    def test_with_theory_words(self):
+        for word, on in (("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False),
+                         ("NO", False)):
+            values = parse_scenario_text(f"with_theory = {word}\n")
+            assert values == {"with_theory": word}  # kept as written for the manifest
+            assert resolve_scenario(values)[1]["with_theory"] is on
 
     def test_comments_and_blank_lines_ignored(self):
         values = parse_scenario_text("# hi\n\nn = 32  # inline\nn_pilot = 4\n")
@@ -58,6 +72,10 @@ class TestScenarioParsing:
         values = parse_scenario_text("t_preamble = 4\npreamble = 1,1j,-1,-1j\n")
         scenario, _ = resolve_scenario(values)
         np.testing.assert_allclose(scenario.system.preamble, [1, 1j, -1, -1j])
+
+    def test_receivers_split_once(self):
+        _, run = resolve_scenario(parse_scenario_text("receivers = perfect_csi, ml_perfect\n"))
+        assert run["receivers"] == ("perfect_csi", "ml_perfect")
 
 
 class TestPointRanges:
@@ -172,7 +190,8 @@ class TestSweepCommand:
     def test_bad_scenario_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         for text in ("nonsense = 1\n", "noise_dbm = nan\n", "dist_fwd = -inf\n",
-                     "noise_dbm = 4000\n", "noise_dbm = -4000\n"):  # noise power inf, 0 W
+                     "noise_dbm = 4000\n", "noise_dbm = -4000\n",  # noise power inf, 0 W
+                     "with_theory = maybe\n"):
             bad.write_text(text)
             rc = main(["sweep", str(bad), "--out", str(tmp_path / "x"), "--quiet"])
             assert rc == 1
@@ -237,6 +256,10 @@ class TestSweepCommand:
         pytest.param(lambda m: m.update(version="0.0.9"), "manifest.json: version: written by srofdm 0.0.9, not 0.1.0",
                      id="version"),
         pytest.param(None, "cannot read manifest", id="missing_file"),
+        pytest.param(lambda m: m.update(with_theory="maybe"), "manifest.json: with_theory: bad value",
+                     id="with_theory"),
+        pytest.param(lambda m: m["scenario"].update(with_theory="maybe"), "manifest.json: with_theory: bad value",
+                     id="scenario_with_theory"),
     ])
     def test_replay_rejects_an_edited_manifest(self, tmp_path, capsys, fast_scenario, edit, message):
         first = tmp_path / "first"
@@ -251,6 +274,43 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert message in err and "runtime error" not in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("preamble = nan,nan\n", "preamble symbols must have unit modulus", id="nan_preamble"),
+        pytest.param("t_preamble = 3000000\n", "n_max = 10 leaves no data symbols after the t_preamble = 3000000",
+                     id="oversized_t_preamble"),
+    ])
+    def test_unusable_preamble_exits_1(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        for argv in (["sweep", str(bad), "--points", "20", "--trials", "1000", "--out", str(tmp_path / "x")],
+                     ["theory", str(bad), "--out", str(tmp_path / "x")], ["single", str(bad)]):
+            assert main(argv + ["--quiet"] * (argv[0] != "single")) == 1
+            err = capsys.readouterr().err
+            assert message in err and "runtime error" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--axis", "snr_ratio_db"], "--axis"),
+        (["--points", "40"], "--points"),
+        (["--trials", "5000"], "--trials"),
+        (["--receivers", "ml_perfect"], "--receivers"),
+        (["--theory"], "--theory/--no-theory"),
+        (["--no-theory"], "--theory/--no-theory"),
+        (["--seed", "3"], "--seed"),
+    ])
+    def test_replay_refuses_run_flags(self, tmp_path, capsys, fast_scenario, flags, named):
+        first = tmp_path / "first"
+        assert main(["sweep", str(fast_scenario), "--points", "20", "--receivers", "perfect_csi",
+                     "--no-theory", "--out", str(first), "--quiet"]) == 0
+        replay = ["sweep", "--from-manifest", str(first / "manifest.json"), "--out", str(tmp_path / "x")]
+        assert main(replay + flags) == 1
+        err = capsys.readouterr().err
+        assert f"{named} cannot be combined with --from-manifest" in err
+        assert not (tmp_path / "x").exists()
+        assert main(replay + ["--workers", "2", "--quiet"]) == 0  # how it runs, not what
+        for f in sorted(p.name for p in first.iterdir()):
+            assert (first / f).read_bytes() == (tmp_path / "x" / f).read_bytes()
 
     def test_missing_scenario_exits_1(self, tmp_path):
         assert main(["sweep", "no_such_scenario", "--out", str(tmp_path / "x")]) == 1
@@ -392,3 +452,113 @@ class TestSingleCommand:
             assert main(["single", str(scen)]) == 0
         out, err = capsys.readouterr()
         assert "snr_ratio=-inf dB" in out and err == ""
+
+
+# Property tests over the one resolve path (`cli._resolve_run`): whatever a
+# scenario file, a point spec or a replayed manifest holds, the command either
+# resolves it or reports a ScenarioError (exit 1); nothing is simulated here.
+# Integers stay small or are one odd 21-digit value, so that no example asks
+# for a large allocation: n_pilot, m_s, m_c and t_preamble size arrays.
+_SMALL_INT = st.integers(min_value=-5, max_value=400)
+_BIG_INT = st.just(10**20 + 1)
+_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_WORD = st.sampled_from(["auto", "none", "", "yes", "No", "TRUE", "0", "maybe", "1e400", "0x10",
+                         "rayleigh", "cascade", "awgn", "direct_snr_db", "sync_error_samples"])
+_COMPLEX = st.complex_numbers(allow_nan=True, allow_infinity=True)
+_RECEIVER = st.sampled_from(sorted(RECEIVERS) + ["nope"])
+_COMMAND = st.sampled_from(["sweep", "theory", "single"])
+_POINTS = st.one_of(
+    st.tuples(_FLOAT | _SMALL_INT, _FLOAT | _SMALL_INT, _FLOAT | _SMALL_INT).map(
+        lambda t: ":".join(map(repr, t))),
+    st.lists(_FLOAT | _SMALL_INT, max_size=4).map(lambda v: ",".join(map(repr, v))),
+    _WORD,
+)
+
+
+def _value_text(key, own_kind):
+    """Text for one scenario line: of the key's own kind, or (with own_kind
+    false) that or any other kind; big integers are kept off n_pilot (its
+    pilot comb is a tuple of n_pilot indices)."""
+    ints = (_SMALL_INT if key == "n_pilot" else _SMALL_INT | _BIG_INT).map(str)
+    floats = _FLOAT.map(repr)
+    words = st.sampled_from(["1", "-1", "1j", "-1j", "nan", "nan+1j", "inf"])
+    complexes = (st.lists(words, min_size=2, max_size=2)  # as many as the default t_preamble
+                 | st.lists(words | _COMPLEX.map(str), min_size=1, max_size=4)).map(",".join)
+    receivers = st.lists(_RECEIVER, min_size=1, max_size=3).map(",".join)
+    kinds = {"preamble": complexes, "receivers": receivers, "points": _POINTS}
+    own = kinds[key] if key in kinds else {int: ints, str: _WORD}.get(_SCENARIO_KEYS[key][0], floats | _WORD)
+    return own if own_kind else own | st.one_of(ints, floats, _WORD, _POINTS, complexes, receivers)
+
+
+def _json_value(key):
+    """A JSON value for one manifest entry: a scalar of any kind, or a list."""
+    ints = _SMALL_INT if key == "n_pilot" else _SMALL_INT | _BIG_INT
+    scalar = st.one_of(st.none(), st.booleans(), ints, _FLOAT, _WORD)
+    return scalar | st.lists(scalar | _RECEIVER, max_size=3)
+
+
+def _check_resolved(argv):
+    """`_resolve_run` of argv: a resolved run is usable, anything else is a
+    ScenarioError."""
+    try:
+        _, scenario, run, seed = _resolve_run(build_parser().parse_args(argv))
+    except ScenarioError:
+        return
+    system = scenario.system
+    assert np.all(np.isfinite(system.preamble)) and np.all(np.isfinite(system.pilot_values))
+    assert np.allclose(np.abs(system.preamble), 1) and abs(np.sum(system.preamble)) <= 1e-9
+    assert system.n_max > system.t_preamble
+    assert set(run) == set(_SWEEP_KEYS) and type(run["with_theory"]) is bool
+    assert isinstance(run["receivers"], tuple) and type(seed) is (NoneType if argv[0] == "theory" else int)
+
+
+@pytest.fixture(scope="module")
+def recorded_manifest(tmp_path_factory):
+    out = tmp_path_factory.mktemp("recorded")
+    assert main(["sweep", "paper_default", "--points", "20", "--trials", "1000", "--receivers",
+                 "perfect_csi", "--no-theory", "--seed", "5", "--out", str(out), "--quiet"]) == 0
+    return json.loads((out / "manifest.json").read_text())
+
+
+class TestResolveProperties:
+    @staticmethod
+    def _check_file(tmp_path_factory, command, lines, points=None):
+        path = tmp_path_factory.getbasetemp() / "generated.txt"
+        path.write_text("".join(f"{key} = {text}\n" for key, text in lines.items()))
+        _check_resolved([command, str(path)] + ([] if points is None else [f"--points={points}"]))
+
+    @pytest.mark.parametrize("key", sorted(_SCENARIO_KEYS))
+    @given(data=st.data(), command=_COMMAND)
+    @settings(max_examples=25, deadline=None)
+    def test_one_line_resolves_or_is_rejected(self, tmp_path_factory, key, data, command):
+        self._check_file(tmp_path_factory, command, {key: data.draw(_value_text(key, own_kind=True))})
+
+    @given(data=st.data(), command=_COMMAND, points=st.none() | _POINTS)
+    @settings(max_examples=300, deadline=None)
+    def test_lines_resolve_or_are_rejected(self, tmp_path_factory, data, command, points):
+        keys = data.draw(st.lists(st.sampled_from(sorted(_SCENARIO_KEYS)), min_size=1, max_size=4, unique=True))
+        self._check_file(tmp_path_factory, command, {key: data.draw(_value_text(key, own_kind=False), label=key)
+                                                     for key in keys}, points)
+
+    @given(_POINTS)
+    @settings(max_examples=300, deadline=None)
+    def test_points_parse_or_are_rejected(self, spec):
+        try:
+            points = parse_points(spec)
+        except ScenarioError:
+            return
+        assert 1 <= len(points) <= MAX_POINTS and np.all(np.isfinite(points))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_edited_manifest_replays_or_is_rejected(self, tmp_path_factory, recorded_manifest, data):
+        manifest = json.loads(json.dumps(recorded_manifest))
+        block = data.draw(st.sampled_from([manifest, manifest["scenario"]]))
+        key = data.draw(st.sampled_from(sorted(set(block) | set(_SCENARIO_KEYS))))
+        if data.draw(st.booleans()):
+            block.pop(key, None)
+        else:
+            block[key] = data.draw(_json_value(key))
+        path = tmp_path_factory.getbasetemp() / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        _check_resolved(["sweep", "--from-manifest", str(path)])

@@ -180,6 +180,12 @@ class TestSweep:
                 assert pa.erasures == pb.erasures
                 assert pa.theory_sums == pb.theory_sums  # float sums, fixed order
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        spec = SweepSpec(axis="direct_snr_db", points=(20.0,), trials_per_point=1000)
+        with pytest.raises(ScenarioError, match=f"at least 1 worker, got {workers}"):
+            run_sweep(spec, paper_scenario(), master_seed=1, workers=workers)
+
     def test_one_pool_per_sweep(self, monkeypatch):
         created = []
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import composite_cir, draw_noise, draw_primary, draw_secondary
+from srofdm import txchain
 from srofdm.channel import ChannelConfig, draw_channel, realization_from_taps
 from srofdm.numerics import RandomStream, draw_cn
 from srofdm.txchain import (
@@ -98,6 +99,25 @@ class TestSystemConfig:
             paper_cfg(t_preamble=2, preamble=(1.0, 1.0))
         with pytest.raises(ValueError):
             paper_cfg(t_preamble=2, preamble=(2.0, -2.0))
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(preamble=(complex("nan"), complex("nan"))), "unit modulus"),
+        (dict(preamble=(1.0, complex("nan"))), "unit modulus"),
+        (dict(pilot_values=(complex("nan"),) * 8), "pilot values must have unit modulus"),
+        (dict(p_t=float("nan")), "powers"),
+        (dict(sigma2=float("nan")), "powers"),
+    ])
+    def test_rejects_nan(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            paper_cfg(**kw)
+
+    def test_frame_length_checked_before_the_preamble_is_built(self, monkeypatch):
+        def unbuilt(t):
+            raise AssertionError(f"built a {t}-symbol preamble")
+
+        monkeypatch.setattr(txchain, "default_preamble", unbuilt)
+        with pytest.raises(ValueError, match="n_max = 10 leaves no data symbols after the t_preamble = 50"):
+            SystemConfig(t_preamble=50, n_max=10)
 
     def test_validate_with_channel(self):
         cfg = paper_cfg()
