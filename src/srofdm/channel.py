@@ -2,6 +2,8 @@
 backward (tag to receiver) links, plus the derived per-subcarrier responses."""
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,11 +26,30 @@ DIRECT_MODELS = ("rayleigh", "none")
 BACKSCATTER_MODELS = ("cascade", "rayleigh", "awgn", "none")
 
 
+# a gain must be a finite float of the normal range: below its smallest value
+# an underflow has taken the gain's digits, and squared taps read as 0
+_MIN_GAIN = sys.float_info.min
+_GAIN_RULE = f"it must be positive, finite and at least {_MIN_GAIN:g}"
+
+
 def pathloss(dist: float, exponent: float, ref: float) -> float:
-    """Large-scale gain ref * dist^(-exponent); dist in meters."""
+    """Large-scale gain ref * dist^(-exponent); dist in meters. A gain that
+    is not positive, or that overflows or underflows, raises ValueError."""
     if dist <= 0:
         raise ValueError(f"distance must be positive, got {dist}")
-    return ref * dist ** (-exponent)
+    try:
+        gain = ref * dist ** (-exponent)
+    except OverflowError:
+        gain = math.inf
+    if not _MIN_GAIN <= gain < math.inf:  # draws call this per trial: no message unless it fails
+        raise ValueError(f"path gain {ref:g} * {dist:g} m ^ -{exponent:g} is {gain:g}; {_GAIN_RULE}")
+    return gain
+
+
+def _checked_gain(what: str, gain: float) -> float:
+    if not _MIN_GAIN <= gain < math.inf:
+        raise ValueError(f"{what} is {gain:g}; {_GAIN_RULE}")
+    return gain
 
 
 @dataclass(frozen=True)
@@ -110,6 +131,18 @@ class ChannelConfig:
         if self.backscatter_model == "awgn":
             return 1
         return self.l_1 + self.l_2 - 1
+
+    def check_gains(self):
+        """Raise ValueError unless every large-scale gain that
+        `draw_link_taps` scales unit taps by is positive, finite and normal."""
+        if self.direct_model != "none":
+            _checked_gain("the direct gain", self.beta_direct)
+        if self.backscatter_model == "none":
+            return
+        beta_b = _checked_gain("the backscatter gain", self.beta_backscatter)
+        if self.backscatter_model == "cascade":  # an override rescales the first hop
+            hops = _checked_gain("the two-hop gain product", self.beta_fwd * self.beta_bwd)
+            _checked_gain("the rescaled first-hop gain", beta_b / hops * self.beta_fwd)
 
     @property
     def snr_ratio(self) -> float:

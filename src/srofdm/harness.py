@@ -179,6 +179,15 @@ def _positive_finite(axis: str, value: float, what: str, x: float) -> float:
     return x
 
 
+def _point_checked(axis: str, value: float, check: Callable):
+    """check(), with a ValueError of the channel model (a gain that is not
+    positive and finite) reported as a ScenarioError of the point."""
+    try:
+        return check()
+    except ValueError as exc:
+        raise ScenarioError(f"axis {axis} = {value:g}: {exc}") from None
+
+
 def apply_axis(scenario: Scenario, axis: str, value: float):
     """Resolve one sweep point into (SystemConfig, ChannelConfig, xi)."""
     if axis not in SWEEP_AXES:
@@ -190,7 +199,8 @@ def apply_axis(scenario: Scenario, axis: str, value: float):
     xi = scenario.sync_error
     if axis == "snr_ratio_db":
         ratio = _positive_finite(axis, value, "an SNR ratio of", _from_db(value))
-        chan = replace(chan, beta_backscatter_override=ratio * chan.beta_direct)
+        direct = _point_checked(axis, value, lambda: chan.beta_direct)
+        chan = replace(chan, beta_backscatter_override=ratio * direct)
     elif axis == "stx_distance_m":
         if not 0 < value < chan.dist_direct:
             raise ScenarioError(
@@ -204,6 +214,7 @@ def apply_axis(scenario: Scenario, axis: str, value: float):
                 f"axis {axis} = {value:g} gives a sync error outside [0, {period}) samples")
         xi = int(round(value))
 
+    _point_checked(axis, value, chan.check_gains)
     s2 = scenario.system.sigma2
     if axis == "direct_snr_db":
         p_t = _from_db(value) * s2 / chan.beta_direct

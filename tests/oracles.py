@@ -3,7 +3,8 @@ frame builders the tests share.
 
 The references are written the long way on purpose: an explicit composite
 response per symbol value and in the tap domain, the classic closed-form QAM
-symbol error rate, a Monte Carlo of the method-1 secondary error
+symbol error rate, the Gray-QAM error rates as telescoped sums over every
+level and decision edge (`telescoped_qam_error_rates`), a Monte Carlo of the method-1 secondary error
 expectation, the method-2 tap fit by a batched QR of the full N x L
 system, and the receivers composed by flags, each rerunning its whole chain
 (`flag_run_algorithm1`, `flag_run_ml_benchmark`), which the stage chains of
@@ -26,7 +27,7 @@ from srofdm.receiver import (
     reestimate_method2,
     separate_links,
 )
-from srofdm.txchain import FrameObservation, SystemConfig, modulate_primary, secondary_frame
+from srofdm.txchain import FrameObservation, SystemConfig, _gray, modulate_primary, secondary_frame
 
 ESTIMATOR_KINDS = ("pilot_only", "method1", "method2")
 
@@ -61,6 +62,35 @@ def ser_qam_awgn(snr, m_s: int):
     q = q_function(np.sqrt(3.0 * snr / (m_s - 1)))
     rail = 2.0 * (1.0 - 1.0 / np.sqrt(m_s)) * q
     return 1.0 - (1.0 - rail) ** 2
+
+
+def telescoped_qam_error_rates(snr, m_s: int):
+    """Symbol- and bit-error rates of square Gray QAM in AWGN at linear SNR,
+    as `srofdm.theory.qam_error_rates` computed them before the folded form:
+    one Gaussian tail per (level, edge) pair, with the Q(-x) ~ 1 terms added
+    and taken away again, which leaves an absolute floor near 1e-16."""
+    snr = np.asarray(snr, dtype=float)
+    m = int(round(np.sqrt(m_s)))
+    levels = (2.0 * np.arange(m) - (m - 1)) / np.sqrt(2.0 * (m_s - 1) / 3.0)
+    labels = _gray(np.arange(m))
+    hamming = np.array(
+        [[bin(int(a) ^ int(b)).count("1") for b in labels] for a in labels], dtype=float
+    )
+    edges = (levels[:-1] + levels[1:]) / 2.0
+    inv_sigma = np.sqrt(2.0 * snr)[..., None, None]
+    q_edges = q_function((edges - levels[:, None]) * inv_sigma)  # (..., m, m-1)
+    # telescoped region sums: sum_j (tail_j - tail_{j+1}) w_ij
+    #   = w_i0 + sum_e q_ie (w_{i,e+1} - w_ie)
+    bits_per_rail = m.bit_length() - 1
+    w_ber = hamming[:, 1:] - hamming[:, :-1]
+    ber = (hamming[:, 0].sum() + np.einsum("...ie,ie->...", q_edges, w_ber)) / (
+        m * bits_per_rail
+    )
+    ident = np.eye(m)
+    w_ser = ident[:, 1:] - ident[:, :-1]
+    rail_err = 1.0 - (1.0 + np.einsum("...ie,ie->...", q_edges, w_ser)) / m
+    ser = 1.0 - (1.0 - rail_err) ** 2
+    return ser, ber
 
 
 def mc_ber_secondary_method1(

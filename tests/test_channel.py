@@ -34,8 +34,36 @@ class TestPathloss:
         with pytest.raises(ValueError):
             pathloss(0.0, 2.0, 1e-3)
 
+    @pytest.mark.parametrize("dist, exponent, ref, shown", [
+        (1e308, 2.5, 1e-3, "is 0"),  # underflows
+        (3.83, 1e308, 1e-3, "is 0"),
+        (1e-200, 2.0, 1e-3, "is inf"),  # dist ** -exponent overflows
+        (1e-150, 2.0, 1e10, "is inf"),  # the product overflows
+        (200.0, 2.5, -1e-3, "is -1.7"),
+        (1e150, 2.0, 1e-10, "is 1e-310"),  # subnormal
+    ])
+    def test_rejects_gains_out_of_range(self, dist, exponent, ref, shown):
+        with pytest.raises(ValueError, match=f"path gain .* {shown}.*; it must be positive, finite"):
+            pathloss(dist, exponent, ref)
+
 
 class TestChannelConfig:
+    @pytest.mark.parametrize("kw, what", [
+        (dict(dist_direct=1e308), "path gain"),
+        (dict(dist_direct=2e80, dist_fwd=1e80), "the backscatter gain is 0"),  # 1e-163 * 1e-163
+        (dict(dist_direct=2e80, dist_fwd=1e80, beta_backscatter_override=1e-3), "two-hop gain product"),
+        (dict(exp_bwd=130.0, beta_backscatter_override=1e10), "rescaled first-hop gain"),
+        (dict(backscatter_model="rayleigh", beta_backscatter_override=0.0), "backscatter gain"),
+    ])
+    def test_check_gains(self, kw, what):
+        with pytest.raises(ValueError, match=what):
+            ChannelConfig(**kw).check_gains()
+
+    def test_check_gains_skips_removed_links(self):
+        ChannelConfig(direct_model="none", exp_direct=1e308).check_gains()
+        ChannelConfig(backscatter_model="none", exp_fwd=1e308).check_gains()
+        ChannelConfig(backscatter_model="awgn", exp_fwd=160.0, beta_backscatter_override=1e-9).check_gains()
+
     def test_collinear_backward_distance(self):
         cfg = ChannelConfig(dist_direct=200.0, dist_fwd=3.83)
         assert cfg.dist_bwd == pytest.approx(196.17)

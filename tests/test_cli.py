@@ -22,7 +22,9 @@ from srofdm.cli import (
     parse_scenario_text,
     resolve_scenario,
 )
-from srofdm.harness import RECEIVERS, SweepSpec, run_sweep
+from srofdm.channel import draw_link_taps
+from srofdm.harness import RECEIVERS, SWEEP_AXES, SweepSpec, apply_axis, run_sweep
+from srofdm.numerics import RandomStream
 
 
 class TestScenarioParsing:
@@ -375,6 +377,39 @@ class TestSweepCommand:
         assert f"{axis} = {value:g}" in err and what in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("text, axis, value, shown", [
+        pytest.param("dist_direct = 1e308\n", "direct_snr_db", "20", "path gain 0.001 * 1e+308 m ^ -2.5 is 0",
+                     id="dist_direct"),  # exited 2: float division by zero
+        pytest.param("", "stx_distance_m", "1e-200", "path gain 0.001 * 1e-200 m ^ -2 is inf",
+                     id="stx_distance_m"),  # exited 2: (34, 'Numerical result out of range')
+        pytest.param("exp_fwd = 1e308\n", "direct_snr_db", "20", "path gain 0.001 * 3.83 m ^ -1e+308 is 0",
+                     id="exp_fwd"),  # exited 2: backscatter response estimate is zero
+    ])
+    def test_path_gain_out_of_range_exits_1(self, tmp_path, capsys, text, axis, value, shown):
+        scen = tmp_path / "gain.txt"
+        scen.write_text(text)
+        assert main(["sweep", str(scen), "--axis", axis, "--points", value, "--trials", "1000",
+                     "--out", str(tmp_path / "x"), "--quiet"]) == 1
+        assert main(["single", str(scen), "--axis", axis, "--value", value]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2  # one line from each command
+        assert all(f"axis {axis} = {value}: {shown}; it must be positive, finite" in err for err in errors)
+        assert not (tmp_path / "x").exists()
+
+    def test_companions_below_the_old_floor(self, tmp_path, capsys):
+        # one deterministic tap at 30 dB: the telescoped QAM sums read 0 here
+        scen = tmp_path / "awgn.txt"
+        scen.write_text("direct_model = none\nbackscatter_model = awgn\nbackscatter_snr_db = 20\n")
+        out = tmp_path / "run"
+        assert main(["sweep", str(scen), "--axis", "backscatter_snr_db", "--points", "30", "--trials", "1024",
+                     "--receivers", "perfect_csi", "--seed", "7", "--out", str(out), "--quiet"]) == 0
+        rows = (out / "backscatter_snr_db__perfect_csi.csv").read_text().splitlines()
+        assert rows[1] == "30,perfect_csi,perfect,0,0,0,0,7.83182844e-46,0"
+        assert main(["single", str(scen), "--axis", "backscatter_snr_db", "--value", "30",
+                     "--receivers", "perfect_csi", "--seed", "7"]) == 0
+        text = capsys.readouterr().out
+        assert "primary_ber_theory = 7.83183e-46" in text and "primary_ser_theory = 3.13273e-45" in text
+
     def test_unknown_receiver_exits_1(self, tmp_path, capsys, fast_scenario):
         rc = main([
             "sweep", str(fast_scenario), "--receivers", "nope", "--points", "20",
@@ -512,6 +547,27 @@ def _check_resolved(argv):
     assert isinstance(run["receivers"], tuple) and type(seed) is (NoneType if argv[0] == "theory" else int)
 
 
+# the keys that set a sweep point's gains, power and timing
+_GEOMETRY_KEYS = ("dist_direct", "dist_fwd", "dist_bwd", "exp_direct", "exp_fwd", "exp_bwd", "pathloss_ref",
+                  "direct_model", "backscatter_model", "direct_snr_db", "backscatter_snr_db", "noise_dbm",
+                  "sync_error")
+_AXIS_VALUE = _FLOAT | _SMALL_INT | st.sampled_from([1e-200, 1e-300, 5e-324, 1e308, -1e308, 199.9, 79.4])
+
+
+def _check_applied(scenario, axis, value):
+    """`apply_axis` of one point: a resolved point draws finite, nonzero taps
+    at a positive finite power, anything else is a ScenarioError."""
+    try:
+        system, chan, xi = apply_axis(scenario, axis, value)
+    except ScenarioError:
+        return
+    assert 0 < system.p_t < np.inf and 0 <= xi < system.symbol_period
+    h_d, b, g = draw_link_taps(chan, RandomStream(0, 0))
+    assert all(np.all(np.isfinite(taps)) for taps in (h_d, b, g))
+    assert np.any(h_d != 0) == (chan.direct_model != "none")
+    assert np.any(np.convolve(b, g) != 0) == (chan.backscatter_model != "none")
+
+
 @pytest.fixture(scope="module")
 def recorded_manifest(tmp_path_factory):
     out = tmp_path_factory.mktemp("recorded")
@@ -539,6 +595,21 @@ class TestResolveProperties:
         keys = data.draw(st.lists(st.sampled_from(sorted(_SCENARIO_KEYS)), min_size=1, max_size=4, unique=True))
         self._check_file(tmp_path_factory, command, {key: data.draw(_value_text(key, own_kind=False), label=key)
                                                      for key in keys}, points)
+
+    @given(data=st.data(), axis=st.sampled_from(sorted(SWEEP_AXES)), values=st.lists(_AXIS_VALUE, min_size=1,
+                                                                                       max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_axis_points_apply_or_are_rejected(self, tmp_path_factory, data, axis, values):
+        keys = data.draw(st.lists(st.sampled_from(_GEOMETRY_KEYS), max_size=4, unique=True))
+        path = tmp_path_factory.getbasetemp() / "generated.txt"
+        path.write_text("".join(f"{key} = {data.draw(_value_text(key, own_kind=True), label=key)}\n"
+                                for key in keys))
+        try:
+            _, scenario, _, _ = _resolve_run(build_parser().parse_args(["sweep", str(path)]))
+        except ScenarioError:
+            return
+        for value in values:
+            _check_applied(scenario, axis, value)
 
     @given(_POINTS)
     @settings(max_examples=300, deadline=None)

@@ -79,6 +79,16 @@ class TestAxes:
         assert apply_axis(scen, "sync_error_samples", -0.4)[2] == 0
         assert apply_axis(scen, "sync_error_samples", 79.4)[2] == 79
 
+    @pytest.mark.parametrize("chan, axis, value", [
+        (ChannelConfig(dist_direct=1e308), "direct_snr_db", 20.0),
+        (ChannelConfig(exp_fwd=1e308), "direct_snr_db", 20.0),
+        (ChannelConfig(), "stx_distance_m", 1e-200),
+        (ChannelConfig(), "snr_ratio_db", -3000.0),
+    ])
+    def test_gain_out_of_range_rejected(self, chan, axis, value):
+        with pytest.raises(ScenarioError, match=f"axis {axis} = {value:g}: .* must be positive, finite"):
+            apply_axis(paper_scenario(chan=chan), axis, value)
+
 
 class TestSweepSpec:
     def test_rejects_nonincreasing_points(self):

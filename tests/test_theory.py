@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import factorial
 
-from oracles import mc_ber_secondary_method1, ser_qam_awgn
+from oracles import mc_ber_secondary_method1, ser_qam_awgn, telescoped_qam_error_rates
+from srofdm import theory
 from srofdm.channel import ChannelConfig, composite_tap_count, draw_channel
 from srofdm.numerics import RandomStream, draw_cn, q_function
 from srofdm.theory import (
@@ -23,7 +25,7 @@ from srofdm.theory import (
     snr_secondary_method1,
     snr_secondary_method2,
 )
-from srofdm.txchain import SystemConfig, default_pilot_indices
+from srofdm.txchain import SystemConfig, _gray, default_pilot_indices
 
 
 def cfg_with(**kw) -> SystemConfig:
@@ -364,12 +366,15 @@ class TestAveragedSecondary:
             avg_ber_secondary(AvgSnrParams(gamma_b=1.0, l_b=0))
 
 
+_QAM_BER_16 = lambda snr: qam_error_rates(snr, 16)[1]  # noqa: E731 - exact, so held without slack
+
+
 class TestMonotonicity:
     @pytest.mark.parametrize(
         "fn",
         [
             lambda snr: ser_qam_awgn(snr, 16),
-            lambda snr: qam_error_rates(snr, 16)[1],
+            _QAM_BER_16,
             lambda snr: ber_psk_from_snr(snr, 8),
             lambda snr: ber_psk_from_snr(snr, 2),
             lambda snr: np.array(
@@ -380,8 +385,74 @@ class TestMonotonicity:
     def test_nonincreasing_on_log_grid(self, fn):
         snr = 10 ** (np.linspace(-1, 4.5, 56))
         vals = np.asarray(fn(snr), dtype=float)
-        assert np.all(vals >= -1e-15) and np.all(vals <= 1.0 + 1e-12)
-        assert np.all(np.diff(vals) <= 1e-15)
+        slack = 0.0 if fn is _QAM_BER_16 else 1e-15
+        assert np.all(vals >= -slack) and np.all(vals <= 1.0 + 1e-12)
+        assert np.all(np.diff(vals) <= slack)
+
+    @pytest.mark.parametrize("m_s", [4, 16, 64, 256])
+    def test_qam_rates_exactly_nonnegative_and_nonincreasing(self, m_s):
+        # the folded form subtracts no Q(-x) ~ 1 term, so no rounding floor
+        snr = 10 ** (np.linspace(-20, 45, 200_001) / 10)
+        for vals in qam_error_rates(snr, m_s):
+            assert np.all(vals >= 0) and np.all(vals <= 1)
+            assert np.all(np.diff(vals) <= 0)
+
+
+def _mp_qam_rates(snr: float, m_s: int):
+    """(ser, ber) of square Gray QAM at 50 digits, from every decision-region
+    probability P(j | i) on a rail; each is a difference of two tails of
+    which the second is the smaller, so nothing cancels."""
+    with mpmath.workdps(50):
+        m = int(round(m_s**0.5))
+        u = mpmath.sqrt(2 * mpmath.mpf(snr)) / mpmath.sqrt(mpmath.mpf(2 * (m_s - 1)) / 3)
+        q = lambda odd: mpmath.erfc(odd * u / mpmath.sqrt(2)) / 2
+        labels = _gray(np.arange(m))
+        rail = bits = mpmath.mpf(0)
+        for i in range(m):
+            for j in range(m):
+                if j == i:
+                    continue
+                dist = 2 * abs(j - i)  # edges at dist - 1 and dist + 1 half spacings
+                p = q(dist - 1) - (q(dist + 1) if j not in (0, m - 1) else 0)
+                rail += p
+                bits += p * bin(int(labels[i] ^ labels[j])).count("1")
+        rail /= m
+        return rail * (2 - rail), bits / (m * (m.bit_length() - 1))
+
+
+class TestFoldedQamRates:
+    @pytest.mark.parametrize("m_s", [4, 16, 64, 256])
+    def test_matches_telescoped_oracle(self, m_s):
+        snr = 10 ** (np.linspace(-10, 40, 501) / 10)
+        for got, want in zip(qam_error_rates(snr, m_s), telescoped_qam_error_rates(snr, m_s)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("m_s", [4, 16, 64, 256])
+    def test_matches_mpmath(self, m_s):
+        snr = 10 ** (np.arange(-10.0, 60.1, 2.5) / 10)
+        got = qam_error_rates(snr, m_s)
+        checked = 0
+        for k, x in enumerate(snr):
+            for rate, want in zip((got[0][k], got[1][k]), _mp_qam_rates(float(x), m_s)):
+                if want >= mpmath.mpf("1e-250"):
+                    assert abs(rate - want) <= 1e-12 * want, (m_s, x)
+                    checked += 1
+        assert checked >= 2 * 10
+
+    @pytest.mark.parametrize(
+        "m_s, snr_db, ber",
+        [(16, 25.0, 6.843e-16), (16, 30.0, 7.83e-46), (4, 20.0, 7.62e-24)],
+    )
+    def test_rates_below_the_old_floor(self, m_s, snr_db, ber):
+        # the telescoped sums read 6.66e-16, 0 and 0 here
+        assert qam_error_rates(10 ** (snr_db / 10), m_s)[1] == pytest.approx(ber, rel=1e-3, abs=0)
+
+    def test_16qam_weights_are_cho_yoon(self):
+        # BER = (3 Q(x) + 2 Q(3x) - Q(5x)) / 4, rail error = (3/2) Q(x)
+        x, a_ber, a_ser = theory._folded_rail(16)
+        np.testing.assert_array_equal(a_ber, [3 / 4, 2 / 4, -1 / 4])
+        np.testing.assert_array_equal(a_ser, [-3 / 2, 0, 0])
+        np.testing.assert_allclose(x, np.array([1, 3, 5]) / np.sqrt(10), rtol=1e-15)
 
 
 class TestEq17Expectation:
