@@ -17,6 +17,8 @@ __all__ = [
     "pathloss",
     "draw_channel",
     "draw_link_taps",
+    "fading_tap_count",
+    "scale_link_taps",
     "realization_from_taps",
     "composite_tap_count",
     "composite_response",
@@ -134,7 +136,7 @@ class ChannelConfig:
 
     def check_gains(self):
         """Raise ValueError unless every large-scale gain that
-        `draw_link_taps` scales unit taps by is positive, finite and normal."""
+        `scale_link_taps` scales unit taps by is positive, finite and normal."""
         if self.direct_model != "none":
             _checked_gain("the direct gain", self.beta_direct)
         if self.backscatter_model == "none":
@@ -225,44 +227,60 @@ def realization_from_taps(h_d, b, g, d_b: int, n: int) -> ChannelRealization:
     )
 
 
-def draw_link_taps(cfg: ChannelConfig, stream: RandomStream):
-    """Draw the three tap vectors (h_d, b, g) for one realization: i.i.d.
-    Rayleigh taps with equal power per tap, total power per link equal to its
-    large-scale gain. All fading taps come from one generator call; the
-    response derivation is deferred so Monte Carlo batches can stack taps
-    before one vectorized transform."""
+def _fading_tap_counts(cfg: ChannelConfig):
+    """CN(0, 1) taps a realization draws, in draw order: direct link, then
+    the forward hop (or the whole Rayleigh backscatter response), then the
+    backward hop."""
     n_direct = cfg.l_d if cfg.direct_model == "rayleigh" else 0
     if cfg.backscatter_model == "cascade":
-        n_fwd, n_bwd = cfg.l_1, cfg.l_2
-    elif cfg.backscatter_model == "rayleigh":
-        n_fwd, n_bwd = cfg.l_b, 0
-    else:
-        n_fwd = n_bwd = 0
-    total = n_direct + n_fwd + n_bwd
-    unit = draw_cn(stream, total, 1.0) if total else np.empty(0, dtype=complex)
+        return n_direct, cfg.l_1, cfg.l_2
+    if cfg.backscatter_model == "rayleigh":
+        return n_direct, cfg.l_b, 0
+    return n_direct, 0, 0
 
+
+def fading_tap_count(cfg: ChannelConfig) -> int:
+    """Number of CN(0, 1) taps one realization draws; no sweep axis changes it."""
+    return sum(_fading_tap_counts(cfg))
+
+
+def scale_link_taps(cfg: ChannelConfig, unit):
+    """The three tap vectors (h_d, b, g) from CN(0, 1) draws `unit` shaped
+    (..., fading_tap_count(cfg)): i.i.d. Rayleigh taps with equal power per
+    tap, total power per link equal to its large-scale gain. Deterministic
+    links take no draws."""
+    n_direct, n_fwd, _ = _fading_tap_counts(cfg)
+    lead = unit.shape[:-1]
     if n_direct:
-        h_d = unit[:n_direct] * np.sqrt(cfg.beta_direct / cfg.l_d)
+        h_d = unit[..., :n_direct] * np.sqrt(cfg.beta_direct / cfg.l_d)
     else:
-        h_d = np.zeros(cfg.l_d, dtype=complex)
+        h_d = np.zeros(lead + (cfg.l_d,), dtype=complex)
 
     beta_b = cfg.beta_backscatter
+    g = np.ones(lead + (1,), dtype=complex)
     if cfg.backscatter_model == "cascade":
         scale = 1.0 if cfg.beta_backscatter_override is None else (
             beta_b / (cfg.beta_fwd * cfg.beta_bwd)
         )
-        b = unit[n_direct : n_direct + n_fwd] * np.sqrt(scale * cfg.beta_fwd / cfg.l_1)
-        g = unit[n_direct + n_fwd :] * np.sqrt(cfg.beta_bwd / cfg.l_2)
+        b = unit[..., n_direct : n_direct + n_fwd] * np.sqrt(scale * cfg.beta_fwd / cfg.l_1)
+        g = unit[..., n_direct + n_fwd :] * np.sqrt(cfg.beta_bwd / cfg.l_2)
     elif cfg.backscatter_model == "rayleigh":
-        b = unit[n_direct:] * np.sqrt(beta_b / cfg.l_b)
-        g = np.ones(1, dtype=complex)
+        b = unit[..., n_direct:] * np.sqrt(beta_b / cfg.l_b)
     elif cfg.backscatter_model == "awgn":
-        b = np.array([np.sqrt(beta_b)], dtype=complex)
-        g = np.ones(1, dtype=complex)
+        b = np.full(lead + (1,), np.sqrt(beta_b), dtype=complex)
     else:  # none
-        b = np.zeros(1, dtype=complex)
-        g = np.ones(1, dtype=complex)
+        b = np.zeros(lead + (1,), dtype=complex)
     return h_d, b, g
+
+
+def draw_link_taps(cfg: ChannelConfig, stream: RandomStream):
+    """Draw the three tap vectors (h_d, b, g) for one realization, as
+    `scale_link_taps` of one `draw_cn` call. The response derivation is
+    deferred so Monte Carlo batches can stack taps before one vectorized
+    transform."""
+    unit = draw_cn(stream, fading_tap_count(cfg), 1.0)
+    h_d, b, g = scale_link_taps(cfg, unit[None])
+    return h_d[0], b[0], g[0]
 
 
 def draw_channel(cfg: ChannelConfig, stream: RandomStream, n: int = 64) -> ChannelRealization:

@@ -2,9 +2,12 @@
 
 Each trial owns a counter-based random stream keyed by (master_seed,
 trial_index), so results are bit-identical for any chunking or worker count.
-Trials are drawn per stream but processed in vectorized blocks: tap vectors,
-symbol indices and noise are stacked and the whole receive/detect chain runs
-batched through numpy.
+No sweep axis changes what a trial draws (unit taps, symbol indices, noise),
+only how the taps are scaled and how the frame is received. So a sweep's
+unit of work is one fixed range of trials over every point: the range is
+drawn once (`draw_trials`), stacked into arrays, and each point scales those
+draws and runs the whole receive/detect chain batched through numpy
+(`observe_trials`).
 
 `RECEIVERS` is a table of `ReceiverSpec` entries, one per curve: its CSI
 label, its stage tuple and the companions the paper pairs with it. Adding a
@@ -23,10 +26,11 @@ from srofdm import theory
 from srofdm.channel import (
     ChannelConfig,
     composite_tap_count,
-    draw_link_taps,
+    fading_tap_count,
     realization_from_taps,
+    scale_link_taps,
 )
-from srofdm.numerics import RandomStream, draw_cn
+from srofdm.numerics import RandomStream, cn_from_normals
 from srofdm.receiver import run_algorithm1
 from srofdm.txchain import (
     FrameObservation,
@@ -47,6 +51,9 @@ __all__ = [
     "BerCurve",
     "transmit_power",
     "apply_axis",
+    "TrialDraws",
+    "draw_trials",
+    "observe_trials",
     "draw_frame_batch",
     "run_trial",
     "run_sweep",
@@ -72,35 +79,39 @@ class ScenarioError(ValueError):
 
 # Closed-form companions, conditioned on the drawn realizations (the analytic
 # curve is the average of per-realization evaluations over exactly the
-# simulated channels). Each returns the chunk's sums under the CSV's theory
-# keys, or nothing where its formula does not apply.
-def _primary_perfect(obs, system, taps):
+# simulated channels). Each maps (obs, system, taps, primary_snr) to the
+# chunk's sums under the CSV's theory keys, or nothing where its formula does
+# not apply; `primary_snr` is the chunk's perfect-CSI composite SNR
+# (`theory.composite_snr`), which both primary companions share.
+def _primary_perfect(obs, system, taps, primary_snr):
     real = obs.realization
-    ser, ber = theory.primary_rates_perfect(real.H_d, real.H_b, system, c_values=obs.c_values)
-    return {"primary_ser_theory": float(np.sum(ser)), "primary_ber_theory": float(np.sum(ber))}
-
-
-def _primary_estimated(obs, system, taps):
-    if system.n_p < taps:  # the comb cannot resolve the composite response
-        return {}
-    real = obs.realization
-    ser, ber = theory.primary_rates_estimated(
-        real.H_d, real.H_b, system, taps, c_values=obs.c_values
+    ser, ber = theory.primary_rates_perfect(
+        real.H_d, real.H_b, system, c_values=obs.c_values, snr=primary_snr
     )
     return {"primary_ser_theory": float(np.sum(ser)), "primary_ber_theory": float(np.sum(ber))}
 
 
-def _secondary_perfect(obs, system, taps):  # eq. 15, the lower bound
+def _primary_estimated(obs, system, taps, primary_snr):
+    if system.n_p < taps:  # the comb cannot resolve the composite response
+        return {}
+    real = obs.realization
+    ser, ber = theory.primary_rates_estimated(
+        real.H_d, real.H_b, system, taps, c_values=obs.c_values, snr=primary_snr
+    )
+    return {"primary_ser_theory": float(np.sum(ser)), "primary_ber_theory": float(np.sum(ber))}
+
+
+def _secondary_perfect(obs, system, taps, primary_snr):  # eq. 15, the lower bound
     ber = theory.ber_secondary_perfect(obs.realization.H_b, system)
     return {"secondary_ber_theory": float(np.sum(ber))}
 
 
-def _secondary_method1(obs, system, taps):
+def _secondary_method1(obs, system, taps, primary_snr):
     snr = theory.snr_secondary_method1(obs.realization.H_b, system)
     return {"secondary_ber_theory": float(np.sum(theory.ber_psk_from_snr(snr, system.m_c)))}
 
 
-def _secondary_method2(obs, system, taps):
+def _secondary_method2(obs, system, taps, primary_snr):
     snr = theory.snr_secondary_method2(obs.realization.H_b, system, taps)
     return {"secondary_ber_theory": float(np.sum(theory.ber_psk_from_snr(snr, system.m_c)))}
 
@@ -108,8 +119,9 @@ def _secondary_method2(obs, system, taps):
 @dataclass(frozen=True)
 class ReceiverSpec:
     """One receiver curve. `stages` names its detection chain in order, as
-    `receiver.run_algorithm1` runs it; each companion maps (obs, system, taps)
-    to theory sums, and None marks a curve the paper gives no closed form for."""
+    `receiver.run_algorithm1` runs it; each companion maps (obs, system, taps,
+    primary_snr) to theory sums, and None marks a curve the paper gives no
+    closed form for."""
 
     csi: str
     stages: tuple
@@ -330,6 +342,81 @@ class BerCurve:
     points: list  # of PointResult
 
 
+@dataclass(frozen=True)
+class TrialDraws:
+    """What a range of trials draws, which no sweep point changes: each
+    trial's CN(0, 1) fading taps before their large-scale gains, its symbol
+    indices and values, and its receive noise, stacked over the range and
+    shaped for the receive path ("frequency" or "sample") they were drawn for."""
+
+    path: str
+    unit_taps: np.ndarray = field(repr=False)  # (batch, fading_tap_count)
+    s_indices: np.ndarray = field(repr=False)  # (batch, n_max, n_data)
+    s_values: np.ndarray = field(repr=False)  # (batch, n_max, n)
+    c_indices: np.ndarray = field(repr=False)  # (batch, n_max - T)
+    c_values: np.ndarray = field(repr=False)  # (batch, n_max)
+    noise: Optional[np.ndarray] = field(repr=False)  # CN(0, sigma2); None when sigma2 = 0
+
+
+def draw_trials(
+    system: SystemConfig,
+    chan: ChannelConfig,
+    master_seed: int,
+    trial_ids,
+    path: str = "frequency",
+) -> TrialDraws:
+    """Draw a batch of independent trials, one stream per trial id.
+
+    Per-trial draw order is fixed (channel taps, primary indices, secondary
+    indices, noise), which is what the reproducibility contract rests on.
+    The real normals go straight into (batch, 2, count) buffers and become
+    complex once per batch: the same elementwise operations as one
+    `draw_cn` per trial, so the same bits.
+    """
+    trial_ids = list(trial_ids)
+    batch = len(trial_ids)
+    noise_len = system.n_max * (system.symbol_period if path == "sample" else system.n)
+    tap_z = np.empty((batch, 2, fading_tap_count(chan)))
+    s_idx = np.empty((batch, system.n_max, system.n_data), dtype=np.int64)
+    c_idx = np.empty((batch, system.n_data_symbols), dtype=np.int64)
+    noise_z = np.empty((batch, 2, noise_len)) if system.sigma2 > 0 else None
+    stream = None  # keyed to the first trial, then rewound per trial; cheaper than a new one
+    for i, tid in enumerate(trial_ids):
+        stream = RandomStream(master_seed, tid) if stream is None else stream.reset(master_seed, tid)
+        stream.normals(out=tap_z[i])
+        s_idx[i] = stream.integers(0, system.m_s, size=(system.n_max, system.n_data))
+        c_idx[i] = stream.integers(0, system.m_c, size=system.n_data_symbols)
+        if noise_z is not None:
+            stream.normals(out=noise_z[i])
+
+    noise = None
+    if noise_z is not None:
+        noise = cn_from_normals(noise_z)
+        noise *= np.sqrt(system.sigma2)
+        if path != "sample":
+            noise = noise.reshape(batch, system.n_max, system.n)
+    return TrialDraws(
+        path=path, unit_taps=cn_from_normals(tap_z),
+        s_indices=s_idx, s_values=modulate_primary(s_idx, system),
+        c_indices=c_idx, c_values=secondary_frame(c_idx, system), noise=noise,
+    )
+
+
+def observe_trials(draws: TrialDraws, system: SystemConfig, chan: ChannelConfig,
+                   xi: int = 0) -> FrameObservation:
+    """Receive drawn trials at one point: scale the unit taps by the point's
+    link gains and run the receive path the draws were made for in one
+    vectorized call. `system` and `chan` may differ from those of the draw
+    only where no sweep axis changes the draws (p_t and the link gains)."""
+    if draws.unit_taps.shape[-1] != fading_tap_count(chan):
+        raise ValueError("the draws were made for other channel models or tap counts")
+    real = realization_from_taps(*scale_link_taps(chan, draws.unit_taps), chan.d_b, system.n)
+    truth = dict(s_indices=draws.s_indices, c_indices=draws.c_indices, noise=draws.noise)
+    if draws.path == "sample":
+        return sample_level_rx(draws.s_values, draws.c_values, real, system, xi=xi, **truth)
+    return frequency_domain_rx(draws.s_values, draws.c_values, real, system, **truth)
+
+
 def draw_frame_batch(
     system: SystemConfig,
     chan: ChannelConfig,
@@ -338,46 +425,9 @@ def draw_frame_batch(
     xi: int = 0,
     path: str = "frequency",
 ) -> FrameObservation:
-    """Draw a batch of independent trials, one stream per trial id, and run
-    them through the requested receive path in one vectorized call.
-
-    Per-trial draw order is fixed (channel taps, primary indices, secondary
-    indices, noise), which is what the reproducibility contract rests on.
-    """
-    trial_ids = list(trial_ids)
-    batch = len(trial_ids)
-    noise_len = (
-        system.n_max * system.symbol_period if path == "sample" else system.n_max * system.n
-    )
-    h_d = np.empty((batch, chan.l_d), dtype=complex)
-    b = np.empty((batch, chan.l_1 if chan.backscatter_model == "cascade" else max(chan.l_b, 1)), dtype=complex)
-    g = np.empty((batch, chan.l_2 if chan.backscatter_model == "cascade" else 1), dtype=complex)
-    s_idx = np.empty((batch, system.n_max, system.n_data), dtype=np.int64)
-    c_idx = np.empty((batch, system.n_data_symbols), dtype=np.int64)
-    noise = np.empty((batch, noise_len), dtype=complex) if system.sigma2 > 0 else None
-    stream = RandomStream(master_seed)  # rewound per trial; cheaper than a new one
-    for i, tid in enumerate(trial_ids):
-        stream.reset(master_seed, tid)
-        h_d[i], b[i], g[i] = draw_link_taps(chan, stream)
-        s_idx[i] = stream.integers(0, system.m_s, size=(system.n_max, system.n_data))
-        c_idx[i] = stream.integers(0, system.m_c, size=system.n_data_symbols)
-        if noise is not None:
-            noise[i] = draw_cn(stream, noise_len, system.sigma2)
-
-    real = realization_from_taps(h_d, b, g, chan.d_b, system.n)
-    s_values = modulate_primary(s_idx, system)
-    c_values = secondary_frame(c_idx, system)
-    if path == "sample":
-        return sample_level_rx(
-            s_values, c_values, real, system, xi=xi,
-            s_indices=s_idx, c_indices=c_idx, noise=noise,
-        )
-    if noise is not None:
-        noise = noise.reshape(batch, system.n_max, system.n)
-    return frequency_domain_rx(
-        s_values, c_values, real, system,
-        s_indices=s_idx, c_indices=c_idx, noise=noise,
-    )
+    """Draw a batch of independent trials and run them through the requested
+    receive path: `observe_trials` of `draw_trials`."""
+    return observe_trials(draw_trials(system, chan, master_seed, trial_ids, path), system, chan, xi)
 
 
 def _count_errors(result: PointResult, obs, out, system: SystemConfig):
@@ -395,11 +445,16 @@ def _count_errors(result: PointResult, obs, out, system: SystemConfig):
         )
 
 
-def _process_chunk(args):
-    (scenario, axis, value, master_seed, trial_ids, receivers, with_theory) = args
-    system, chan, xi = apply_axis(scenario, axis, value)
-    path = "sample" if (xi > 0 or axis == "sync_error_samples") else "frequency"
-    obs = draw_frame_batch(system, chan, master_seed, trial_ids, xi=xi, path=path)
+def _receive_path(axis: str, sync_error: int) -> str:
+    """The receive path of every point of a sweep: only a sync error needs
+    the sample-level path, and no other axis changes the scenario's."""
+    return "sample" if axis == "sync_error_samples" or sync_error > 0 else "frequency"
+
+
+def _run_point(draws: TrialDraws, point, receivers, with_theory) -> dict:
+    """{receiver: PointResult} of one resolved point over drawn trials."""
+    value, system, chan, xi = point
+    obs = observe_trials(draws, system, chan, xi)
     taps = composite_tap_count(chan, xi)
     with_backscatter = chan.backscatter_model != "none"
     memo = {}  # stage prefix -> its values over this chunk, while a later receiver shares it
@@ -409,15 +464,37 @@ def _process_chunk(args):
             obs, system, RECEIVERS[name].stages, taps=taps, detect_c=with_backscatter, memo=memo), system)
         later = [RECEIVERS[r].stages for r in receivers[i + 1 :]]
         memo = {key: v for key, v in memo.items() if any(s[: len(key)] == key for s in later)}
+    if not with_theory:
+        return results
+    primary_snr = None  # built once for every primary companion of the chunk
+    if any(RECEIVERS[name].primary_theory for name in receivers):
+        real = obs.realization
+        primary_snr = theory.composite_snr(real.H_d, real.H_b, obs.c_values, system)
     sums = {}  # companion -> its sums over this chunk; receivers share them
-    for name in receivers if with_theory else ():
+    for name in receivers:
         spec = RECEIVERS[name]
         for companion in (spec.primary_theory, spec.secondary_theory if with_backscatter else None):
             if companion is not None:
                 if companion not in sums:
-                    sums[companion] = companion(obs, system, taps)
+                    sums[companion] = companion(obs, system, taps, primary_snr)
                 results[name].theory_sums.update(sums[companion])
     return results
+
+
+def _process_chunk(args) -> list:
+    """One range of trials at every resolved point: [{receiver: PointResult}]
+    in point order. The range is drawn once; only one point's observation
+    lives at a time."""
+    (path, points, master_seed, trial_ids, receivers, with_theory) = args
+    _, system, chan, _ = points[0]  # every point draws the same: see TrialDraws
+    draws = draw_trials(system, chan, master_seed, trial_ids, path)
+    return [_run_point(draws, point, receivers, with_theory) for point in points]
+
+
+def _resolve_points(scenario: Scenario, axis: str, values) -> tuple:
+    """(value, SystemConfig, ChannelConfig, xi) of every point, or the
+    ScenarioError of the first point that cannot run."""
+    return tuple((float(v), *apply_axis(scenario, axis, float(v))) for v in values)
 
 
 def run_trial(scenario: Scenario, axis: str, value: float, trial_index: int,
@@ -425,9 +502,9 @@ def run_trial(scenario: Scenario, axis: str, value: float, trial_index: int,
     """One trial's error counts for each requested receiver; bitwise
     reproducible from (master_seed, trial_index)."""
     _check_receivers(receivers)
-    return _process_chunk(
-        (scenario, axis, value, master_seed, [trial_index], receivers, True)
-    )
+    points = _resolve_points(scenario, axis, [value])
+    path = _receive_path(axis, scenario.sync_error)
+    return _process_chunk((path, points, master_seed, [trial_index], receivers, True))[0]
 
 
 def run_sweep(
@@ -438,31 +515,36 @@ def run_sweep(
 ) -> dict:
     """Run every (point, receiver) cell and return {receiver: BerCurve}.
 
-    Trials split into fixed-size chunks. With more than one worker the
-    chunks of every point run on one process pool, created once per sweep;
-    they are reduced in index order, so error counts and companion sums are
-    identical for any worker count.
+    Every point is resolved first, so a point that cannot run fails the
+    sweep before any trial is drawn. Trials then split into fixed-size
+    ranges, and one task draws a range once and runs every point on it.
+    With more than one worker the tasks run on one process pool, created
+    once per sweep; workers beyond the number of ranges idle. Each point's
+    ranges are reduced in index order, so error counts and companion sums
+    are identical for any worker count.
     """
     if workers < 1:
         raise ScenarioError(f"need at least 1 worker, got {workers}")
     scenario.validate()
-    chunks = [
-        (scenario, spec.axis, float(value), master_seed,
+    points = _resolve_points(scenario, spec.axis, spec.points)
+    path = _receive_path(spec.axis, scenario.sync_error)
+    tasks = [
+        (path, points, master_seed,
          range(start, min(start + CHUNK_TRIALS, spec.trials_per_point)),
          tuple(spec.receivers), spec.with_theory)
-        for value in spec.points
         for start in range(0, spec.trials_per_point, CHUNK_TRIALS)
     ]
     totals = {
-        name: {float(value): PointResult(point=float(value)) for value in spec.points}
+        name: {value: PointResult(point=value) for value, *_ in points}
         for name in spec.receivers
     }
     # one pool for the whole sweep; map yields in submission order
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        outputs = pool.map(_process_chunk, chunks, chunksize=1) if pool else map(_process_chunk, chunks)
-        for (_, _, value, *_), results in zip(chunks, outputs):  # fixed chunk order
-            for name in spec.receivers:
-                totals[name][value].merge(results[name])
+        outputs = pool.map(_process_chunk, tasks, chunksize=1) if pool else map(_process_chunk, tasks)
+        for per_point in outputs:  # fixed range order
+            for (value, *_), results in zip(points, per_point):
+                for name in spec.receivers:
+                    totals[name][value].merge(results[name])
     return {
         name: BerCurve(receiver=name, csi=RECEIVERS[name].csi, axis=spec.axis,
                        points=list(totals[name].values()))

@@ -10,6 +10,7 @@ __all__ = [
     "RandomStream",
     "partial_fourier",
     "q_function",
+    "cn_from_normals",
     "draw_cn",
 ]
 
@@ -63,9 +64,10 @@ class RandomStream:
         """Uniform integers in [low, high)."""
         return self._gen.integers(low, high, size=size)
 
-    def normals(self, size=None):
-        """Standard real normal draws."""
-        return self._gen.standard_normal(size)
+    def normals(self, size=None, out=None):
+        """Standard real normal draws, written into `out` when given (the
+        same values, in C order, as a draw of its shape)."""
+        return self._gen.standard_normal(size, out=out)
 
 
 def partial_fourier(n: int, l: int) -> np.ndarray:
@@ -95,6 +97,14 @@ def draw_cn(stream: RandomStream, count: int, variance: float) -> np.ndarray:
     """
     if variance <= 0:
         raise ValueError(f"variance must be positive, got {variance}")
-    z = stream.normals(size=(2, count))
-    unit = (z[0] + 1j * z[1]) * np.sqrt(0.5)
-    return unit * np.sqrt(variance)
+    return cn_from_normals(stream.normals(size=(2, count))) * np.sqrt(variance)
+
+
+def cn_from_normals(z) -> np.ndarray:
+    """CN(0, 1) values (re + 1j·im)·√0.5 from real normals shaped
+    (..., 2, count), whose first row is re and second im; built in one
+    output array, which takes the same values as the expression."""
+    unit = np.multiply(1j, z[..., 1, :])
+    unit += z[..., 0, :]
+    unit *= np.sqrt(0.5)
+    return unit

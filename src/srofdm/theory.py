@@ -26,6 +26,7 @@ __all__ = [
     "qam_moments",
     "qam_error_rates",
     "ber_psk_from_snr",
+    "composite_snr",
     "primary_rates_perfect",
     "snr_primary_estimated_grid",
     "primary_rates_estimated",
@@ -118,8 +119,10 @@ def ber_psk_from_snr(snr, m_c: int):
     return (2.0 / np.log2(m_c)) * q_function(arg)
 
 
-def _composite_snr(h_d, h_b, c_values, cfg: SystemConfig):
-    """Per (symbol, data subcarrier) SNR of the composite link, perfect CSI."""
+def composite_snr(h_d, h_b, c_values, cfg: SystemConfig):
+    """Per (symbol, data subcarrier) SNR of the composite link, perfect CSI:
+    the `snr=` that both primary-rate companions accept, so that a caller
+    evaluating both over one batch builds it once."""
     h = composite_response(h_d, h_b, c_values)[..., list(cfg.data_indices)]
     return cfg.p_t * np.abs(h) ** 2 / cfg.sigma2
 
@@ -130,13 +133,15 @@ def _c_grid(cfg: SystemConfig, c_values):
     return np.asarray(c_values)
 
 
-def primary_rates_perfect(h_d, h_b, cfg: SystemConfig, *, c_values=None):
+def primary_rates_perfect(h_d, h_b, cfg: SystemConfig, *, c_values=None, snr=None):
     """(symbol, bit) primary error rates with perfect composite-channel
     knowledge, averaged over data subcarriers and secondary symbols.
 
     By default the secondary symbol averages over the whole PSK alphabet;
-    pass the realized c sequence to condition on one frame."""
-    snr = _composite_snr(h_d, h_b, _c_grid(cfg, c_values), cfg)
+    pass the realized c sequence to condition on one frame, and with it
+    `snr`, its `composite_snr`, where the caller already has it."""
+    if snr is None:
+        snr = composite_snr(h_d, h_b, _c_grid(cfg, c_values), cfg)
     ser, ber = qam_error_rates(snr, cfg.m_s)
     return ser.mean(axis=(-2, -1)), ber.mean(axis=(-2, -1))
 
@@ -151,21 +156,23 @@ def _pilot_leverage(cfg: SystemConfig, taps: int) -> np.ndarray:
     return np.real(np.einsum("kl,lk->k", f_l, sol))
 
 
-def snr_primary_estimated_grid(h_d, h_b, c_values, cfg: SystemConfig, taps: int):
+def snr_primary_estimated_grid(h_d, h_b, c_values, cfg: SystemConfig, taps: int, *, snr=None):
     """Post-equalization SNR per (symbol, data subcarrier) when the composite
     response comes from the comb-pilot least squares with `taps` coefficients.
 
     Channel-estimation noise both perturbs the equalizer and adds a residual
     term, so the effective noise grows by (N_p + L)/N_p plus an SNR-dependent
-    correction (equally spaced comb)."""
-    snr_perfect = _composite_snr(h_d, h_b, np.asarray(c_values), cfg)
+    correction (equally spaced comb). `snr` is the perfect-CSI
+    `composite_snr` of the same arguments, where the caller already has it."""
+    snr_perfect = composite_snr(h_d, h_b, np.asarray(c_values), cfg) if snr is None else snr
     lev = _pilot_leverage(cfg, taps)[list(cfg.data_indices)]
     return snr_perfect / (lev + 1.0 + lev / snr_perfect)
 
 
-def primary_rates_estimated(h_d, h_b, cfg: SystemConfig, taps: int, *, c_values=None):
-    """(symbol, bit) primary error rates at the pilot-estimated-CSI SNR."""
-    snr = snr_primary_estimated_grid(h_d, h_b, _c_grid(cfg, c_values), cfg, taps)
+def primary_rates_estimated(h_d, h_b, cfg: SystemConfig, taps: int, *, c_values=None, snr=None):
+    """(symbol, bit) primary error rates at the pilot-estimated-CSI SNR;
+    `snr` as in `primary_rates_perfect`."""
+    snr = snr_primary_estimated_grid(h_d, h_b, _c_grid(cfg, c_values), cfg, taps, snr=snr)
     ser, ber = qam_error_rates(snr, cfg.m_s)
     return ser.mean(axis=(-2, -1)), ber.mean(axis=(-2, -1))
 

@@ -6,14 +6,17 @@ response per symbol value and in the tap domain, the classic closed-form QAM
 symbol error rate, the Gray-QAM error rates as telescoped sums over every
 level and decision edge (`telescoped_qam_error_rates`), a Monte Carlo of the method-1 secondary error
 expectation, the method-2 tap fit by a batched QR of the full N x L
-system, and the receivers composed by flags, each rerunning its whole chain
+system, the receivers composed by flags, each rerunning its whole chain
 (`flag_run_algorithm1`, `flag_run_ml_benchmark`), which the stage chains of
-`srofdm.harness.RECEIVERS` must reproduce bit for bit. The package itself
-never calls them.
+`srofdm.harness.RECEIVERS` must reproduce bit for bit, and a frame batch
+drawn and received one trial and one point at a time with one `draw_cn` per
+draw (`per_trial_draw_frame_batch`, `per_trial_link_taps`), which the
+sweep's draw-once split (`draw_trials`, then `observe_trials` per point)
+must reproduce bit for bit. The package itself never calls them.
 """
 import numpy as np
 
-from srofdm.channel import ChannelRealization, composite_response
+from srofdm.channel import ChannelConfig, ChannelRealization, composite_response, realization_from_taps
 from srofdm.numerics import RandomStream, SingularSystemError, draw_cn, partial_fourier, q_function
 from srofdm.receiver import (
     DetectionOutput,
@@ -27,7 +30,15 @@ from srofdm.receiver import (
     reestimate_method2,
     separate_links,
 )
-from srofdm.txchain import FrameObservation, SystemConfig, _gray, modulate_primary, secondary_frame
+from srofdm.txchain import (
+    FrameObservation,
+    SystemConfig,
+    _gray,
+    frequency_domain_rx,
+    modulate_primary,
+    sample_level_rx,
+    secondary_frame,
+)
 
 ESTIMATOR_KINDS = ("pilot_only", "method1", "method2")
 
@@ -298,3 +309,93 @@ def draw_noise(cfg: SystemConfig, stream: RandomStream, shape):
     if cfg.sigma2 <= 0:
         return 0.0
     return draw_cn(stream, int(np.prod(shape)), cfg.sigma2).reshape(shape)
+
+
+def per_trial_link_taps(cfg: ChannelConfig, stream: RandomStream):
+    """Draw the three tap vectors (h_d, b, g) for one realization: i.i.d.
+    Rayleigh taps with equal power per tap, total power per link equal to its
+    large-scale gain. All fading taps come from one generator call; the
+    response derivation is deferred so Monte Carlo batches can stack taps
+    before one vectorized transform."""
+    n_direct = cfg.l_d if cfg.direct_model == "rayleigh" else 0
+    if cfg.backscatter_model == "cascade":
+        n_fwd, n_bwd = cfg.l_1, cfg.l_2
+    elif cfg.backscatter_model == "rayleigh":
+        n_fwd, n_bwd = cfg.l_b, 0
+    else:
+        n_fwd = n_bwd = 0
+    total = n_direct + n_fwd + n_bwd
+    unit = draw_cn(stream, total, 1.0) if total else np.empty(0, dtype=complex)
+
+    if n_direct:
+        h_d = unit[:n_direct] * np.sqrt(cfg.beta_direct / cfg.l_d)
+    else:
+        h_d = np.zeros(cfg.l_d, dtype=complex)
+
+    beta_b = cfg.beta_backscatter
+    if cfg.backscatter_model == "cascade":
+        scale = 1.0 if cfg.beta_backscatter_override is None else (
+            beta_b / (cfg.beta_fwd * cfg.beta_bwd)
+        )
+        b = unit[n_direct : n_direct + n_fwd] * np.sqrt(scale * cfg.beta_fwd / cfg.l_1)
+        g = unit[n_direct + n_fwd :] * np.sqrt(cfg.beta_bwd / cfg.l_2)
+    elif cfg.backscatter_model == "rayleigh":
+        b = unit[n_direct:] * np.sqrt(beta_b / cfg.l_b)
+        g = np.ones(1, dtype=complex)
+    elif cfg.backscatter_model == "awgn":
+        b = np.array([np.sqrt(beta_b)], dtype=complex)
+        g = np.ones(1, dtype=complex)
+    else:  # none
+        b = np.zeros(1, dtype=complex)
+        g = np.ones(1, dtype=complex)
+    return h_d, b, g
+
+
+def per_trial_draw_frame_batch(
+    system: SystemConfig,
+    chan: ChannelConfig,
+    master_seed: int,
+    trial_ids,
+    xi: int = 0,
+    path: str = "frequency",
+) -> FrameObservation:
+    """Draw a batch of independent trials, one stream per trial id, and run
+    them through the requested receive path in one vectorized call.
+
+    Per-trial draw order is fixed (channel taps, primary indices, secondary
+    indices, noise), which is what the reproducibility contract rests on.
+    """
+    trial_ids = list(trial_ids)
+    batch = len(trial_ids)
+    noise_len = (
+        system.n_max * system.symbol_period if path == "sample" else system.n_max * system.n
+    )
+    h_d = np.empty((batch, chan.l_d), dtype=complex)
+    b = np.empty((batch, chan.l_1 if chan.backscatter_model == "cascade" else max(chan.l_b, 1)), dtype=complex)
+    g = np.empty((batch, chan.l_2 if chan.backscatter_model == "cascade" else 1), dtype=complex)
+    s_idx = np.empty((batch, system.n_max, system.n_data), dtype=np.int64)
+    c_idx = np.empty((batch, system.n_data_symbols), dtype=np.int64)
+    noise = np.empty((batch, noise_len), dtype=complex) if system.sigma2 > 0 else None
+    stream = RandomStream(master_seed)  # rewound per trial; cheaper than a new one
+    for i, tid in enumerate(trial_ids):
+        stream.reset(master_seed, tid)
+        h_d[i], b[i], g[i] = per_trial_link_taps(chan, stream)
+        s_idx[i] = stream.integers(0, system.m_s, size=(system.n_max, system.n_data))
+        c_idx[i] = stream.integers(0, system.m_c, size=system.n_data_symbols)
+        if noise is not None:
+            noise[i] = draw_cn(stream, noise_len, system.sigma2)
+
+    real = realization_from_taps(h_d, b, g, chan.d_b, system.n)
+    s_values = modulate_primary(s_idx, system)
+    c_values = secondary_frame(c_idx, system)
+    if path == "sample":
+        return sample_level_rx(
+            s_values, c_values, real, system, xi=xi,
+            s_indices=s_idx, c_indices=c_idx, noise=noise,
+        )
+    if noise is not None:
+        noise = noise.reshape(batch, system.n_max, system.n)
+    return frequency_domain_rx(
+        s_values, c_values, real, system,
+        s_indices=s_idx, c_indices=c_idx, noise=noise,
+    )

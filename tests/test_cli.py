@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srofdm import harness
 from srofdm.cli import (
     _SCENARIO_KEYS,
     _SWEEP_KEYS,
@@ -150,6 +151,29 @@ class TestSweepCommand:
         assert main(argv + ["--out", str(b), "--workers", "2"]) == 0
         for f in sorted(p.name for p in a.iterdir()):
             assert (a / f).read_bytes() == (b / f).read_bytes()
+
+    def test_points_share_ranges_for_any_worker_count(self, tmp_path, fast_scenario):
+        # 1,000 trials are 4 ranges, each running all 5 points: 1 to 3 workers
+        outs = [tmp_path / f"w{w}" for w in (1, 2, 3)]
+        for w, out in zip((1, 2, 3), outs):
+            assert main(["sweep", str(fast_scenario), "--points", "12:24:3", "--trials", "1000",
+                         "--seed", "23", "--workers", str(w), "--out", str(out), "--quiet"]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert len(names) == 3  # two curves and the manifest
+        for out in outs[1:]:
+            assert sorted(p.name for p in out.iterdir()) == names
+            for f in names:
+                assert (out / f).read_bytes() == (outs[0] / f).read_bytes()
+
+    def test_late_unusable_point_exits_1_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(harness, "draw_trials", no_draws)
+        assert main(["sweep", "paper_default", "--points", "20,4000", "--trials", "5000",
+                     "--receivers", "perfect_csi,proposed_m2", "--out", str(tmp_path / "x"), "--quiet"]) == 1
+        assert "axis direct_snr_db = 4000 gives a transmit power" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_manifest_round_trip(self, tmp_path, fast_scenario):
         first, second = tmp_path / "first", tmp_path / "second"

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oracles import per_trial_draw_frame_batch, per_trial_link_taps
 from srofdm import harness
-from srofdm.channel import ChannelConfig
+from srofdm.channel import ChannelConfig, draw_link_taps
 from srofdm.harness import (
     RECEIVERS,
     Scenario,
@@ -10,10 +13,13 @@ from srofdm.harness import (
     SweepSpec,
     apply_axis,
     draw_frame_batch,
+    draw_trials,
+    observe_trials,
     run_sweep,
     run_trial,
     transmit_power,
 )
+from srofdm.numerics import RandomStream
 from srofdm.txchain import SystemConfig, default_pilot_indices
 
 NOISE_W = 10 ** (-80 / 10) * 1e-3  # -80 dBm
@@ -311,3 +317,97 @@ class TestFrameBatch:
             single = draw_frame_batch(system, chan, master_seed=21, trial_ids=[i])
             np.testing.assert_array_equal(batch.y[i], single.y[0])
             np.testing.assert_array_equal(batch.s_indices[i], single.s_indices[0])
+
+
+def frame_arrays(obs) -> dict:
+    real = obs.realization
+    return {"y": obs.y, "s_indices": obs.s_indices, "s_values": obs.s_values,
+            "c_indices": obs.c_indices, "c_values": obs.c_values,
+            "h_d": real.h_d, "b": real.b, "g": real.g, "H_d": real.H_d, "H_b": real.H_b}
+
+
+def assert_same_bytes(got, want):
+    for name, expected in frame_arrays(want).items():
+        actual = frame_arrays(got)[name]
+        assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape), name
+        assert actual.tobytes() == expected.tobytes(), name  # also the sign of every zero
+
+
+# (channel models, the axis that sets their power, two points on it)
+DRAW_CASES = {
+    "cascade": (dict(), "direct_snr_db", (12.0, 30.0)),
+    "cascade_ratio": (dict(), "snr_ratio_db", (-30.0, -5.0)),  # rescales the first hop
+    "rayleigh": (dict(backscatter_model="rayleigh"), "snr_ratio_db", (-30.0, -5.0)),
+    "awgn": (dict(backscatter_model="awgn"), "stx_distance_m", (2.0, 20.0)),
+    "no_backscatter": (dict(backscatter_model="none"), "direct_snr_db", (12.0, 30.0)),
+    "no_direct": (dict(direct_model="none"), "backscatter_snr_db", (5.0, 25.0)),
+    "no_direct_awgn": (dict(direct_model="none", backscatter_model="awgn"), "backscatter_snr_db", (5.0, 25.0)),
+}
+
+
+class TestDrawSplit:
+    """The sweep draws each trial once and receives it at every point; that
+    must be bit for bit one per-trial draw per point (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("path, xi", [("frequency", 0), ("sample", 0), ("sample", 3)])
+    @pytest.mark.parametrize("case", sorted(DRAW_CASES))
+    def test_points_match_per_trial_draws(self, case, path, xi):
+        chan_kw, axis, values = DRAW_CASES[case]
+        scen = paper_scenario(chan=ChannelConfig(**chan_kw), backscatter_snr_db=15.0)
+        trial_ids = [5, 0, 9]  # out of order, with gaps
+        draws = draw_trials(scen.system, scen.chan, 31, trial_ids, path)
+        for value in values:
+            system, chan, _ = apply_axis(scen, axis, value)
+            want = per_trial_draw_frame_batch(system, chan, 31, trial_ids, xi=xi, path=path)
+            assert_same_bytes(observe_trials(draws, system, chan, xi), want)
+            assert_same_bytes(draw_frame_batch(system, chan, 31, trial_ids, xi=xi, path=path), want)
+
+    def test_noise_free_draws_no_noise(self):
+        system, chan, _ = apply_axis(paper_scenario(), "direct_snr_db", 20.0)
+        system = replace(system, sigma2=0.0)
+        draws = draw_trials(system, chan, 8, [2, 7])
+        assert draws.noise is None
+        assert_same_bytes(observe_trials(draws, system, chan),
+                          per_trial_draw_frame_batch(system, chan, 8, [2, 7]))
+
+    def test_draws_belong_to_their_channel_models(self):
+        scen = paper_scenario()
+        draws = draw_trials(scen.system, scen.chan, 1, [0, 1])
+        system, chan, _ = apply_axis(paper_scenario(chan=ChannelConfig(backscatter_model="awgn")),
+                                     "direct_snr_db", 20.0)
+        with pytest.raises(ValueError, match="other channel models"):
+            observe_trials(draws, system, chan)
+
+    @pytest.mark.parametrize("case", sorted(DRAW_CASES))
+    def test_link_taps_are_a_batch_of_one(self, case):
+        chan = ChannelConfig(**DRAW_CASES[case][0])
+        got = draw_link_taps(chan, RandomStream(4, 2))
+        want = per_trial_link_taps(chan, RandomStream(4, 2))
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestDrawOnce:
+    def test_each_trial_drawn_once_per_sweep(self, monkeypatch):
+        keys = []
+        reset = RandomStream.reset
+
+        def counting_reset(stream, master_seed, stream_id=0):
+            keys.append((master_seed, stream_id))
+            return reset(stream, master_seed, stream_id)
+
+        monkeypatch.setattr(RandomStream, "reset", counting_reset)
+        spec = SweepSpec(axis="direct_snr_db", points=(12.0, 20.0, 28.0), trials_per_point=1000,
+                         receivers=("perfect_csi", "proposed_m2"))
+        run_sweep(spec, paper_scenario(), master_seed=13, workers=1)
+        assert sorted(keys) == [(13, t) for t in range(1000)]  # not once per point
+
+    def test_unusable_point_fails_before_any_draw(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(harness, "draw_trials", no_draws)
+        spec = SweepSpec(axis="direct_snr_db", points=(20.0, 4000.0), trials_per_point=5000,
+                         receivers=("perfect_csi", "proposed_m2"))
+        with pytest.raises(ScenarioError, match="direct_snr_db = 4000"):
+            run_sweep(spec, paper_scenario(), master_seed=1)
