@@ -29,7 +29,7 @@ from srofdm.harness import (
     run_sweep,
     run_trial,
 )
-from srofdm.txchain import SystemConfig, default_pilot_indices
+from srofdm.txchain import SystemConfig
 
 CSV_HEADER = (
     "point,receiver,csi,ber_primary,ci_primary,ber_secondary,ci_secondary,"
@@ -199,9 +199,11 @@ def resolve_scenario(values: dict):
         except ValueError as exc:
             raise ScenarioError(f"bad preamble list: {exc}") from None
     same_name = lambda *keys: {key: get(key) for key in keys}
+    if get("n_pilot") < 1 or get("n") % get("n_pilot"):  # a scenario's comb has pilots
+        raise ScenarioError(f"n_pilot = {get('n_pilot')} pilots do not divide n = {get('n')} subcarriers evenly")
     try:
         system = SystemConfig(
-            pilot_indices=default_pilot_indices(get("n"), get("n_pilot")),
+            n_p=get("n_pilot"),
             preamble=preamble,
             p_t=1.0,  # pinned per sweep point by the anchor SNR
             sigma2=_noise_power(get("noise_dbm")),
@@ -392,6 +394,8 @@ def cmd_single(args) -> int:
             value = _finite(args.value)
         except ValueError as exc:
             raise ScenarioError(f"bad --value: {exc}") from None
+    elif axis != "direct_snr_db":  # the scenario's anchor is a point of that axis only
+        raise ScenarioError(f"single --axis {axis} needs --value")
     results = run_trial(scenario, axis, value, args.trial, seed, run["receivers"])
     system, chan, xi = apply_axis(scenario, axis, value)
     print(f"scenario: N={system.n} N_cp={system.n_cp} N_p={system.n_p} "

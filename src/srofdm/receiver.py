@@ -70,15 +70,14 @@ class PilotEstimator:
             )
         self.taps = taps
         f_l = partial_fourier(cfg.n, taps)
-        f_p = f_l[list(cfg.pilot_indices), :]
-        a = np.sqrt(cfg.p_t) * np.asarray(cfg.pilot_values)[:, None] * f_p
+        a = np.sqrt(cfg.p_t) * f_l[cfg.pilot_indices, :]
         q, r = np.linalg.qr(a)
         diag = np.abs(np.diagonal(r))
         if np.min(diag) < 1e-12 * max(np.max(diag), 1.0):
             raise SingularSystemError("pilot system is rank deficient")
         self.gain = np.linalg.solve(r, q.conj().T)  # (taps, n_p)
         self.f_l = f_l
-        self.pilot_indices = list(cfg.pilot_indices)
+        self.pilot_indices = cfg.pilot_indices
 
     def estimate_cir(self, y_pilot: np.ndarray) -> np.ndarray:
         return y_pilot @ self.gain.T
@@ -264,13 +263,13 @@ def ml_symbol_metrics(
     # product rounds differently with the operands swapped, which operator
     # temporaries of 256 KiB and more would do
     totals = np.sum(np.abs(y_d - np.multiply(a_d, cfg.qam.points[s_idx])) ** 2, axis=-1)
-    if pilot_structure and cfg.n_p:
-        pilots = list(cfg.pilot_indices)
-        y_p, s_p = y[..., pilots], np.asarray(cfg.pilot_values)
+    if pilot_structure and cfg.n_p:  # the pilot symbols are 1
+        pilots = cfg.pilot_indices
+        y_p = y[..., pilots]
         # one candidate at a time: how numpy orders this sum follows the
         # memory layout of the fancy-indexed operands
         for ci in range(len(cands)):
-            totals[..., ci] += np.sum(np.abs(y_p - a[..., ci, :][..., pilots] * s_p) ** 2, axis=-1)
+            totals[..., ci] += np.sum(np.abs(y_p - a[..., ci, :][..., pilots]) ** 2, axis=-1)
     return totals, s_idx
 
 

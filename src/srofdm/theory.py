@@ -150,7 +150,7 @@ def _pilot_leverage(cfg: SystemConfig, taps: int) -> np.ndarray:
     """f_k^H (F_p^H F_p)^{-1} f_k for every subcarrier; reduces to taps/N_p
     for an equally spaced comb."""
     f_l = partial_fourier(cfg.n, taps)
-    f_p = f_l[list(cfg.pilot_indices), :]
+    f_p = f_l[cfg.pilot_indices, :]
     gram = f_p.conj().T @ f_p
     sol = np.linalg.solve(gram, f_l.conj().T)
     return np.real(np.einsum("kl,lk->k", f_l, sol))
@@ -165,7 +165,7 @@ def snr_primary_estimated_grid(h_d, h_b, c_values, cfg: SystemConfig, taps: int,
     correction (equally spaced comb). `snr` is the perfect-CSI
     `composite_snr` of the same arguments, where the caller already has it."""
     snr_perfect = composite_snr(h_d, h_b, np.asarray(c_values), cfg) if snr is None else snr
-    lev = _pilot_leverage(cfg, taps)[list(cfg.data_indices)]
+    lev = _pilot_leverage(cfg, taps)[cfg.data_indices]
     return snr_perfect / (lev + 1.0 + lev / snr_perfect)
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "PskAlphabet",
     "SystemConfig",
     "FrameObservation",
-    "default_pilot_indices",
     "default_preamble",
     "modulate_primary",
     "secondary_frame",
@@ -113,13 +112,6 @@ class PskAlphabet:
         return _POPCOUNT[self.labels[tx_idx] ^ self.labels[rx_idx]]
 
 
-def default_pilot_indices(n: int, n_p: int) -> tuple:
-    """Equally spaced comb starting at subcarrier 0."""
-    if n_p < 1 or n % n_p:
-        raise ValueError(f"{n_p} pilots do not divide {n} subcarriers evenly")
-    return tuple(range(0, n, n // n_p))
-
-
 def default_preamble(t: int) -> tuple:
     """Zero-sum unit-modulus preamble: T-th roots of unity."""
     if t < 2:
@@ -127,15 +119,25 @@ def default_preamble(t: int) -> tuple:
     return tuple(np.exp(2j * np.pi * np.arange(t) / t))
 
 
+MAX_ORDER = 4096  # largest m_s and m_c: an alphabet is built as an array of its points
+MAX_FRAME_SAMPLES = 2**16  # largest n_max * (n + n_cp): a range draws and receives this per trial
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Everything the link needs beyond the channel: frame geometry, pilot
-    layout, alphabets, transmit and noise power (linear watts)."""
+    comb, alphabets, transmit and noise power (linear watts). The comb is n_p
+    pilots of symbol 1 on every (n/n_p)-th subcarrier from 0; n_p = 0 means
+    no pilots."""
 
     n: int = 64
     n_cp: int = 16
-    pilot_indices: tuple = ()
-    pilot_values: tuple = ()
+    n_p: int = 0
     m_s: int = 16
     m_c: int = 8
     t_preamble: int = 2
@@ -145,30 +147,30 @@ class SystemConfig:
     sigma2: float = 1.0
 
     def __post_init__(self):
+        # the sizes first, since the preamble and every array below are built from them
+        if self.n < 1:
+            raise ValueError(f"n = {self.n}: need at least one subcarrier")
+        if self.n_cp < 0:
+            raise ValueError(f"n_cp = {self.n_cp} is negative")
+        if self.n_p < 0 or (self.n_p and self.n % self.n_p):
+            raise ValueError(f"n_p = {self.n_p} pilots do not divide n = {self.n} subcarriers evenly")
+        for key in ("m_s", "m_c"):
+            if getattr(self, key) > MAX_ORDER:
+                raise ValueError(f"{key} = {getattr(self, key)} exceeds the largest alphabet, {MAX_ORDER} points")
         if self.t_preamble < 2:
             raise ValueError("preamble length must be >= 2")
-        if self.n_max <= self.t_preamble:  # before a default preamble of t_preamble symbols is built
+        if self.n_max <= self.t_preamble:
             raise ValueError(f"n_max = {self.n_max} leaves no data symbols after"
                              f" the t_preamble = {self.t_preamble} preamble symbols")
+        if self.n_max * self.symbol_period > MAX_FRAME_SAMPLES:
+            raise ValueError(f"n_max * (n + n_cp) = {self.n_max} * {self.symbol_period} samples"
+                             f" exceeds the largest frame, {MAX_FRAME_SAMPLES} samples")
         if not self.preamble:
             pre = (1.0 + 0j, -1.0 + 0j) if self.t_preamble == 2 else default_preamble(self.t_preamble)
             object.__setattr__(self, "preamble", pre)
-        if self.pilot_indices and not self.pilot_values:
-            object.__setattr__(
-                self, "pilot_values", (1.0 + 0j,) * len(self.pilot_indices)
-            )
         self._check()
 
     def _check(self):
-        idx = np.asarray(self.pilot_indices, dtype=int)
-        if idx.size:
-            if np.any(np.diff(idx) <= 0) or idx[0] < 0 or idx[-1] >= self.n:
-                raise ValueError("pilot indices must be strictly increasing within range")
-            vals = np.asarray(self.pilot_values)
-            if vals.shape != idx.shape:
-                raise ValueError("pilot_values length must match pilot_indices")
-            if not np.max(np.abs(np.abs(vals) - 1)) <= 1e-12:  # also NaN
-                raise ValueError("pilot values must have unit modulus")
         pre = np.asarray(self.preamble)
         if pre.shape != (self.t_preamble,):
             raise ValueError("preamble length must equal t_preamble")
@@ -178,26 +180,17 @@ class SystemConfig:
             raise ValueError("preamble symbols must sum to zero")
         if not (self.p_t > 0 and self.sigma2 >= 0):  # also NaN
             raise ValueError("powers must be positive (noise may be zero)")
-        QamAlphabet.build(self.m_s)
-        PskAlphabet.build(self.m_c)
-
-    @property
-    def n_p(self) -> int:
-        return len(self.pilot_indices)
+        self.qam, self.psk  # built once, here, which checks their orders
 
     @cached_property
-    def pilot_index_array(self) -> np.ndarray:
-        return np.asarray(self.pilot_indices, dtype=np.int64)
-
-    @cached_property
-    def pilot_value_array(self) -> np.ndarray:
-        return np.asarray(self.pilot_values, dtype=complex)
+    def pilot_indices(self) -> np.ndarray:
+        return _read_only(np.arange(self.n_p, dtype=np.int64) * (self.n // max(self.n_p, 1)))
 
     @cached_property
     def data_indices(self) -> np.ndarray:
         mask = np.ones(self.n, dtype=bool)
-        mask[list(self.pilot_indices)] = False
-        return np.flatnonzero(mask)
+        mask[self.pilot_indices] = False
+        return _read_only(np.flatnonzero(mask))
 
     @property
     def n_data(self) -> int:
@@ -253,8 +246,7 @@ def modulate_primary(data_indices, cfg: SystemConfig) -> np.ndarray:
     the rest. Returns s_values shaped (..., n_sym, n)."""
     data_indices = np.asarray(data_indices)
     s = np.empty(data_indices.shape[:-1] + (cfg.n,), dtype=complex)
-    if cfg.n_p:
-        s[..., cfg.pilot_index_array] = cfg.pilot_value_array
+    s[..., cfg.pilot_indices] = 1
     s[..., cfg.data_indices] = cfg.qam.points[data_indices]
     return s
 

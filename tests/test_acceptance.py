@@ -22,7 +22,7 @@ from srofdm.receiver import (
     separate_links,
 )
 from srofdm.theory import AvgSnrParams, avg_ber_secondary, fit_diversity_slope
-from srofdm.txchain import SystemConfig, default_pilot_indices, frequency_domain_rx
+from srofdm.txchain import SystemConfig, frequency_domain_rx
 
 NOISE_W = 10 ** (-80 / 10) * 1e-3  # -80 dBm
 WORKERS = min(2, os.cpu_count() or 1)
@@ -30,7 +30,7 @@ WORKERS = min(2, os.cpu_count() or 1)
 
 def paper_system(**kw) -> SystemConfig:
     base = dict(
-        n=64, n_cp=16, pilot_indices=default_pilot_indices(64, 8),
+        n=64, n_cp=16, n_p=8,
         m_s=16, m_c=8, t_preamble=2, n_max=10, sigma2=NOISE_W,
     )
     base.update(kw)
@@ -206,7 +206,7 @@ class TestAcceptance:
 
         # constructed BPSK frame, no pilot structure: exact metric tie
         cfg = SystemConfig(
-            n=16, n_cp=4, pilot_indices=(), m_s=4, m_c=2,
+            n=16, n_cp=4, m_s=4, m_c=2,
             n_max=3, t_preamble=2, p_t=1.0, sigma2=0.01,
         )
         real = draw_channel(

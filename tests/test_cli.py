@@ -286,6 +286,8 @@ class TestSweepCommand:
                      id="with_theory"),
         pytest.param(lambda m: m["scenario"].update(with_theory="maybe"), "manifest.json: with_theory: bad value",
                      id="scenario_with_theory"),
+        pytest.param(lambda m: m["scenario"].update(m_s=4**20), "m_s = 1099511627776 exceeds the largest alphabet",
+                     id="huge_m_s"),
     ])
     def test_replay_rejects_an_edited_manifest(self, tmp_path, capsys, fast_scenario, edit, message):
         first = tmp_path / "first"
@@ -307,6 +309,23 @@ class TestSweepCommand:
                      id="oversized_t_preamble"),
     ])
     def test_unusable_preamble_exits_1(self, tmp_path, capsys, text, message):
+        self._every_command_exits_1(tmp_path, capsys, text, message)
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("n = 0\n", "n = 0: need at least one subcarrier", id="n_zero"),
+        pytest.param("n = -64\n", "n = -64: need at least one subcarrier", id="n_negative"),
+        pytest.param("n_pilot = 0\n", "n_pilot = 0 pilots do not divide n = 64", id="no_pilots"),
+        pytest.param("n_pilot = 7\n", "n_pilot = 7 pilots do not divide n = 64", id="uneven_comb"),
+        pytest.param("m_s = 1099511627776\n", "m_s = 1099511627776 exceeds the largest alphabet",
+                     id="huge_m_s"),  # exited 2: Unable to allocate 8.00 TiB
+        pytest.param("m_c = 8192\n", "m_c = 8192 exceeds the largest alphabet", id="huge_m_c"),
+        pytest.param("n = 4000000\nn_pilot = 4000000\n", "exceeds the largest frame", id="huge_n"),
+    ])
+    def test_oversized_or_uneven_sizes_exit_1(self, tmp_path, capsys, text, message):
+        self._every_command_exits_1(tmp_path, capsys, text, message)
+
+    @staticmethod
+    def _every_command_exits_1(tmp_path, capsys, text, message):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         for argv in (["sweep", str(bad), "--points", "20", "--trials", "1000", "--out", str(tmp_path / "x")],
@@ -497,6 +516,17 @@ class TestTheoryCommand:
 
 
 class TestSingleCommand:
+    @pytest.mark.parametrize("axis", sorted(set(SWEEP_AXES) - {"direct_snr_db"}))
+    def test_value_needed_off_the_direct_snr_axis(self, capsys, axis):
+        # the scenario's direct_snr_db of 20 was taken as a point of any axis
+        assert main(["single", "paper_default", "--axis", axis]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: single --axis {axis} needs --value\n" and out == ""
+
+    def test_value_defaults_to_the_direct_snr(self, capsys):
+        assert main(["single", "paper_default", "--receivers", "perfect_csi"]) == 0
+        assert "point: direct_snr_db=20 xi=0" in capsys.readouterr().out
+
     def test_verbose_dump(self, tmp_path, fast_scenario, capsys):
         rc = main(["single", str(fast_scenario), "--trial", "3", "--seed", "9"])
         assert rc == 0
@@ -516,10 +546,10 @@ class TestSingleCommand:
 # Property tests over the one resolve path (`cli._resolve_run`): whatever a
 # scenario file, a point spec or a replayed manifest holds, the command either
 # resolves it or reports a ScenarioError (exit 1); nothing is simulated here.
-# Integers stay small or are one odd 21-digit value, so that no example asks
-# for a large allocation: n_pilot, m_s, m_c and t_preamble size arrays.
+# Integers are small or one of two big values; `SystemConfig` bounds every
+# size before it builds an array, so a big value on any key is refused.
 _SMALL_INT = st.integers(min_value=-5, max_value=400)
-_BIG_INT = st.just(10**20 + 1)
+_BIG_INT = st.sampled_from([10**20 + 1, 4**20])
 _FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 _WORD = st.sampled_from(["auto", "none", "", "yes", "No", "TRUE", "0", "maybe", "1e400", "0x10",
                          "rayleigh", "cascade", "awgn", "direct_snr_db", "sync_error_samples"])
@@ -536,9 +566,8 @@ _POINTS = st.one_of(
 
 def _value_text(key, own_kind):
     """Text for one scenario line: of the key's own kind, or (with own_kind
-    false) that or any other kind; big integers are kept off n_pilot (its
-    pilot comb is a tuple of n_pilot indices)."""
-    ints = (_SMALL_INT if key == "n_pilot" else _SMALL_INT | _BIG_INT).map(str)
+    false) that or any other kind."""
+    ints = (_SMALL_INT | _BIG_INT).map(str)
     floats = _FLOAT.map(repr)
     words = st.sampled_from(["1", "-1", "1j", "-1j", "nan", "nan+1j", "inf"])
     complexes = (st.lists(words, min_size=2, max_size=2)  # as many as the default t_preamble
@@ -551,8 +580,7 @@ def _value_text(key, own_kind):
 
 def _json_value(key):
     """A JSON value for one manifest entry: a scalar of any kind, or a list."""
-    ints = _SMALL_INT if key == "n_pilot" else _SMALL_INT | _BIG_INT
-    scalar = st.one_of(st.none(), st.booleans(), ints, _FLOAT, _WORD)
+    scalar = st.one_of(st.none(), st.booleans(), _SMALL_INT, _BIG_INT, _FLOAT, _WORD)
     return scalar | st.lists(scalar | _RECEIVER, max_size=3)
 
 
@@ -564,7 +592,8 @@ def _check_resolved(argv):
     except ScenarioError:
         return
     system = scenario.system
-    assert np.all(np.isfinite(system.preamble)) and np.all(np.isfinite(system.pilot_values))
+    assert np.all(np.isfinite(system.preamble))
+    assert system.n_p >= 1 and np.array_equal(system.pilot_indices, np.arange(0, system.n, system.n // system.n_p))
     assert np.allclose(np.abs(system.preamble), 1) and abs(np.sum(system.preamble)) <= 1e-9
     assert system.n_max > system.t_preamble
     assert set(run) == set(_SWEEP_KEYS) and type(run["with_theory"]) is bool

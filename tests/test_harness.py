@@ -20,15 +20,13 @@ from srofdm.harness import (
     transmit_power,
 )
 from srofdm.numerics import RandomStream
-from srofdm.txchain import SystemConfig, default_pilot_indices
+from srofdm.txchain import SystemConfig
 
 NOISE_W = 10 ** (-80 / 10) * 1e-3  # -80 dBm
 
 
 def paper_scenario(**kw) -> Scenario:
-    sys_kw = dict(
-        pilot_indices=default_pilot_indices(64, 8), m_s=16, m_c=8, n_max=10, sigma2=NOISE_W
-    )
+    sys_kw = dict(n_p=8, m_s=16, m_c=8, n_max=10, sigma2=NOISE_W)
     sys_kw.update(kw.pop("system", {}))
     base = dict(system=SystemConfig(**sys_kw), chan=ChannelConfig(), direct_snr_db=20.0)
     base.update(kw)

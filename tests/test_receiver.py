@@ -28,14 +28,14 @@ from srofdm.receiver import (
     run_algorithm1,
     separate_links,
 )
-from srofdm.txchain import SystemConfig, default_pilot_indices, frequency_domain_rx
+from srofdm.txchain import SystemConfig, frequency_domain_rx
 
 
 def cfg_with(**kw) -> SystemConfig:
     base = dict(
         n=64,
         n_cp=16,
-        pilot_indices=default_pilot_indices(64, 8),
+        n_p=8,
         m_s=16,
         m_c=8,
         n_max=10,
@@ -60,10 +60,10 @@ class TestPilotEstimation:
     def test_impulse_channel_recovered(self):
         cfg = cfg_with()
         taps = 4
-        f_p = partial_fourier(cfg.n, taps)[list(cfg.pilot_indices), :]
+        f_p = partial_fourier(cfg.n, taps)[cfg.pilot_indices, :]
         h_true = np.zeros(taps, dtype=complex)
         h_true[0] = 1.0
-        y_p = np.sqrt(cfg.p_t) * np.asarray(cfg.pilot_values) * (f_p @ h_true)
+        y_p = np.sqrt(cfg.p_t) * (f_p @ h_true)  # the pilot symbols are 1
         h = PilotEstimator(cfg, taps).estimate_cir(y_p)
         np.testing.assert_allclose(h, h_true, atol=1e-10)
 
@@ -72,9 +72,9 @@ class TestPilotEstimation:
         cfg = cfg_with()
         taps = 4
         est = PilotEstimator(cfg, taps)
-        f_p = partial_fourier(cfg.n, taps)[list(cfg.pilot_indices), :]
+        f_p = partial_fourier(cfg.n, taps)[cfg.pilot_indices, :]
         np.testing.assert_allclose(f_p.conj().T @ f_p, cfg.n_p * np.eye(taps), atol=1e-10)
-        expected_gain = f_p.conj().T * np.conj(cfg.pilot_values) / (cfg.n_p * np.sqrt(cfg.p_t))
+        expected_gain = f_p.conj().T / (cfg.n_p * np.sqrt(cfg.p_t))
         np.testing.assert_allclose(est.gain, expected_gain, atol=1e-10)
 
     def test_too_many_taps_rejected(self):
@@ -134,7 +134,7 @@ class TestDetectPrimary:
     def test_single_subcarrier_ser_matches_formula(self):
         # flat unit channel at 20 dB; exact conditional symbol error rate
         cfg = SystemConfig(
-            n=1, n_cp=0, pilot_indices=(), m_s=16, m_c=2, n_max=3, t_preamble=2, p_t=100.0, sigma2=1.0
+            n=1, n_cp=0, m_s=16, m_c=2, n_max=3, t_preamble=2, p_t=100.0, sigma2=1.0
         )
         trials = 4 * 10**6
         stream = RandomStream(42, 0)
@@ -414,15 +414,11 @@ class TestAlgorithm1:
 
     def test_estimator_nesting_degenerate_comb(self):
         # pilots on every subcarrier: pilot-based and method-2 estimates agree
-        cfg = SystemConfig(
-            n=16, n_cp=8, pilot_indices=tuple(range(16)),
-            pilot_values=tuple(np.exp(2j * np.pi * np.arange(16) / 7)),
-            m_s=4, m_c=2, n_max=3, p_t=2.0, sigma2=0.1,
-        )
+        cfg = SystemConfig(n=16, n_cp=8, n_p=16, m_s=4, m_c=2, n_max=3, p_t=2.0, sigma2=0.1)
         taps = 4
         y = draw_cn(RandomStream(62, 0), 16, 1.0)
         pilot_est = PilotEstimator(cfg, taps).estimate_cfr(y)
-        m2 = reestimate_method2(y, cfg.pilot_value_array, cfg, taps)
+        m2 = reestimate_method2(y, np.ones(cfg.n, dtype=complex), cfg, taps)  # the pilot symbols
         np.testing.assert_allclose(pilot_est, m2, atol=1e-10)
 
     def test_unknown_stage_rejected(self):
@@ -482,7 +478,7 @@ class TestMlBenchmark:
         # absent direct path + BPSK secondary: (c, S) and (-c, -S) explain the
         # observation identically, so the candidate totals tie exactly
         cfg = SystemConfig(
-            n=16, n_cp=4, pilot_indices=(), m_s=4, m_c=2,
+            n=16, n_cp=4, m_s=4, m_c=2,
             n_max=3, t_preamble=2, p_t=1.0, sigma2=0.01,
         )
         real = draw_channel(
@@ -559,11 +555,8 @@ def exhaustive_ml_symbol_metrics(
             best_idx = np.where(better, si, best_idx)
         total = best.sum(axis=-1)
         if pilot_structure and cfg.n_p:
-            pilots = list(cfg.pilot_indices)
-            total = total + np.sum(
-                np.abs(y[..., pilots] - a[..., pilots] * np.asarray(cfg.pilot_values)) ** 2,
-                axis=-1,
-            )
+            pilots = cfg.pilot_indices
+            total = total + np.sum(np.abs(y[..., pilots] - a[..., pilots]) ** 2, axis=-1)  # pilot symbols 1
         totals[..., ci] = total
         s_out[..., ci, :] = best_idx
     return totals, s_out

@@ -25,12 +25,12 @@ from srofdm.theory import (
     snr_secondary_method1,
     snr_secondary_method2,
 )
-from srofdm.txchain import SystemConfig, _gray, default_pilot_indices
+from srofdm.txchain import SystemConfig, _gray
 
 
 def cfg_with(**kw) -> SystemConfig:
     base = dict(
-        n=64, n_cp=16, pilot_indices=default_pilot_indices(64, 8),
+        n=64, n_cp=16, n_p=8,
         m_s=16, m_c=8, n_max=10, p_t=1.0, sigma2=1.0,
     )
     base.update(kw)

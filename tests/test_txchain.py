@@ -10,7 +10,6 @@ from srofdm.txchain import (
     PskAlphabet,
     QamAlphabet,
     SystemConfig,
-    default_pilot_indices,
     default_preamble,
     frequency_domain_rx,
     modulate_primary,
@@ -23,7 +22,7 @@ def paper_cfg(**kw) -> SystemConfig:
     base = dict(
         n=64,
         n_cp=16,
-        pilot_indices=default_pilot_indices(64, 8),
+        n_p=8,
         m_s=16,
         m_c=8,
         n_max=10,
@@ -83,7 +82,57 @@ class TestAlphabets:
 
 class TestSystemConfig:
     def test_default_pilot_comb(self):
-        assert default_pilot_indices(64, 8) == tuple(range(0, 64, 8))
+        cfg = SystemConfig(n=64, n_p=8)
+        np.testing.assert_array_equal(cfg.pilot_indices, np.arange(0, 64, 8))
+        np.testing.assert_array_equal(cfg.data_indices, np.setdiff1d(np.arange(64), np.arange(0, 64, 8)))
+        for indices in (cfg.pilot_indices, cfg.data_indices):
+            with pytest.raises(ValueError, match="read-only"):
+                indices[0] = 1
+
+    def test_no_pilots(self):
+        cfg = SystemConfig(n=64, n_p=0)
+        assert cfg.pilot_indices.size == 0 and cfg.n_data == 64
+        np.testing.assert_array_equal(cfg.data_indices, np.arange(64))
+        np.testing.assert_array_equal(modulate_primary(np.zeros((10, 64), dtype=int), cfg),
+                                      np.full((10, 64), cfg.qam.points[0]))
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(n_p=-1), "n_p = -1 pilots do not divide n = 64 subcarriers evenly"),
+        (dict(n_p=7), "n_p = 7 pilots do not divide n = 64 subcarriers evenly"),
+        (dict(n_p=65), "n_p = 65 pilots do not divide n = 64 subcarriers evenly"),
+        (dict(n=0), "n = 0: need at least one subcarrier"),
+        (dict(n=-64), "n = -64: need at least one subcarrier"),
+        (dict(n_cp=-1), "n_cp = -1 is negative"),
+        (dict(m_s=4**20), "m_s = 1099511627776 exceeds the largest alphabet, 4096 points"),
+        (dict(m_c=2**13), "m_c = 8192 exceeds the largest alphabet, 4096 points"),
+        (dict(n_max=10**12), r"n_max \* \(n \+ n_cp\) = 1000000000000 \* 80 samples exceeds"),
+        (dict(n=2**13, n_p=8), r"= 10 \* 8208 samples exceeds the largest frame, 65536"),
+        (dict(t_preamble=10**12, n_max=10**12 + 1), "exceeds the largest frame"),
+    ])
+    def test_sizes_checked_before_any_array_is_built(self, monkeypatch, kw, message):
+        def unbuilt(*args):
+            raise AssertionError(f"built an array for {args}")
+
+        for name in ("default_preamble", "_read_only"):
+            monkeypatch.setattr(txchain, name, unbuilt)
+        for alphabet in (QamAlphabet, PskAlphabet):
+            monkeypatch.setattr(alphabet, "build", unbuilt)
+        with pytest.raises(ValueError, match=message):
+            SystemConfig(**kw)
+
+    def test_largest_sizes_are_accepted(self):
+        cfg = SystemConfig(n=4096, n_cp=0, n_p=4096, m_s=4096, m_c=4096, n_max=16)
+        assert cfg.n_max * cfg.symbol_period == txchain.MAX_FRAME_SAMPLES
+        assert cfg.qam.order == cfg.psk.order == txchain.MAX_ORDER
+
+    def test_each_alphabet_built_once(self, monkeypatch):
+        built = []
+        for alphabet in (QamAlphabet, PskAlphabet):
+            build = alphabet.build
+            monkeypatch.setattr(alphabet, "build", lambda order, build=build: built.append(order) or build(order))
+        cfg = paper_cfg()
+        assert (cfg.qam.order, cfg.psk.order) == (16, 8)
+        assert built == [16, 8]
 
     def test_default_preamble_plus_minus_one(self):
         cfg = paper_cfg()
@@ -103,7 +152,7 @@ class TestSystemConfig:
     @pytest.mark.parametrize("kw, message", [
         (dict(preamble=(complex("nan"), complex("nan"))), "unit modulus"),
         (dict(preamble=(1.0, complex("nan"))), "unit modulus"),
-        (dict(pilot_values=(complex("nan"),) * 8), "pilot values must have unit modulus"),
+        (dict(preamble=(complex("nan"), 1.0)), "unit modulus"),
         (dict(p_t=float("nan")), "powers"),
         (dict(sigma2=float("nan")), "powers"),
     ])
@@ -125,7 +174,7 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             # 4 pilots cannot resolve the 4-tap composite response... they can;
             # shrink to 2 pilots to trigger the failure
-            paper_cfg(pilot_indices=default_pilot_indices(64, 2)).validate_with_channel(
+            paper_cfg(n_p=2).validate_with_channel(
                 ChannelConfig()
             )
 
@@ -142,7 +191,7 @@ class TestModulation:
         idx = np.zeros((cfg.n_max, cfg.n_data), dtype=int)
         s = modulate_primary(idx, cfg)
         np.testing.assert_allclose(s[..., cfg.data_indices], cfg.qam.points[0])
-        np.testing.assert_allclose(s[..., list(cfg.pilot_indices)], 1.0)
+        np.testing.assert_array_equal(s[..., cfg.pilot_indices], 1.0)
 
     def test_round_trip(self):
         cfg = paper_cfg()
