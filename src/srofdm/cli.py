@@ -157,6 +157,7 @@ def _read_manifest(path: str):
     seed, block = manifest["master_seed"], manifest["scenario"]
     if type(seed) is not int:
         raise ScenarioError(f"{path}: master_seed: {seed!r} is not an integer")
+    _stream_key(seed, f"{path}: master_seed: ")
     if not isinstance(block, dict):
         raise ScenarioError(f"{path}: scenario: not a key-value block")
     values, sweep = {}, {}
@@ -167,6 +168,13 @@ def _read_manifest(path: str):
             if not isinstance(value, (list, bool)) and parsed[key] not in (None, value):
                 raise ScenarioError(f"{path}: {key}: {value!r} should be written as {parsed[key]!r}")
     return values, sweep, seed
+
+
+def _stream_key(value: int, name: str) -> int:
+    """A seed or trial index, a Philox key word: outside [0, 2^64) it would alias another."""
+    if not 0 <= value < 1 << 64:
+        raise ScenarioError(f"{name}{value} is outside [0, 2^64)")
+    return value
 
 
 def _env_int(name: str, default: int) -> int:
@@ -209,6 +217,8 @@ def resolve_scenario(values: dict):
             sigma2=_noise_power(get("noise_dbm")),
             **same_name("n", "n_cp", "m_s", "m_c", "t_preamble", "n_max"),
         )
+        if not system.n_data:  # after the size checks, which name an oversized n first
+            raise ScenarioError(f"n_pilot = {system.n_p} pilots leave no data subcarrier of n = {system.n}")
         chan = ChannelConfig(
             d_b=get("delay_b"),
             **same_name("l_d", "l_1", "l_2", "dist_direct", "dist_fwd", "dist_bwd", "exp_direct",
@@ -282,8 +292,10 @@ def _resolve_run(args):
     else:
         values = load_scenario_file(args.scenario)
         seed = flags.pop("seed", None)
-        if seed is None and args.command != "theory":  # theory draws nothing
-            seed = _env_int("SROFDM_SEED", 1)
+        if seed is not None:
+            _stream_key(seed, "--seed ")
+        elif args.command != "theory":  # theory draws nothing
+            seed = _stream_key(_env_int("SROFDM_SEED", 1), "SROFDM_SEED=")
         run = flags
     scenario, run = resolve_scenario({**values, **run})
     return values, scenario, run, seed
@@ -396,7 +408,8 @@ def cmd_single(args) -> int:
             raise ScenarioError(f"bad --value: {exc}") from None
     elif axis != "direct_snr_db":  # the scenario's anchor is a point of that axis only
         raise ScenarioError(f"single --axis {axis} needs --value")
-    results = run_trial(scenario, axis, value, args.trial, seed, run["receivers"])
+    trial = _stream_key(args.trial, "--trial ")
+    results = run_trial(scenario, axis, value, trial, seed, run["receivers"])
     system, chan, xi = apply_axis(scenario, axis, value)
     print(f"scenario: N={system.n} N_cp={system.n_cp} N_p={system.n_p} "
           f"M_s={system.m_s} M_c={system.m_c} N_max={system.n_max}")

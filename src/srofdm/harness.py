@@ -84,20 +84,14 @@ class ScenarioError(ValueError):
 # not apply; `primary_snr` is the chunk's perfect-CSI composite SNR
 # (`theory.composite_snr`), which both primary companions share.
 def _primary_perfect(obs, system, taps, primary_snr):
-    real = obs.realization
-    ser, ber = theory.primary_rates_perfect(
-        real.H_d, real.H_b, system, c_values=obs.c_values, snr=primary_snr
-    )
+    ser, ber = theory.primary_rates_perfect(primary_snr, system)
     return {"primary_ser_theory": float(np.sum(ser)), "primary_ber_theory": float(np.sum(ber))}
 
 
 def _primary_estimated(obs, system, taps, primary_snr):
     if system.n_p < taps:  # the comb cannot resolve the composite response
         return {}
-    real = obs.realization
-    ser, ber = theory.primary_rates_estimated(
-        real.H_d, real.H_b, system, taps, c_values=obs.c_values, snr=primary_snr
-    )
+    ser, ber = theory.primary_rates_estimated(primary_snr, system, taps)
     return {"primary_ser_theory": float(np.sum(ser)), "primary_ber_theory": float(np.sum(ber))}
 
 

@@ -14,9 +14,6 @@ __all__ = [
     "draw_cn",
 ]
 
-_MASK64 = (1 << 64) - 1
-
-
 class SingularSystemError(ValueError):
     """Raised when a least-squares system is rank deficient."""
 
@@ -40,10 +37,13 @@ class RandomStream:
 
         Reuses the existing bit generator, so tight loops over many trial ids
         can recycle one instance; the resulting draw sequence is identical to
-        a freshly constructed stream with the same key.
+        a freshly constructed stream with the same key. Each key must lie in
+        [0, 2^64): a wider one would alias another (ValueError).
         """
-        self.master_seed = int(master_seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
+        for name, key in (("master_seed", master_seed), ("stream_id", stream_id)):
+            if not 0 <= int(key) < 1 << 64:  # a Philox key word
+                raise ValueError(f"{name} = {key} is outside [0, 2^64)")
+        self.master_seed, self.stream_id = int(master_seed), int(stream_id)
         self._gen.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {

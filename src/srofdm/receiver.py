@@ -54,10 +54,11 @@ class DetectionOutput:
 
 
 class PilotEstimator:
-    """Least-squares tap estimator from the comb pilots, factored once.
+    """Least-squares tap estimator from the comb pilots, in closed form.
 
-    Solves min_h || sqrt(P) S_p F_p h - y_p || through a QR factorization of
-    the pilot system; the resulting linear map and the tap-to-subcarrier
+    The comb is every (N/N_p)-th subcarrier from 0 and taps <= N_p, so
+    F_p^H F_p = N_p I and min_h || sqrt(P) F_p h - y_p || is solved by the
+    scaled adjoint F_p^H / (N_p sqrt(P)); it and the tap-to-subcarrier
     expansion are cached so per-symbol application is a single matmul.
     """
 
@@ -68,14 +69,8 @@ class PilotEstimator:
             raise SingularSystemError(
                 f"{taps} taps exceed {cfg.n_p} pilot subcarriers"
             )
-        self.taps = taps
         f_l = partial_fourier(cfg.n, taps)
-        a = np.sqrt(cfg.p_t) * f_l[cfg.pilot_indices, :]
-        q, r = np.linalg.qr(a)
-        diag = np.abs(np.diagonal(r))
-        if np.min(diag) < 1e-12 * max(np.max(diag), 1.0):
-            raise SingularSystemError("pilot system is rank deficient")
-        self.gain = np.linalg.solve(r, q.conj().T)  # (taps, n_p)
+        self.gain = f_l[cfg.pilot_indices, :].conj().T / (cfg.n_p * np.sqrt(cfg.p_t))  # (taps, n_p)
         self.f_l = f_l
         self.pilot_indices = cfg.pilot_indices
 
@@ -158,39 +153,22 @@ def reestimate_method2(
     return h @ f_l.T
 
 
-def separate_links(h_hat: np.ndarray, preamble, *, allow_noncompliant: bool = False):
+def separate_links(h_hat: np.ndarray, preamble):
     """Split composite estimates over the preamble into direct and backscatter
     responses.
 
-    For a zero-sum unit-modulus preamble this is the plain average pair
-    (matching the minimum-variance estimator); T=2 with symbols (1, -1)
-    reduces to the half-sum / half-difference. Pass allow_noncompliant=True
-    to fall back to the general 2x2 least-squares solve for preambles that
-    violate the optimality conditions.
+    The preamble must be zero-sum and unit-modulus (ValueError otherwise);
+    the split is then the plain average pair, which is the minimum-variance
+    estimator. T=2 with symbols (1, -1) reduces to the half-sum /
+    half-difference.
     """
     h_hat = np.asarray(h_hat)
     pre = np.asarray(preamble)
-    t = pre.shape[0]
-    if h_hat.shape[-2] != t:
+    if h_hat.shape[-2] != pre.shape[0]:
         raise ValueError("need one composite estimate per preamble symbol")
-    s1 = pre.sum()
-    compliant = abs(s1) < 1e-9 and np.max(np.abs(np.abs(pre) - 1)) < 1e-12
-    if compliant:
-        h_d = h_hat.mean(axis=-2)
-        h_b = (np.conj(pre)[:, None] * h_hat).mean(axis=-2)
-        return h_d, h_b
-    if not allow_noncompliant:
+    if not (abs(pre.sum()) < 1e-9 and np.max(np.abs(np.abs(pre) - 1)) < 1e-12):
         raise ValueError("preamble violates the zero-sum unit-modulus conditions")
-    # general least squares on [[T, sum(c)], [sum(c)*, sum(|c|^2)]]
-    s2 = np.sum(np.abs(pre) ** 2)
-    det = t * s2 - abs(s1) ** 2
-    if abs(det) < 1e-12:
-        raise SingularSystemError("preamble design matrix is singular")
-    r0 = h_hat.sum(axis=-2)
-    r1 = (np.conj(pre)[:, None] * h_hat).sum(axis=-2)
-    h_d = (s2 * r0 - s1 * r1) / det
-    h_b = (t * r1 - np.conj(s1) * r0) / det
-    return h_d, h_b
+    return h_hat.mean(axis=-2), (np.conj(pre)[:, None] * h_hat).mean(axis=-2)
 
 
 def detect_secondary(h_hat_n: np.ndarray, h_hat_d: np.ndarray, h_hat_b: np.ndarray, cfg: SystemConfig):
@@ -265,11 +243,7 @@ def ml_symbol_metrics(
     totals = np.sum(np.abs(y_d - np.multiply(a_d, cfg.qam.points[s_idx])) ** 2, axis=-1)
     if pilot_structure and cfg.n_p:  # the pilot symbols are 1
         pilots = cfg.pilot_indices
-        y_p = y[..., pilots]
-        # one candidate at a time: how numpy orders this sum follows the
-        # memory layout of the fancy-indexed operands
-        for ci in range(len(cands)):
-            totals[..., ci] += np.sum(np.abs(y_p - a[..., ci, :][..., pilots]) ** 2, axis=-1)
+        totals += np.sum(np.abs(y[..., None, pilots] - a[..., pilots]) ** 2, axis=-1)
     return totals, s_idx
 
 

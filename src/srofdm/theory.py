@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from srofdm.channel import composite_response
-from srofdm.numerics import partial_fourier, q_function
+from srofdm.numerics import q_function
 from srofdm.txchain import _POPCOUNT, QamAlphabet, SystemConfig, _gray
 
 __all__ = [
@@ -121,59 +121,38 @@ def ber_psk_from_snr(snr, m_c: int):
 
 def composite_snr(h_d, h_b, c_values, cfg: SystemConfig):
     """Per (symbol, data subcarrier) SNR of the composite link, perfect CSI:
-    the `snr=` that both primary-rate companions accept, so that a caller
-    evaluating both over one batch builds it once."""
+    the grid both primary-rate companions take, so that a caller evaluating
+    both over one batch builds it once. Pass the realized c sequence to
+    condition on one frame, or the PSK points to average over the alphabet."""
     h = composite_response(h_d, h_b, c_values)[..., list(cfg.data_indices)]
     return cfg.p_t * np.abs(h) ** 2 / cfg.sigma2
 
 
-def _c_grid(cfg: SystemConfig, c_values):
-    if c_values is None:
-        return cfg.psk.points  # uniform average over the alphabet
-    return np.asarray(c_values)
-
-
-def primary_rates_perfect(h_d, h_b, cfg: SystemConfig, *, c_values=None, snr=None):
+def primary_rates_perfect(snr, cfg: SystemConfig):
     """(symbol, bit) primary error rates with perfect composite-channel
-    knowledge, averaged over data subcarriers and secondary symbols.
-
-    By default the secondary symbol averages over the whole PSK alphabet;
-    pass the realized c sequence to condition on one frame, and with it
-    `snr`, its `composite_snr`, where the caller already has it."""
-    if snr is None:
-        snr = composite_snr(h_d, h_b, _c_grid(cfg, c_values), cfg)
+    knowledge, averaged over the (symbol, data subcarrier) grid of the
+    `composite_snr` snr."""
     ser, ber = qam_error_rates(snr, cfg.m_s)
     return ser.mean(axis=(-2, -1)), ber.mean(axis=(-2, -1))
 
 
-def _pilot_leverage(cfg: SystemConfig, taps: int) -> np.ndarray:
-    """f_k^H (F_p^H F_p)^{-1} f_k for every subcarrier; reduces to taps/N_p
-    for an equally spaced comb."""
-    f_l = partial_fourier(cfg.n, taps)
-    f_p = f_l[cfg.pilot_indices, :]
-    gram = f_p.conj().T @ f_p
-    sol = np.linalg.solve(gram, f_l.conj().T)
-    return np.real(np.einsum("kl,lk->k", f_l, sol))
-
-
-def snr_primary_estimated_grid(h_d, h_b, c_values, cfg: SystemConfig, taps: int, *, snr=None):
+def snr_primary_estimated_grid(snr, cfg: SystemConfig, taps: int):
     """Post-equalization SNR per (symbol, data subcarrier) when the composite
-    response comes from the comb-pilot least squares with `taps` coefficients.
+    response comes from the comb-pilot least squares with `taps` coefficients;
+    snr is the perfect-CSI `composite_snr`.
 
     Channel-estimation noise both perturbs the equalizer and adds a residual
     term, so the effective noise grows by (N_p + L)/N_p plus an SNR-dependent
-    correction (equally spaced comb). `snr` is the perfect-CSI
-    `composite_snr` of the same arguments, where the caller already has it."""
-    snr_perfect = composite_snr(h_d, h_b, np.asarray(c_values), cfg) if snr is None else snr
-    lev = _pilot_leverage(cfg, taps)[cfg.data_indices]
-    return snr_perfect / (lev + 1.0 + lev / snr_perfect)
+    correction: on the comb every subcarrier's pilot leverage
+    f_k^H (F_p^H F_p)^{-1} f_k is L/N_p."""
+    lev = taps / cfg.n_p
+    return snr / (lev + 1.0 + lev / snr)
 
 
-def primary_rates_estimated(h_d, h_b, cfg: SystemConfig, taps: int, *, c_values=None, snr=None):
-    """(symbol, bit) primary error rates at the pilot-estimated-CSI SNR;
-    `snr` as in `primary_rates_perfect`."""
-    snr = snr_primary_estimated_grid(h_d, h_b, _c_grid(cfg, c_values), cfg, taps, snr=snr)
-    ser, ber = qam_error_rates(snr, cfg.m_s)
+def primary_rates_estimated(snr, cfg: SystemConfig, taps: int):
+    """(symbol, bit) primary error rates at the pilot-estimated-CSI SNR of
+    the `composite_snr` snr."""
+    ser, ber = qam_error_rates(snr_primary_estimated_grid(snr, cfg, taps), cfg.m_s)
     return ser.mean(axis=(-2, -1)), ber.mean(axis=(-2, -1))
 
 

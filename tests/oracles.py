@@ -6,7 +6,9 @@ response per symbol value and in the tap domain, the classic closed-form QAM
 symbol error rate, the Gray-QAM error rates as telescoped sums over every
 level and decision edge (`telescoped_qam_error_rates`), a Monte Carlo of the method-1 secondary error
 expectation, the method-2 tap fit by a batched QR of the full N x L
-system, the receivers composed by flags, each rerunning its whole chain
+system, the general least-squares solves that the comb and the zero-sum
+preamble reduce to closed forms (`qr_pilot_gain`, `gram_pilot_leverage`,
+`lstsq_separate_links`), the receivers composed by flags, each rerunning its whole chain
 (`flag_run_algorithm1`, `flag_run_ml_benchmark`), which the stage chains of
 `srofdm.harness.RECEIVERS` must reproduce bit for bit, and a frame batch
 drawn and received one trial and one point at a time with one `draw_cn` per
@@ -149,6 +151,43 @@ def qr_reestimate_method2(
     rhs = np.einsum("...ij,...i->...j", q.conj(), np.asarray(y) / np.sqrt(cfg.p_t))
     h = np.linalg.solve(r, rhs[..., None])[..., 0]
     return h @ f_l.T
+
+
+def qr_pilot_gain(cfg: SystemConfig, taps: int) -> np.ndarray:
+    """The (taps, n_p) least-squares map from the pilot observations to the
+    taps, min_h || sqrt(P) F_p h - y_p ||, by a QR of the pilot system with a
+    rank check; valid for any pilot layout."""
+    a = np.sqrt(cfg.p_t) * partial_fourier(cfg.n, taps)[cfg.pilot_indices, :]
+    q, r = np.linalg.qr(a)
+    diag = np.abs(np.diagonal(r))
+    if np.min(diag) < 1e-12 * max(np.max(diag), 1.0):
+        raise SingularSystemError("pilot system is rank deficient")
+    return np.linalg.solve(r, q.conj().T)
+
+
+def gram_pilot_leverage(cfg: SystemConfig, taps: int) -> np.ndarray:
+    """f_k^H (F_p^H F_p)^{-1} f_k for every subcarrier k, by a Gram solve."""
+    f_l = partial_fourier(cfg.n, taps)
+    f_p = f_l[cfg.pilot_indices, :]
+    sol = np.linalg.solve(f_p.conj().T @ f_p, f_l.conj().T)
+    return np.real(np.einsum("kl,lk->k", f_l, sol))
+
+
+def lstsq_separate_links(h_hat: np.ndarray, preamble):
+    """Direct and backscatter responses from the preamble estimates by the
+    general 2x2 least squares on [[T, sum(c)], [sum(c)*, sum(|c|^2)]]; valid
+    for any preamble whose design matrix is regular."""
+    h_hat = np.asarray(h_hat)
+    pre = np.asarray(preamble)
+    t = pre.shape[0]
+    s1 = pre.sum()
+    s2 = np.sum(np.abs(pre) ** 2)
+    det = t * s2 - abs(s1) ** 2
+    if abs(det) < 1e-12:
+        raise SingularSystemError("preamble design matrix is singular")
+    r0 = h_hat.sum(axis=-2)
+    r1 = (np.conj(pre)[:, None] * h_hat).sum(axis=-2)
+    return (s2 * r0 - s1 * r1) / det, (t * r1 - np.conj(s1) * r0) / det
 
 
 def _true_composite(real: ChannelRealization, c_values: np.ndarray, xi: int = 0) -> np.ndarray:

@@ -288,6 +288,10 @@ class TestSweepCommand:
                      id="scenario_with_theory"),
         pytest.param(lambda m: m["scenario"].update(m_s=4**20), "m_s = 1099511627776 exceeds the largest alphabet",
                      id="huge_m_s"),
+        pytest.param(lambda m: m.update(master_seed=-1), "manifest.json: master_seed: -1 is outside [0, 2^64)",
+                     id="negative_seed"),
+        pytest.param(lambda m: m.update(master_seed=2**64), f"manifest.json: master_seed: {2**64} is outside",
+                     id="seed_2_64"),
     ])
     def test_replay_rejects_an_edited_manifest(self, tmp_path, capsys, fast_scenario, edit, message):
         first = tmp_path / "first"
@@ -320,6 +324,8 @@ class TestSweepCommand:
                      id="huge_m_s"),  # exited 2: Unable to allocate 8.00 TiB
         pytest.param("m_c = 8192\n", "m_c = 8192 exceeds the largest alphabet", id="huge_m_c"),
         pytest.param("n = 4000000\nn_pilot = 4000000\n", "exceeds the largest frame", id="huge_n"),
+        # leaked two numpy RuntimeWarnings and wrote blank primary-BER columns
+        pytest.param("n_pilot = 64\n", "n_pilot = 64 pilots leave no data subcarrier of n = 64", id="all_pilots"),
     ])
     def test_oversized_or_uneven_sizes_exit_1(self, tmp_path, capsys, text, message):
         self._every_command_exits_1(tmp_path, capsys, text, message)
@@ -333,6 +339,28 @@ class TestSweepCommand:
             assert main(argv + ["--quiet"] * (argv[0] != "single")) == 1
             err = capsys.readouterr().err
             assert message in err and "runtime error" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, seed_env, message", [
+        (["sweep", "--seed", "-1"], None, "--seed -1 is outside [0, 2^64)"),
+        (["sweep", "--seed", str(2**64)], None, f"--seed {2**64} is outside [0, 2^64)"),
+        (["theory", "--seed", "-1"], None, "--seed -1 is outside [0, 2^64)"),
+        (["single", "--seed", str(2**64)], None, f"--seed {2**64} is outside [0, 2^64)"),
+        (["sweep"], "-1", "SROFDM_SEED=-1 is outside [0, 2^64)"),
+        (["single"], str(2**64), f"SROFDM_SEED={2**64} is outside [0, 2^64)"),
+        # ran the same trial as --trial 18446744073709551615
+        (["single", "--trial", "-1"], None, "--trial -1 is outside [0, 2^64)"),
+        (["single", "--trial", str(2**64)], None, f"--trial {2**64} is outside [0, 2^64)"),
+    ])
+    def test_seed_or_trial_out_of_range_exits_1(self, tmp_path, capsys, monkeypatch, fast_scenario,
+                                                argv, seed_env, message):
+        if seed_env is not None:
+            monkeypatch.setenv("SROFDM_SEED", seed_env)
+        out = [] if argv[0] == "single" else ["--out", str(tmp_path / "x"), "--quiet"]
+        trials = ["--points", "20", "--trials", "1000"] if argv[0] == "sweep" else []
+        assert main(argv[:1] + [str(fast_scenario)] + argv[1:] + trials + out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flags, named", [
@@ -598,6 +626,8 @@ def _check_resolved(argv):
     assert system.n_max > system.t_preamble
     assert set(run) == set(_SWEEP_KEYS) and type(run["with_theory"]) is bool
     assert isinstance(run["receivers"], tuple) and type(seed) is (NoneType if argv[0] == "theory" else int)
+    assert seed is None or 0 <= seed < 2**64
+    assert system.n_p < system.n
 
 
 # the keys that set a sweep point's gains, power and timing

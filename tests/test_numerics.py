@@ -122,6 +122,15 @@ class TestRandomStream:
         b = draw_cn(RandomStream(9, 3), 1000, 1.0)
         np.testing.assert_array_equal(a, b * np.sqrt(2.0))
 
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (2**64 + 7, 3)])
+    def test_keys_outside_64_bits_rejected(self, key):
+        # masking them would alias: seed s + 2^64 ran seed s's trials
+        with pytest.raises(ValueError, match="is outside"):
+            RandomStream(*key)
+        with pytest.raises(ValueError, match="is outside"):
+            RandomStream(0).reset(*key)
+        assert RandomStream(2**64 - 1, 2**64 - 1).stream_id == 2**64 - 1
+
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):
             draw_cn(RandomStream(0), 10, 0.0)

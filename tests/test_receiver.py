@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,13 +10,17 @@ from oracles import (
     draw_secondary,
     flag_run_algorithm1,
     flag_run_ml_benchmark,
+    lstsq_separate_links,
+    qr_pilot_gain,
     qr_reestimate_method2,
     ser_qam_awgn,
 )
 from srofdm.channel import ChannelConfig, composite_tap_count, draw_channel, realization_from_taps
-from srofdm.harness import RECEIVERS, Scenario, apply_axis, draw_frame_batch
+from srofdm.cli import load_scenario_file, resolve_scenario
+from srofdm.harness import CHUNK_TRIALS, RECEIVERS, Scenario, apply_axis, draw_frame_batch
 from srofdm.numerics import RandomStream, SingularSystemError, draw_cn, partial_fourier, q_function
 from srofdm.receiver import (
+    DetectionOutput,
     PilotEstimator,
     UndetectableSecondaryError,
     detect_primary,
@@ -76,6 +80,14 @@ class TestPilotEstimation:
         np.testing.assert_allclose(f_p.conj().T @ f_p, cfg.n_p * np.eye(taps), atol=1e-10)
         expected_gain = f_p.conj().T / (cfg.n_p * np.sqrt(cfg.p_t))
         np.testing.assert_allclose(est.gain, expected_gain, atol=1e-10)
+
+    @pytest.mark.parametrize("n, n_ps", [(16, (1, 2, 4, 8, 16)), (64, (2, 4, 8, 16, 32))])
+    def test_closed_form_is_the_qr_least_squares(self, n, n_ps):
+        for n_p in n_ps:
+            cfg = cfg_with(n=n, n_p=n_p, p_t=2.5)
+            for taps in range(1, n_p + 1):
+                np.testing.assert_allclose(PilotEstimator(cfg, taps).gain, qr_pilot_gain(cfg, taps),
+                                           rtol=0, atol=1e-12)
 
     def test_too_many_taps_rejected(self):
         with pytest.raises(SingularSystemError):
@@ -278,6 +290,13 @@ class TestSeparateLinks:
         assert np.mean(np.abs(h_d) ** 2) == pytest.approx(sig_eps / 4, rel=0.05)
         assert np.mean(np.abs(h_b) ** 2) == pytest.approx(sig_eps / 4, rel=0.05)
 
+    def test_average_pair_is_the_2x2_least_squares(self):
+        h = draw_cn(RandomStream(52, 0), 3 * 4 * 16, 1.0).reshape(3, 4, 16)
+        for pre in ([1.0, -1.0], [1.0, 1j, -1.0, -1j], [1j, -1j, -1.0, 1.0], np.exp(2j * np.pi * np.arange(3) / 3)):
+            t = len(pre)
+            for got, want in zip(separate_links(h[:, :t], pre), lstsq_separate_links(h[:, :t], pre)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_noncompliant_preamble_needs_flag_and_is_worse(self):
         pre_bad = np.array([1.0, 1.0j])  # sums to 1 + j
         with pytest.raises(ValueError):
@@ -287,7 +306,7 @@ class TestSeparateLinks:
         n = 16
         eps = draw_cn(RandomStream(50, 0), trials * 2 * n, sig_eps).reshape(trials, 2, n)
         d_ok, b_ok = separate_links(eps, np.array([1.0, -1.0]))
-        d_bad, b_bad = separate_links(eps, pre_bad, allow_noncompliant=True)
+        d_bad, b_bad = lstsq_separate_links(eps, pre_bad)
         trace_ok = np.mean(np.abs(d_ok) ** 2 + np.abs(b_ok) ** 2)
         trace_bad = np.mean(np.abs(d_bad) ** 2 + np.abs(b_bad) ** 2)
         assert trace_bad > 1.5 * trace_ok
@@ -542,6 +561,7 @@ def exhaustive_ml_symbol_metrics(
     sqrtp = np.sqrt(cfg.p_t)
     totals = np.empty(y.shape[:-1] + (len(cands),))
     s_out = np.empty(y.shape[:-1] + (len(cands), len(data_idx)), dtype=np.int64)
+    a_all = []
     for ci, c in enumerate(cands):
         a = sqrtp * (np.asarray(h_d) + c * np.asarray(h_b))
         a = np.broadcast_to(a, y.shape)
@@ -554,11 +574,12 @@ def exhaustive_ml_symbol_metrics(
             best = np.where(better, d, best)
             best_idx = np.where(better, si, best_idx)
         total = best.sum(axis=-1)
-        if pilot_structure and cfg.n_p:
-            pilots = cfg.pilot_indices
-            total = total + np.sum(np.abs(y[..., pilots] - a[..., pilots]) ** 2, axis=-1)  # pilot symbols 1
         totals[..., ci] = total
         s_out[..., ci, :] = best_idx
+        a_all.append(a)
+    if pilot_structure and cfg.n_p:  # the pilot symbols are 1, for every candidate in one sum
+        pilots = cfg.pilot_indices
+        totals += np.sum(np.abs(y[..., None, pilots] - np.stack(a_all, axis=-2)[..., pilots]) ** 2, axis=-1)
     return totals, s_out
 
 
@@ -699,3 +720,41 @@ class TestStageChains:
             for field in ("s_hat", "c_hat", "H_tilde", "H_hat", "H_hat_d", "H_hat_b", "n_erased"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (name, field)
             assert (got.c_hat is None) == (not detect_c)
+
+
+def _paper_point(axis, value):
+    scenario, _ = resolve_scenario(load_scenario_file("paper_default"))
+    return apply_axis(scenario, axis, value)
+
+
+class TestBatchInvariance:
+    """A trial's results do not depend on the chunk it runs in, so
+    `srofdm single --trial k` replays exactly what a sweep counted for k."""
+
+    def test_ml_totals_of_a_row_alone(self):
+        system, chan, _ = _paper_point("direct_snr_db", 12.0)
+        obs = draw_frame_batch(system, chan, master_seed=7, trial_ids=range(CHUNK_TRIALS))
+        y, real = obs.y[:, 3], obs.realization  # a data symbol: every candidate searched
+        totals, _ = ml_symbol_metrics(y, real.H_d, real.H_b, system)
+        for k in range(CHUNK_TRIALS):
+            alone, _ = ml_symbol_metrics(y[k : k + 1], real.H_d[k : k + 1], real.H_b[k : k + 1], system)
+            assert np.array_equal(alone[0], totals[k]), k
+
+    @pytest.mark.parametrize("axis, value", [("direct_snr_db", 12.0), ("sync_error_samples", 4.0)])
+    def test_every_output_of_a_trial_alone(self, axis, value):
+        system, chan, xi = _paper_point(axis, value)
+        path = "sample" if xi else "frequency"
+        taps = composite_tap_count(chan, xi)
+
+        def run(trial_ids):
+            obs = draw_frame_batch(system, chan, 7, trial_ids, xi=xi, path=path)
+            memo = {}
+            return {name: run_algorithm1(obs, system, spec.stages, taps=taps, memo=memo)
+                    for name, spec in RECEIVERS.items()}
+
+        chunk = run(range(CHUNK_TRIALS))
+        for k in range(CHUNK_TRIALS):
+            for name, alone in run([k]).items():
+                for f in fields(DetectionOutput):
+                    want = np.asarray(getattr(chunk[name], f.name))[k]
+                    assert np.array_equal(np.asarray(getattr(alone, f.name))[0], want), (k, name, f.name)

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import factorial
 
-from oracles import mc_ber_secondary_method1, ser_qam_awgn, telescoped_qam_error_rates
+from oracles import gram_pilot_leverage, mc_ber_secondary_method1, ser_qam_awgn, telescoped_qam_error_rates
 from srofdm import theory
 from srofdm.channel import ChannelConfig, composite_tap_count, draw_channel
 from srofdm.numerics import RandomStream, draw_cn, q_function
@@ -16,8 +16,10 @@ from srofdm.theory import (
     avg_ber_secondary,
     ber_psk_from_snr,
     ber_secondary_perfect,
+    composite_snr,
     eq_noise_moment_predictions,
     fit_diversity_slope,
+    primary_rates_estimated,
     primary_rates_perfect,
     qam_error_rates,
     qam_moments,
@@ -82,12 +84,13 @@ class TestPrimaryPerfect:
     def test_vanishing_noise(self):
         cfg = cfg_with(sigma2=1e-30)
         real = draw_channel(ChannelConfig(), RandomStream(101, 0), cfg.n)
-        assert primary_rates_perfect(real.H_d, real.H_b, cfg)[0] == pytest.approx(0.0, abs=1e-12)
+        snr = composite_snr(real.H_d, real.H_b, cfg.psk.points, cfg)
+        assert primary_rates_perfect(snr, cfg)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_no_backscatter_reduces_to_qam_over_direct(self):
         cfg = cfg_with(p_t=1e9)
         real = draw_channel(ChannelConfig(), RandomStream(102, 0), cfg.n)
-        got = primary_rates_perfect(real.H_d, np.zeros(cfg.n), cfg)[0]
+        got = primary_rates_perfect(composite_snr(real.H_d, np.zeros(cfg.n), cfg.psk.points, cfg), cfg)[0]
         snr = cfg.p_t * np.abs(real.H_d[cfg.data_indices]) ** 2 / cfg.sigma2
         want = ser_qam_awgn(snr, cfg.m_s).mean()
         assert got == pytest.approx(want, rel=1e-12)
@@ -98,7 +101,7 @@ class TestPrimaryPerfect:
         vals = []
         for snr_db in np.arange(60, 125, 5):
             cfg = cfg_with(p_t=10 ** (snr_db / 10))
-            v = float(primary_rates_perfect(real.H_d, real.H_b, cfg)[0])
+            v = float(primary_rates_perfect(composite_snr(real.H_d, real.H_b, cfg.psk.points, cfg), cfg)[0])
             assert 0.0 <= v <= 1.0
             vals.append(v)
         assert np.all(np.diff(vals) <= 1e-15)
@@ -112,9 +115,8 @@ class TestPrimaryPerfect:
         cfg0 = cfg_with()
 
         def perfect_at(pt):
-            return float(
-                primary_rates_perfect(real.H_d, real.H_b, cfg_with(p_t=pt))[0]
-            ) - 1e-3
+            cfg = cfg_with(p_t=pt)
+            return float(primary_rates_perfect(composite_snr(real.H_d, real.H_b, cfg.psk.points, cfg), cfg)[0]) - 1e-3
 
         p_t = brentq(perfect_at, 1e6, 1e16, xtol=1e-2)
         cfg = cfg_with(p_t=p_t)
@@ -137,7 +139,7 @@ class TestPrimaryPerfect:
             err += int(np.sum(idx != s_idx))
             tot += idx.size
             want_sum += float(
-                np.sum(primary_rates_perfect(real.H_d, real.H_b, cfg, c_values=c)[0])
+                np.sum(primary_rates_perfect(composite_snr(real.H_d, real.H_b, c, cfg), cfg)[0])
             )
         ser = err / tot
         want = want_sum / trials
@@ -150,9 +152,7 @@ class TestPrimaryEstimated:
         cfg = cfg_with(p_t=1e20)
         real = draw_channel(ChannelConfig(), RandomStream(106, 0), cfg.n)
         taps = 4
-        est = snr_primary_estimated_grid(
-            real.H_d, real.H_b, np.asarray(cfg.preamble), cfg, taps
-        )
+        est = snr_primary_estimated_grid(composite_snr(real.H_d, real.H_b, cfg.preamble, cfg), cfg, taps)
         perfect = (
             cfg.p_t
             * np.abs(
@@ -175,8 +175,28 @@ class TestPrimaryEstimated:
             perfect = (
                 cfg_p.p_t * np.abs(real.H_d[k] + real.H_b[k]) ** 2 / cfg_p.sigma2
             )
-            est = snr_primary_estimated_grid(real.H_d, real.H_b, np.ones(1), cfg_p, taps=5)[0, 5]
+            est = snr_primary_estimated_grid(composite_snr(real.H_d, real.H_b, np.ones(1), cfg_p), cfg_p, taps=5)[0, 5]
             assert perfect / est >= 13 / 8 - 1e-9
+
+    @pytest.mark.parametrize("n, n_ps", [(16, (1, 2, 4, 8, 16)), (64, (2, 4, 8, 16, 32))])
+    def test_comb_leverage_is_the_gram_solve(self, n, n_ps):
+        # the closed form L/N_p against f_k^H (F_p^H F_p)^{-1} f_k on every subcarrier
+        for n_p in n_ps:
+            cfg = cfg_with(n=n, n_p=n_p)
+            snr = np.full((2, cfg.n_data), 3.0)
+            for taps in range(1, n_p + 1):
+                lev = gram_pilot_leverage(cfg, taps)
+                np.testing.assert_allclose(lev, taps / n_p, rtol=1e-12)
+                want = snr / (lev[cfg.data_indices] + 1.0 + lev[cfg.data_indices] / snr)
+                np.testing.assert_allclose(snr_primary_estimated_grid(snr, cfg, taps), want, rtol=1e-12)
+
+    def test_estimated_rates_at_the_estimated_snr(self):
+        cfg = cfg_with(p_t=1e3)
+        real = draw_channel(ChannelConfig(), RandomStream(108, 0), cfg.n)
+        snr = composite_snr(real.H_d, real.H_b, cfg.psk.points, cfg)
+        got = primary_rates_estimated(snr, cfg, 4)
+        want = primary_rates_perfect(snr_primary_estimated_grid(snr, cfg, 4), cfg)
+        assert got[0] == want[0] and got[1] == want[1]
 
     def test_display_tracks_pipeline_on_fading_sweep(self):
         # pilot-only pipeline vs the estimated-CSI display at two sweep
