@@ -20,12 +20,13 @@ import numpy as np
 from srofdm import __version__, theory
 from srofdm.channel import ChannelConfig, composite_tap_count
 from srofdm.harness import (
+    RECEIVERS,
     SWEEP_AXES,
     Scenario,
     ScenarioError,
     SweepSpec,
-    _from_db,
     apply_axis,
+    from_db,
     run_sweep,
     run_trial,
 )
@@ -49,7 +50,7 @@ def _finite(text) -> float:
 
 def _noise_power(noise_dbm: float) -> float:
     """dBm to watts; the power must be positive and finite."""
-    watts = _from_db(noise_dbm) * 1e-3
+    watts = from_db(noise_dbm) * 1e-3
     if not 0 < watts < float("inf"):
         raise ValueError(
             f"noise_dbm = {noise_dbm:g} gives a noise power of {watts:g} W;"
@@ -359,33 +360,27 @@ def cmd_theory(args) -> int:
     gamma_grid = points if run["axis"] in ("direct_snr_db", "backscatter_snr_db") else tuple(
         float(v) for v in np.arange(0.0, 42.0, 2.0)
     )
-    snrs = [_from_db(db) for db in gamma_grid]
+    snrs = [from_db(db) for db in gamma_grid]
     for db, snr in zip(gamma_grid, snrs):
         if not 0 < snr < float("inf"):
             raise ScenarioError(
                 f"point {db:g} dB gives a linear SNR of {snr:g}; it must be positive and finite")
     system = scenario.system
-    moments = theory.qam_moments(system.m_s)
     # name: (receiver, csi, secondary BER per point)
     # averaged secondary BER over i.i.d. Rayleigh taps: closed form per tap count
     curves = {
         f"avg_secondary_lb{l_b}": (f"theory_avg_secondary_lb{l_b}", "perfect", [
-            theory.avg_ber_secondary(theory.AvgSnrParams(gamma_b=snr, l_b=l_b))[0] for snr in snrs])
+            theory.avg_ber_secondary(snr, l_b)[0] for snr in snrs])
         for l_b in (1, 2, 4)
     }
-    # fixed-point secondary curves at the expected backscatter energy: one unit
-    # tap with P / sigma^2 set to the axis value
+    # fixed-point secondary curves at the expected backscatter energy: each
+    # receiver's own companion on one unit tap with P / sigma^2 set to the axis value
     taps = composite_tap_count(scenario.chan)
-    unit_tap = np.ones(1)
     fixed = [replace(system, p_t=snr, sigma2=1.0) for snr in snrs]
-    curves["secondary_perfect"] = ("theory_secondary_perfect", "perfect", [
-        theory.ber_secondary_perfect(unit_tap, point, moments) for point in fixed])
-    curves["secondary_m1"] = ("theory_secondary_m1", "estimated", [
-        theory.ber_psk_from_snr(theory.snr_secondary_method1(unit_tap, point, moments), system.m_c)
-        for point in fixed])
-    curves["secondary_m2"] = ("theory_secondary_m2", "estimated", [
-        theory.ber_psk_from_snr(theory.snr_secondary_method2(unit_tap, point, taps), system.m_c)
-        for point in fixed])
+    for name, receiver in (("perfect", "perfect_csi"), ("m1", "proposed_m1"), ("m2", "proposed_m2")):
+        spec = RECEIVERS[receiver]
+        curves[f"secondary_{name}"] = (f"theory_secondary_{name}", spec.csi, [
+            spec.secondary_theory(np.ones(1), point, taps)["secondary_ber_theory"] for point in fixed])
     csvs = {  # a closed form fills the secondary theory column only
         name: (f"theory__{name}.csv", [_row(db, receiver, csi, *[None] * 5, ber)
                                       for db, ber in zip(gamma_grid, bers)])
@@ -393,6 +388,7 @@ def cmd_theory(args) -> int:
     }
     _write_outputs(args.out, "theory", values, scenario, csvs, axis=run["axis"], points=list(gamma_grid))
     if not args.quiet:
+        moments = theory.qam_moments(system.m_s)
         print(f"gamma1={moments.gamma1:.6f} gamma2={moments.gamma2:.6f}")
     return EXIT_OK
 

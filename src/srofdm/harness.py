@@ -50,6 +50,7 @@ __all__ = [
     "PointResult",
     "BerCurve",
     "transmit_power",
+    "from_db",
     "apply_axis",
     "TrialDraws",
     "draw_trials",
@@ -79,43 +80,42 @@ class ScenarioError(ValueError):
 
 # Closed-form companions, conditioned on the drawn realizations (the analytic
 # curve is the average of per-realization evaluations over exactly the
-# simulated channels). Each maps (obs, system, taps, primary_snr) to the
-# chunk's sums under the CSV's theory keys, or nothing where its formula does
-# not apply; `primary_snr` is the chunk's perfect-CSI composite SNR
-# (`theory.composite_snr`), which both primary companions share.
-def _primary_perfect(obs, system, taps, primary_snr):
-    ser, ber = theory.primary_rates_perfect(primary_snr, system)
+# simulated channels). Each maps (input, system, taps) to the sums of a batch
+# under the CSV's theory keys, or nothing where its formula does not apply.
+# A primary companion's input is the perfect-CSI `theory.composite_snr` grid,
+# which both share; a secondary one's is the backscatter response H_b.
+def _primary_perfect(snr, system, taps):
+    ser, ber = theory.primary_rates_perfect(snr, system)
     return {"primary_ser_theory": float(np.sum(ser)), "primary_ber_theory": float(np.sum(ber))}
 
 
-def _primary_estimated(obs, system, taps, primary_snr):
+def _primary_estimated(snr, system, taps):
     if system.n_p < taps:  # the comb cannot resolve the composite response
         return {}
-    ser, ber = theory.primary_rates_estimated(primary_snr, system, taps)
+    ser, ber = theory.primary_rates_estimated(snr, system, taps)
     return {"primary_ser_theory": float(np.sum(ser)), "primary_ber_theory": float(np.sum(ber))}
 
 
-def _secondary_perfect(obs, system, taps, primary_snr):  # eq. 15, the lower bound
-    ber = theory.ber_secondary_perfect(obs.realization.H_b, system)
-    return {"secondary_ber_theory": float(np.sum(ber))}
+def _secondary_perfect(h_b, system, taps):  # eq. 15, the lower bound
+    return {"secondary_ber_theory": float(np.sum(theory.ber_secondary_perfect(h_b, system)))}
 
 
-def _secondary_method1(obs, system, taps, primary_snr):
-    snr = theory.snr_secondary_method1(obs.realization.H_b, system)
+def _secondary_method1(h_b, system, taps):
+    snr = theory.snr_secondary_method1(h_b, system)
     return {"secondary_ber_theory": float(np.sum(theory.ber_psk_from_snr(snr, system.m_c)))}
 
 
-def _secondary_method2(obs, system, taps, primary_snr):
-    snr = theory.snr_secondary_method2(obs.realization.H_b, system, taps)
+def _secondary_method2(h_b, system, taps):
+    snr = theory.snr_secondary_method2(h_b, system, taps)
     return {"secondary_ber_theory": float(np.sum(theory.ber_psk_from_snr(snr, system.m_c)))}
 
 
 @dataclass(frozen=True)
 class ReceiverSpec:
     """One receiver curve. `stages` names its detection chain in order, as
-    `receiver.run_algorithm1` runs it; each companion maps (obs, system, taps,
-    primary_snr) to theory sums, and None marks a curve the paper gives no
-    closed form for."""
+    `receiver.run_algorithm1` runs it; the primary companion maps
+    (composite_snr, system, taps) and the secondary one (H_b, system, taps) to
+    theory sums, and None marks a curve the paper gives no closed form for."""
 
     csi: str
     stages: tuple
@@ -165,13 +165,13 @@ def transmit_power(scenario: Scenario, chan: ChannelConfig) -> float:
     path exists, otherwise the backscatter-link SNR."""
     s2 = scenario.system.sigma2
     if chan.direct_model != "none":
-        return _from_db(scenario.direct_snr_db) * s2 / chan.beta_direct
+        return from_db(scenario.direct_snr_db) * s2 / chan.beta_direct
     if scenario.backscatter_snr_db is None or chan.backscatter_model == "none":
         raise ScenarioError("no direct link: scenario needs backscatter_snr_db and a backscatter link")
-    return _from_db(scenario.backscatter_snr_db) * s2 / chan.beta_backscatter
+    return from_db(scenario.backscatter_snr_db) * s2 / chan.beta_backscatter
 
 
-def _from_db(db: float) -> float:
+def from_db(db: float) -> float:
     """10^(db/10), or inf where that overflows a float."""
     try:
         return 10 ** (db / 10.0)
@@ -204,7 +204,7 @@ def apply_axis(scenario: Scenario, axis: str, value: float):
             raise ScenarioError(f"axis {axis} needs the link that {model} = none removes")
     xi = scenario.sync_error
     if axis == "snr_ratio_db":
-        ratio = _positive_finite(axis, value, "an SNR ratio of", _from_db(value))
+        ratio = _positive_finite(axis, value, "an SNR ratio of", from_db(value))
         direct = _point_checked(axis, value, lambda: chan.beta_direct)
         chan = replace(chan, beta_backscatter_override=ratio * direct)
     elif axis == "stx_distance_m":
@@ -223,9 +223,9 @@ def apply_axis(scenario: Scenario, axis: str, value: float):
     _point_checked(axis, value, chan.check_gains)
     s2 = scenario.system.sigma2
     if axis == "direct_snr_db":
-        p_t = _from_db(value) * s2 / chan.beta_direct
+        p_t = from_db(value) * s2 / chan.beta_direct
     elif axis == "backscatter_snr_db":
-        p_t = _from_db(value) * s2 / chan.beta_backscatter
+        p_t = from_db(value) * s2 / chan.beta_backscatter
     else:
         p_t = transmit_power(scenario, chan)
     p_t = _positive_finite(axis, value, "a transmit power of", p_t)
@@ -404,6 +404,9 @@ def observe_trials(draws: TrialDraws, system: SystemConfig, chan: ChannelConfig,
     only where no sweep axis changes the draws (p_t and the link gains)."""
     if draws.unit_taps.shape[-1] != fading_tap_count(chan):
         raise ValueError("the draws were made for other channel models or tap counts")
+    if xi and draws.path != "sample":
+        raise ValueError(f"a sync error of {xi} samples needs the sample path,"
+                         f" and these draws are for the {draws.path} path")
     real = realization_from_taps(*scale_link_taps(chan, draws.unit_taps), chan.d_b, system.n)
     truth = dict(s_indices=draws.s_indices, c_indices=draws.c_indices, noise=draws.noise)
     if draws.path == "sample":
@@ -460,17 +463,18 @@ def _run_point(draws: TrialDraws, point, receivers, with_theory) -> dict:
         memo = {key: v for key, v in memo.items() if any(s[: len(key)] == key for s in later)}
     if not with_theory:
         return results
+    real = obs.realization
     primary_snr = None  # built once for every primary companion of the chunk
     if any(RECEIVERS[name].primary_theory for name in receivers):
-        real = obs.realization
         primary_snr = theory.composite_snr(real.H_d, real.H_b, obs.c_values, system)
     sums = {}  # companion -> its sums over this chunk; receivers share them
     for name in receivers:
         spec = RECEIVERS[name]
-        for companion in (spec.primary_theory, spec.secondary_theory if with_backscatter else None):
+        for companion, given in ((spec.primary_theory, primary_snr),
+                                 (spec.secondary_theory if with_backscatter else None, real.H_b)):
             if companion is not None:
                 if companion not in sums:
-                    sums[companion] = companion(obs, system, taps, primary_snr)
+                    sums[companion] = companion(given, system, taps)
                 results[name].theory_sums.update(sums[companion])
     return results
 
@@ -485,19 +489,23 @@ def _process_chunk(args) -> list:
     return [_run_point(draws, point, receivers, with_theory) for point in points]
 
 
-def _resolve_points(scenario: Scenario, axis: str, values) -> tuple:
-    """(value, SystemConfig, ChannelConfig, xi) of every point, or the
-    ScenarioError of the first point that cannot run."""
-    return tuple((float(v), *apply_axis(scenario, axis, float(v))) for v in values)
+def _prepare(scenario: Scenario, axis: str, values, receivers) -> tuple:
+    """(receive path, points) of a run, each point its (value, SystemConfig,
+    ChannelConfig, xi), after every check that can fail before a draw."""
+    scenario.validate()
+    _check_receivers(receivers)
+    for r in receivers:
+        if not scenario.system.n_p and "pilot_ls" in RECEIVERS[r].stages:
+            raise ScenarioError(f"receiver {r!r} estimates from pilots, and n_p = 0 places none")
+    points = tuple((float(v), *apply_axis(scenario, axis, float(v))) for v in values)
+    return _receive_path(axis, scenario.sync_error), points
 
 
 def run_trial(scenario: Scenario, axis: str, value: float, trial_index: int,
               master_seed: int, receivers=("perfect_csi",)) -> dict:
     """One trial's error counts for each requested receiver; bitwise
     reproducible from (master_seed, trial_index)."""
-    _check_receivers(receivers)
-    points = _resolve_points(scenario, axis, [value])
-    path = _receive_path(axis, scenario.sync_error)
+    path, points = _prepare(scenario, axis, [value], receivers)
     return _process_chunk((path, points, master_seed, [trial_index], receivers, True))[0]
 
 
@@ -519,9 +527,7 @@ def run_sweep(
     """
     if workers < 1:
         raise ScenarioError(f"need at least 1 worker, got {workers}")
-    scenario.validate()
-    points = _resolve_points(scenario, spec.axis, spec.points)
-    path = _receive_path(spec.axis, scenario.sync_error)
+    path, points = _prepare(scenario, spec.axis, spec.points, spec.receivers)
     tasks = [
         (path, points, master_seed,
          range(start, min(start + CHUNK_TRIALS, spec.trials_per_point)),

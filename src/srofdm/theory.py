@@ -12,17 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
-from typing import Optional
 
 import numpy as np
 
 from srofdm.channel import composite_response
 from srofdm.numerics import q_function
-from srofdm.txchain import _POPCOUNT, QamAlphabet, SystemConfig, _gray
+from srofdm.txchain import QamAlphabet, SystemConfig
 
 __all__ = [
     "ConstellationMoments",
-    "AvgSnrParams",
     "qam_moments",
     "qam_error_rates",
     "ber_psk_from_snr",
@@ -64,18 +62,19 @@ def _folded_rail(m_s: int):
     that half spacing, j = 0 .. m - 2. Writing Q(-x) = 1 - Q(x) folds the
     integer Hamming (bit) and identity (symbol) weights of the telescoped
     region sums onto the m - 1 magnitudes; their constant terms cancel to
-    exactly 0. a_ber carries the 1/(m log2 m) and a_ser the 1/m average."""
+    exactly 0. a_ber carries the 1/(m log2 m) and a_ser the 1/m average; the
+    Hamming table is the alphabet's first row, whose labels are the rail's."""
     m = isqrt(m_s)
     offset = 2 * (np.arange(m - 1) - np.arange(m)[:, None]) + 1  # (m, m-1), odd
     j = (np.abs(offset) - 1) // 2
-    labels = _gray(np.arange(m))
+    level = np.arange(m)
 
     def fold(table):  # sum_e q_ie (w_{i,e+1} - w_ie) over the levels, by magnitude
         w = np.sign(offset) * (table[:, 1:] - table[:, :-1])
         return np.bincount(j.ravel(), weights=w.ravel(), minlength=m - 1)
 
     bits_per_rail = m.bit_length() - 1
-    a_ber = fold(_POPCOUNT[labels[:, None] ^ labels]) / (m * bits_per_rail)
+    a_ber = fold(QamAlphabet.build(m_s).bit_errors(level[:, None], level)) / (m * bits_per_rail)
     a_ser = fold(np.eye(m)) / m
     x = (2.0 * np.arange(m - 1) + 1.0) / np.sqrt(2.0 * (m_s - 1) / 3.0)
     for shared in (x, a_ber, a_ser):  # every caller gets these same arrays
@@ -160,20 +159,18 @@ def _hb_energy(h_b) -> np.ndarray:
     return np.sum(np.abs(np.asarray(h_b)) ** 2, axis=-1)
 
 
-def ber_secondary_perfect(h_b, cfg: SystemConfig, moments: Optional[ConstellationMoments] = None):
+def ber_secondary_perfect(h_b, cfg: SystemConfig):
     """Secondary BER lower bound: perfect link CSI and perfectly detected
     primary symbols; the spreading gain shows up as the full subcarrier-sum
     backscatter energy inside the Q argument."""
-    moments = moments or qam_moments(cfg.m_s)
+    moments = qam_moments(cfg.m_s)
     snr = cfg.p_t * _hb_energy(h_b) / (moments.gamma1 * cfg.sigma2)
     return ber_psk_from_snr(snr, cfg.m_c)
 
 
-def snr_secondary_method1(
-    h_b, cfg: SystemConfig, moments: Optional[ConstellationMoments] = None
-) -> np.ndarray:
+def snr_secondary_method1(h_b, cfg: SystemConfig) -> np.ndarray:
     """Effective secondary SNR with per-subcarrier data-aided re-estimation."""
-    moments = moments or qam_moments(cfg.m_s)
+    moments = qam_moments(cfg.m_s)
     e = cfg.p_t * _hb_energy(h_b)
     g1, g2 = moments.gamma1, moments.gamma2
     denom = 2.0 * g1 + cfg.n * (2.0 * g1**2 + g2) * cfg.sigma2 / (4.0 * e)
@@ -188,35 +185,24 @@ def snr_secondary_method2(h_b, cfg: SystemConfig, taps: int) -> np.ndarray:
     return e / (cfg.sigma2 * denom)
 
 
-@dataclass(frozen=True)
-class AvgSnrParams:
-    """Inputs of the averaged secondary BER: per-tap average backscatter SNR
-    (already divided by the primary constellation's gamma1) and tap count."""
-
-    gamma_b: float
-    l_b: int
-
-    @property
-    def mu(self) -> float:
-        return float(np.sqrt(self.gamma_b / (1.0 + self.gamma_b)))
-
-
-def avg_ber_secondary(params: AvgSnrParams):
-    """Average BPSK secondary BER over i.i.d. Rayleigh backscatter taps.
+def avg_ber_secondary(gamma_b: float, l_b: int):
+    """Average BPSK secondary BER over l_b i.i.d. Rayleigh backscatter taps
+    at per-tap average SNR gamma_b (already divided by the primary
+    constellation's gamma1).
 
     Returns (exact, high_snr_approx). The exact branch is the standard
     chi-square average of the Q-function; the approximation decays like
     gamma_b^(-l_b), i.e. the link enjoys a frequency diversity order equal to
     its tap count.
     """
-    mu, l_b = params.mu, params.l_b
+    mu = float(np.sqrt(gamma_b / (1.0 + gamma_b)))
     if l_b < 1:
         raise ValueError("need at least one tap")
     terms = sum(
         comb(l_b - 1 + l, l) * ((1.0 + mu) / 2.0) ** l for l in range(l_b)
     )
     exact = ((1.0 - mu) / 2.0) ** l_b * terms
-    approx = comb(2 * l_b - 1, l_b) / (4.0 * params.gamma_b) ** l_b
+    approx = comb(2 * l_b - 1, l_b) / (4.0 * gamma_b) ** l_b
     return float(exact), float(approx)
 
 

@@ -21,7 +21,7 @@ from srofdm.receiver import (
     reestimate_method2,
     separate_links,
 )
-from srofdm.theory import AvgSnrParams, avg_ber_secondary, fit_diversity_slope
+from srofdm.theory import avg_ber_secondary, fit_diversity_slope
 from srofdm.txchain import SystemConfig, frequency_domain_rx
 
 NOISE_W = 10 ** (-80 / 10) * 1e-3  # -80 dBm
@@ -140,7 +140,7 @@ class TestAcceptance:
         # closed-form average matches its quadrature oracle to 1e-6
         for l_b in (1, 2, 4):
             for gamma in (1.0, 10.0, 100.0):
-                exact, _ = avg_ber_secondary(AvgSnrParams(gamma_b=gamma, l_b=l_b))
+                exact, _ = avg_ber_secondary(gamma_b=gamma, l_b=l_b)
                 dens = lambda x: (
                     q_function(np.sqrt(2 * gamma * x)) * x ** (l_b - 1) * np.exp(-x)
                     / factorial(l_b - 1)

@@ -69,3 +69,23 @@ def test_documented_names_are_exported():
     for module, names in documented_api().items():
         exported = set(importlib.import_module(module).__all__)
         assert names <= exported, f"README lists {sorted(names - exported)} under {module}"
+
+
+def test_no_private_imports_between_modules():
+    # a name with a leading underscore is its module's own; another module that
+    # needs it needs it exported, and dunders such as __version__ are public
+    private = []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and node.module == "srofdm" for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("srofdm"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                names = [node.attr]
+            else:
+                continue
+            private += [f"{path.name}: {name}" for name in names
+                        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+    assert not private, f"private names used across srofdm modules: {private}"

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 from types import NoneType
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from srofdm.cli import (
     parse_scenario_text,
     resolve_scenario,
 )
-from srofdm.channel import draw_link_taps
+from srofdm.channel import composite_tap_count, draw_link_taps
 from srofdm.harness import RECEIVERS, SWEEP_AXES, SweepSpec, apply_axis, run_sweep
 from srofdm.numerics import RandomStream
 
@@ -535,6 +536,25 @@ class TestTheoryCommand:
                 for r in (out / f"theory__secondary_{name}.csv").read_text().splitlines()[1:]
             ]
             assert all(e >= p - 1e-15 for e, p in zip(est, perfect))
+
+    @pytest.mark.parametrize("text", ["", "m_s = 4\nm_c = 2\nl_d = 6\n"])
+    def test_secondary_curves_are_the_receiver_companions(self, tmp_path, text):
+        # each fixed-point curve is its receiver's own companion on one unit tap at P / sigma^2
+        scenario = tmp_path / "s.txt"
+        scenario.write_text(text)
+        scenario, out = str(scenario), tmp_path / "theory4"
+        assert main(["theory", scenario, "--points", "0:40:5", "--out", str(out), "--quiet"]) == 0
+        resolved = resolve_scenario(load_scenario_file(scenario))[0]
+        system, taps = resolved.system, composite_tap_count(resolved.chan)
+        for name, receiver in (("perfect", "perfect_csi"), ("m1", "proposed_m1"), ("m2", "proposed_m2")):
+            spec = RECEIVERS[receiver]
+            rows = [r.split(",") for r in (out / f"theory__secondary_{name}.csv").read_text().splitlines()[1:]]
+            assert [float(r[0]) for r in rows] == list(range(0, 41, 5))
+            for r in rows:
+                point = replace(system, p_t=10 ** (float(r[0]) / 10), sigma2=1.0)
+                want = spec.secondary_theory(np.ones(1), point, taps)
+                assert (r[1], r[2]) == (f"theory_secondary_{name}", spec.csi)
+                assert r[-1] == format(want["secondary_ber_theory"], ".9g")
 
     def test_manifest_echoes_moments(self, tmp_path):
         out = tmp_path / "theory3"

@@ -166,6 +166,14 @@ class TestTrialDeterminism:
         with pytest.raises(ScenarioError, match=message):
             run_trial(paper_scenario(), "direct_snr_db", 20.0, 0, 1, receivers)
 
+    def test_run_trial_validates_the_scenario_like_run_sweep(self):
+        scen = paper_scenario(system=dict(n_cp=2))  # 4 direct taps outlast the CP
+        spec = SweepSpec(axis="direct_snr_db", points=(20.0,), trials_per_point=1000)
+        for run in (lambda: run_sweep(spec, scen, master_seed=1),
+                    lambda: run_trial(scen, "direct_snr_db", 20.0, 0, 1)):
+            with pytest.raises(ValueError, match="direct taps 4 exceed CP length 2"):
+                run()
+
 
 class TestSweep:
     def test_noise_free_zero_errors(self):
@@ -368,6 +376,10 @@ class TestDrawSplit:
         assert_same_bytes(observe_trials(draws, system, chan),
                           per_trial_draw_frame_batch(system, chan, 8, [2, 7]))
 
+    def test_frequency_draws_refuse_a_sync_error(self):
+        with pytest.raises(ValueError, match="needs the sample path.*frequency path"):
+            draw_frame_batch(SystemConfig(n_p=8), ChannelConfig(), 7, [0, 1], xi=3, path="frequency")
+
     def test_draws_belong_to_their_channel_models(self):
         scen = paper_scenario()
         draws = draw_trials(scen.system, scen.chan, 1, [0, 1])
@@ -409,3 +421,21 @@ class TestDrawOnce:
                          receivers=("perfect_csi", "proposed_m2"))
         with pytest.raises(ScenarioError, match="direct_snr_db = 4000"):
             run_sweep(spec, paper_scenario(), master_seed=1)
+
+    def test_pilot_receiver_without_pilots_fails_before_any_draw(self, monkeypatch):
+        scen = paper_scenario(system=dict(n_p=0))
+        no_pilots = lambda receivers: run_trial(scen, "direct_snr_db", 20.0, 0, 1, receivers)
+        assert set(no_pilots(("perfect_csi", "ml_perfect", "ml_nopilot"))) == {
+            "perfect_csi", "ml_perfect", "ml_nopilot"}  # no pilot stage: these run
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(harness, "draw_trials", no_draws)
+        spec = SweepSpec(axis="direct_snr_db", points=(20.0,), trials_per_point=1000,
+                         receivers=("perfect_csi", "proposed_m2"))
+        with pytest.raises(ScenarioError, match="'proposed_m2' estimates from pilots"):
+            run_sweep(spec, scen, master_seed=1)
+        for receiver in ("proposed_m1_genie", "pilot_only", "ml_estimated"):
+            with pytest.raises(ScenarioError, match=f"'{receiver}' estimates from pilots"):
+                no_pilots(("ml_perfect", receiver))

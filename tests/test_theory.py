@@ -12,7 +12,6 @@ from srofdm import theory
 from srofdm.channel import ChannelConfig, composite_tap_count, draw_channel
 from srofdm.numerics import RandomStream, draw_cn, q_function
 from srofdm.theory import (
-    AvgSnrParams,
     avg_ber_secondary,
     ber_psk_from_snr,
     ber_secondary_perfect,
@@ -238,11 +237,10 @@ class TestSecondaryClosedForms:
         from srofdm.receiver import detect_secondary
 
         real = draw_channel(ChannelConfig(dist_fwd=0.12), RandomStream(111, 0), 64)
-        mom = qam_moments(16)
 
         def eq15_at(pt):
             cfg = cfg_with(p_t=pt)
-            return float(ber_secondary_perfect(real.H_b, cfg, mom)) - 1e-2
+            return float(ber_secondary_perfect(real.H_b, cfg)) - 1e-2
 
         p_t = brentq(eq15_at, 1e6, 1e16, xtol=1e-2)
         cfg = cfg_with(p_t=p_t)
@@ -272,7 +270,7 @@ class TestSecondaryClosedForms:
         cfg = cfg_with(p_t=1e18)
         h_b = draw_cn(RandomStream(113, 0), cfg.n, 1.0)
         mom = qam_moments(cfg.m_s)
-        got = snr_secondary_method1(h_b, cfg, mom)
+        got = snr_secondary_method1(h_b, cfg)
         want = cfg.p_t * np.sum(np.abs(h_b) ** 2) / (2 * mom.gamma1 * cfg.sigma2)
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -281,7 +279,7 @@ class TestSecondaryClosedForms:
         cfg = cfg_with(m_s=4)
         h_b = draw_cn(RandomStream(114, 0), cfg.n, 1.0)
         e = cfg.p_t * np.sum(np.abs(h_b) ** 2)
-        got = snr_secondary_method1(h_b, cfg, qam_moments(4))
+        got = snr_secondary_method1(h_b, cfg)
         want = e / (cfg.sigma2 * (2.0 + 3.0 * cfg.n * cfg.sigma2 / (4.0 * e)))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -295,7 +293,7 @@ class TestSecondaryClosedForms:
     def test_method2_never_below_method1(self, energy, sigma2, m_s, taps):
         cfg = cfg_with(m_s=m_s, sigma2=sigma2, p_t=1.0)
         h_b = np.sqrt(energy / cfg.n) * np.ones(cfg.n)
-        g1 = snr_secondary_method1(h_b, cfg, qam_moments(m_s))
+        g1 = snr_secondary_method1(h_b, cfg)
         g2 = snr_secondary_method2(h_b, cfg, taps)
         assert g2 >= g1 * (1 - 1e-12)
 
@@ -356,18 +354,18 @@ class TestSecondaryClosedForms:
 class TestAveragedSecondary:
     def test_single_tap_textbook_rayleigh(self):
         for g in (0.5, 3.0, 30.0):
-            exact, _ = avg_ber_secondary(AvgSnrParams(gamma_b=g, l_b=1))
+            exact, _ = avg_ber_secondary(gamma_b=g, l_b=1)
             want = 0.5 * (1 - np.sqrt(g / (1 + g)))
             assert exact == pytest.approx(want, rel=1e-12)
 
     def test_exact_vs_high_snr_approx(self):
-        exact, approx = avg_ber_secondary(AvgSnrParams(gamma_b=100.0, l_b=2))
+        exact, approx = avg_ber_secondary(gamma_b=100.0, l_b=2)
         assert approx == pytest.approx(exact, rel=0.10)
 
     @pytest.mark.parametrize("l_b", [1, 2, 4])
     def test_slope_equals_tap_count(self, l_b):
         db = np.linspace(30, 40, 6)
-        bers = [avg_ber_secondary(AvgSnrParams(10 ** (d / 10), l_b))[0] for d in db]
+        bers = [avg_ber_secondary(10 ** (d / 10), l_b)[0] for d in db]
         slope = fit_diversity_slope(db, bers)
         assert slope == pytest.approx(l_b, rel=0.05)
 
@@ -375,7 +373,7 @@ class TestAveragedSecondary:
     @pytest.mark.parametrize("gamma", [1.0, 10.0, 100.0])
     def test_quadrature_oracle(self, l_b, gamma):
         # independent oracle: integrate the chi-square average directly
-        exact, _ = avg_ber_secondary(AvgSnrParams(gamma_b=gamma, l_b=l_b))
+        exact, _ = avg_ber_secondary(gamma_b=gamma, l_b=l_b)
         dens = lambda x: q_function(np.sqrt(2 * gamma * x)) * x ** (l_b - 1) * np.exp(-x) / factorial(l_b - 1)
         val, err = quad(dens, 0, np.inf, limit=200)
         assert err < 1e-7
@@ -383,7 +381,7 @@ class TestAveragedSecondary:
 
     def test_rejects_zero_taps(self):
         with pytest.raises(ValueError):
-            avg_ber_secondary(AvgSnrParams(gamma_b=1.0, l_b=0))
+            avg_ber_secondary(gamma_b=1.0, l_b=0)
 
 
 _QAM_BER_16 = lambda snr: qam_error_rates(snr, 16)[1]  # noqa: E731 - exact, so held without slack
@@ -398,7 +396,7 @@ class TestMonotonicity:
             lambda snr: ber_psk_from_snr(snr, 8),
             lambda snr: ber_psk_from_snr(snr, 2),
             lambda snr: np.array(
-                [avg_ber_secondary(AvgSnrParams(s, 2))[0] for s in np.atleast_1d(snr)]
+                [avg_ber_secondary(s, 2)[0] for s in np.atleast_1d(snr)]
             ),
         ],
     )
@@ -479,9 +477,8 @@ class TestEq17Expectation:
     def test_brackets_theorem2_at_high_snr(self):
         real = draw_channel(ChannelConfig(dist_fwd=0.12), RandomStream(90, 0), 64)
         hb2 = float(np.sum(np.abs(real.H_b) ** 2))
-        mom = qam_moments(4)
         for snr_db in (8.0, 12.0):
             cfg = cfg_with(m_s=4, m_c=2, p_t=10 ** (snr_db / 10) / hb2)
             mc = mc_ber_secondary_method1(real.H_b, cfg, 2 * 10**5, RandomStream(91, 0))
-            thm2 = float(ber_psk_from_snr(snr_secondary_method1(real.H_b, cfg, mom), 2))
+            thm2 = float(ber_psk_from_snr(snr_secondary_method1(real.H_b, cfg), 2))
             assert mc == pytest.approx(thm2, rel=0.15)
