@@ -151,14 +151,6 @@ class ChannelConfig:
         """Backscatter to direct average SNR ratio (linear)."""
         return self.beta_backscatter / self.beta_direct
 
-    def validate_against_cp(self, n_cp: int):
-        if self.l_d > n_cp:
-            raise ValueError(f"direct taps {self.l_d} exceed CP length {n_cp}")
-        if self.l_b + self.d_b > n_cp:
-            raise ValueError(
-                f"backscatter span {self.l_b}+{self.d_b} exceeds CP length {n_cp}"
-            )
-
 
 def composite_tap_count(cfg: ChannelConfig, xi: int = 0) -> int:
     """Tap count of the combined response seen by the receiver.

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -178,14 +177,6 @@ def _stream_key(value: int, name: str) -> int:
     return value
 
 
-def _env_int(name: str, default: int) -> int:
-    text = os.environ.get(name)
-    try:
-        return default if text is None else int(text)
-    except ValueError:
-        raise ScenarioError(f"{name}={text!r} is not an integer") from None
-
-
 def load_scenario_file(path: str) -> dict:
     """Read a scenario by path or bundled name (e.g. 'paper_default')."""
     p = Path(path)
@@ -292,11 +283,7 @@ def _resolve_run(args):
         values, run, seed = _read_manifest(args.from_manifest)
     else:
         values = load_scenario_file(args.scenario)
-        seed = flags.pop("seed", None)
-        if seed is not None:
-            _stream_key(seed, "--seed ")
-        elif args.command != "theory":  # theory draws nothing
-            seed = _stream_key(_env_int("SROFDM_SEED", 1), "SROFDM_SEED=")
+        seed = _stream_key(flags.pop("seed", 1), "--seed ")
         run = flags
     scenario, run = resolve_scenario({**values, **run})
     return values, scenario, run, seed
@@ -328,8 +315,7 @@ def cmd_sweep(args) -> int:
     values, scenario, run, seed = _resolve_run(args)
     spec = SweepSpec(axis=run["axis"], points=parse_points(run["points"]), trials_per_point=run["trials"],
                      receivers=run["receivers"], with_theory=run["with_theory"])
-    workers = _env_int("SROFDM_WORKERS", 1) if args.workers is None else args.workers
-    curves = run_sweep(spec, scenario, master_seed=seed, workers=workers)
+    curves = run_sweep(spec, scenario, master_seed=seed, workers=args.workers)
     csvs = {
         name: (f"{spec.axis}__{name}.csv", [
             _row(p.point, name, curve.csi, p.ber_primary, p.ci_primary, p.ber_secondary, p.ci_secondary,
@@ -437,25 +423,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", nargs="?", default="paper_default",
                        help="scenario file path or bundled name")
         p.add_argument("--axis", choices=tuple(SWEEP_AXES), default=None)
-        p.add_argument("--points", default=None, help="start:stop:step or comma list")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--quiet", action="store_true")
 
     sw = sub.add_parser("sweep", help="run a Monte Carlo sweep")
     common(sw)
+    sw.add_argument("--points", default=None, help="start:stop:step or comma list")
     sw.add_argument("--trials", type=int, default=None)
     sw.add_argument("--receivers", default=None, help="comma list of receiver names")
-    sw.add_argument("--workers", type=int, default=None)
+    sw.add_argument("--seed", type=int, default=None, help="master seed (default 1)")
+    sw.add_argument("--workers", type=int, default=1)
     sw.add_argument("--out", default="out", help="output directory")
     sw.add_argument("--theory", dest="with_theory", action=argparse.BooleanOptionalAction, default=None,
                     help="attach per-realization analytic companions")
     sw.add_argument("--from-manifest", default=None,
                     help="replay a previous run from its manifest.json")
+    sw.add_argument("--quiet", action="store_true")
     sw.set_defaults(func=cmd_sweep)
 
     th = sub.add_parser("theory", help="evaluate closed-form curves only")
     common(th)
+    th.add_argument("--points", default=None, help="start:stop:step or comma list")
     th.add_argument("--out", default="out", help="output directory")
+    th.add_argument("--quiet", action="store_true")
     th.set_defaults(func=cmd_theory)
 
     sg = sub.add_parser("single", help="verbose dump of one trial")
@@ -463,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--trial", type=int, default=0)
     sg.add_argument("--value", type=float, default=None, help="axis value for the trial")
     sg.add_argument("--receivers", default=None)
+    sg.add_argument("--seed", type=int, default=None, help="master seed (default 1)")
     sg.set_defaults(func=cmd_single)
     return ap
 

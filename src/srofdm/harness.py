@@ -18,6 +18,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -157,7 +158,18 @@ class Scenario:
     sync_error: int = 0
 
     def validate(self):
-        self.system.validate_with_channel(self.chan, self.sync_error)
+        """Joint feasibility: the taps fit the CP, the pilot comb resolves the
+        synchronized composite response, and the sync error lies in a symbol."""
+        system, chan = self.system, self.chan
+        if chan.l_d > system.n_cp:
+            raise ValueError(f"direct taps {chan.l_d} exceed CP length {system.n_cp}")
+        if chan.l_b + chan.d_b > system.n_cp:
+            raise ValueError(f"backscatter span {chan.l_b}+{chan.d_b} exceeds CP length {system.n_cp}")
+        taps = composite_tap_count(chan)
+        if system.n_p and system.n_p < taps:
+            raise ValueError(f"{system.n_p} pilots cannot resolve {taps} composite taps")
+        if not 0 <= self.sync_error < system.symbol_period:
+            raise ValueError(f"sync error {self.sync_error} outside [0, {system.symbol_period})")
 
 
 def transmit_power(scenario: Scenario, chan: ChannelConfig) -> float:
@@ -257,6 +269,8 @@ class SweepSpec:
         pts = np.asarray(self.points, dtype=float)
         if pts.size == 0 or np.any(np.diff(pts) <= 0):
             raise ScenarioError("sweep points must be strictly increasing")
+        if not isinstance(self.trials_per_point, Integral):
+            raise ScenarioError(f"trials per point must be an integer, got {self.trials_per_point!r}")
         if self.trials_per_point < 10**3:
             raise ScenarioError(
                 f"need at least 10^3 trials per point, got {self.trials_per_point}")
@@ -494,8 +508,11 @@ def _prepare(scenario: Scenario, axis: str, values, receivers) -> tuple:
     ChannelConfig, xi), after every check that can fail before a draw."""
     scenario.validate()
     _check_receivers(receivers)
+    system = scenario.system
+    if system.n_p == system.n:
+        raise ScenarioError(f"n_p = {system.n_p} pilots leave no data subcarrier of n = {system.n}")
     for r in receivers:
-        if not scenario.system.n_p and "pilot_ls" in RECEIVERS[r].stages:
+        if not system.n_p and "pilot_ls" in RECEIVERS[r].stages:
             raise ScenarioError(f"receiver {r!r} estimates from pilots, and n_p = 0 places none")
     points = tuple((float(v), *apply_axis(scenario, axis, float(v))) for v in values)
     return _receive_path(axis, scenario.sync_error), points
@@ -520,11 +537,13 @@ def run_sweep(
     Every point is resolved first, so a point that cannot run fails the
     sweep before any trial is drawn. Trials then split into fixed-size
     ranges, and one task draws a range once and runs every point on it.
-    With more than one worker the tasks run on one process pool, created
-    once per sweep; workers beyond the number of ranges idle. Each point's
+    The tasks run on one process pool of min(workers, ranges) processes,
+    created once per sweep, or in this process when that is 1. Each point's
     ranges are reduced in index order, so error counts and companion sums
     are identical for any worker count.
     """
+    if not isinstance(workers, Integral):
+        raise ScenarioError(f"the worker count must be an integer, got {workers!r}")
     if workers < 1:
         raise ScenarioError(f"need at least 1 worker, got {workers}")
     path, points = _prepare(scenario, spec.axis, spec.points, spec.receivers)
@@ -538,8 +557,9 @@ def run_sweep(
         name: {value: PointResult(point=value) for value, *_ in points}
         for name in spec.receivers
     }
-    # one pool for the whole sweep; map yields in submission order
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    # one pool for the whole sweep, no larger than the work; map yields in submission order
+    processes = min(workers, len(tasks))
+    with ProcessPoolExecutor(max_workers=processes) if processes > 1 else nullcontext() as pool:
         outputs = pool.map(_process_chunk, tasks, chunksize=1) if pool else map(_process_chunk, tasks)
         for per_point in outputs:  # fixed range order
             for (value, *_), results in zip(points, per_point):

@@ -14,12 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from srofdm.channel import (
-    ChannelConfig,
-    ChannelRealization,
-    composite_response,
-    composite_tap_count,
-)
+from srofdm.channel import ChannelRealization, composite_response
 
 __all__ = [
     "QamAlphabet",
@@ -212,18 +207,6 @@ class SystemConfig:
     @property
     def symbol_period(self) -> int:
         return self.n + self.n_cp
-
-    def validate_with_channel(self, ch: ChannelConfig, xi: int = 0):
-        """Joint feasibility: taps fit the CP and the pilot comb can resolve
-        the synchronized composite response."""
-        ch.validate_against_cp(self.n_cp)
-        taps = composite_tap_count(ch)
-        if self.n_p and self.n_p < taps:
-            raise ValueError(
-                f"{self.n_p} pilots cannot resolve {taps} composite taps"
-            )
-        if xi < 0 or xi >= self.n + self.n_cp:
-            raise ValueError(f"sync error {xi} outside [0, {self.n + self.n_cp})")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ from srofdm.channel import (
     pathloss,
     realization_from_taps,
 )
+from srofdm.harness import Scenario
 from srofdm.numerics import RandomStream
+from srofdm.txchain import SystemConfig
 
 
 class TestPathloss:
@@ -77,9 +79,9 @@ class TestChannelConfig:
 
     def test_cp_validation(self):
         cfg = ChannelConfig(l_d=4, l_1=1, l_2=2, d_b=1)
-        cfg.validate_against_cp(16)
+        Scenario(SystemConfig(n_cp=16), cfg).validate()
         with pytest.raises(ValueError):
-            cfg.validate_against_cp(3)
+            Scenario(SystemConfig(n_cp=3), cfg).validate()
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 import json
+import re
+import shlex
 import warnings
 from dataclasses import replace
-from types import NoneType
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,20 @@ from srofdm.cli import (
 from srofdm.channel import composite_tap_count, draw_link_taps
 from srofdm.harness import RECEIVERS, SWEEP_AXES, SweepSpec, apply_axis, run_sweep
 from srofdm.numerics import RandomStream
+
+
+def test_readme_command_lines_parse():
+    # the docs show no flag that a command refuses
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("srofdm ")]
+    assert len(commands) >= 4
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README shows a command the parser refuses: srofdm {' '.join(argv)}")
 
 
 class TestScenarioParsing:
@@ -255,21 +270,32 @@ class TestSweepCommand:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("var", ["SROFDM_SEED", "SROFDM_WORKERS"])
-    def test_bad_environment_exits_1(self, tmp_path, capsys, monkeypatch, fast_scenario, var):
-        monkeypatch.setenv(var, "abc")
-        argv = ["sweep", str(fast_scenario), "--points", "20", "--out", str(tmp_path / "x"), "--quiet"]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert f"{var}='abc' is not an integer" in err and "runtime error" not in err
-        assert not (tmp_path / "x").exists()
-        if var == "SROFDM_SEED":
-            assert main(["single", str(fast_scenario)]) == 1
-            assert f"{var}='abc'" in capsys.readouterr().err
-        else:
-            monkeypatch.setenv(var, "0")
-            assert main(argv) == 1
-            assert "at least 1 worker" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["single", "paper_default", "--points", "15"],
+        ["single", "paper_default", "--points", "garbage"],
+        ["single", "paper_default", "--quiet"],
+        ["theory", "paper_default", "--seed", "3"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
+
+    def test_environment_does_not_change_the_output(self, tmp_path, capsys, monkeypatch, fast_scenario):
+        sweep = ["sweep", str(fast_scenario), "--points", "20", "--trials", "1000", "--quiet"]
+        single = ["single", str(fast_scenario), "--trial", "3"]
+        assert main(sweep + ["--out", str(tmp_path / "plain")]) == 0
+        assert main(single) == 0
+        plain = capsys.readouterr()
+        monkeypatch.setenv("SROFDM_SEED", "5")
+        monkeypatch.setenv("SROFDM_WORKERS", "abc")
+        assert main(sweep + ["--out", str(tmp_path / "env")]) == 0
+        assert main(single) == 0
+        assert capsys.readouterr() == plain
+        for f in sorted(p.name for p in (tmp_path / "plain").iterdir()):
+            assert (tmp_path / "plain" / f).read_bytes() == (tmp_path / "env" / f).read_bytes()
+        assert json.loads((tmp_path / "env" / "manifest.json").read_text())["master_seed"] == 1
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda m: m["scenario"].update(n="64"), "manifest.json: n: '64' should be written as 64",
@@ -342,21 +368,17 @@ class TestSweepCommand:
             assert message in err and "runtime error" not in err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("argv, seed_env, message", [
-        (["sweep", "--seed", "-1"], None, "--seed -1 is outside [0, 2^64)"),
-        (["sweep", "--seed", str(2**64)], None, f"--seed {2**64} is outside [0, 2^64)"),
-        (["theory", "--seed", "-1"], None, "--seed -1 is outside [0, 2^64)"),
-        (["single", "--seed", str(2**64)], None, f"--seed {2**64} is outside [0, 2^64)"),
-        (["sweep"], "-1", "SROFDM_SEED=-1 is outside [0, 2^64)"),
-        (["single"], str(2**64), f"SROFDM_SEED={2**64} is outside [0, 2^64)"),
-        # ran the same trial as --trial 18446744073709551615
-        (["single", "--trial", "-1"], None, "--trial -1 is outside [0, 2^64)"),
-        (["single", "--trial", str(2**64)], None, f"--trial {2**64} is outside [0, 2^64)"),
+    @pytest.mark.parametrize("argv, message", [  # ids numbered as when environment cases sat among them
+        pytest.param(argv, message, id=f"argv{i}-None-{message}") for i, argv, message in (
+            (0, ["sweep", "--seed", "-1"], "--seed -1 is outside [0, 2^64)"),
+            (1, ["sweep", "--seed", str(2**64)], f"--seed {2**64} is outside [0, 2^64)"),
+            (3, ["single", "--seed", str(2**64)], f"--seed {2**64} is outside [0, 2^64)"),
+            # ran the same trial as --trial 18446744073709551615
+            (6, ["single", "--trial", "-1"], "--trial -1 is outside [0, 2^64)"),
+            (7, ["single", "--trial", str(2**64)], f"--trial {2**64} is outside [0, 2^64)"),
+        )
     ])
-    def test_seed_or_trial_out_of_range_exits_1(self, tmp_path, capsys, monkeypatch, fast_scenario,
-                                                argv, seed_env, message):
-        if seed_env is not None:
-            monkeypatch.setenv("SROFDM_SEED", seed_env)
+    def test_seed_or_trial_out_of_range_exits_1(self, tmp_path, capsys, fast_scenario, argv, message):
         out = [] if argv[0] == "single" else ["--out", str(tmp_path / "x"), "--quiet"]
         trials = ["--points", "20", "--trials", "1000"] if argv[0] == "sweep" else []
         assert main(argv[:1] + [str(fast_scenario)] + argv[1:] + trials + out) == 1
@@ -645,8 +667,7 @@ def _check_resolved(argv):
     assert np.allclose(np.abs(system.preamble), 1) and abs(np.sum(system.preamble)) <= 1e-9
     assert system.n_max > system.t_preamble
     assert set(run) == set(_SWEEP_KEYS) and type(run["with_theory"]) is bool
-    assert isinstance(run["receivers"], tuple) and type(seed) is (NoneType if argv[0] == "theory" else int)
-    assert seed is None or 0 <= seed < 2**64
+    assert isinstance(run["receivers"], tuple) and type(seed) is int and 0 <= seed < 2**64
     assert system.n_p < system.n
 
 
@@ -684,7 +705,8 @@ class TestResolveProperties:
     def _check_file(tmp_path_factory, command, lines, points=None):
         path = tmp_path_factory.getbasetemp() / "generated.txt"
         path.write_text("".join(f"{key} = {text}\n" for key, text in lines.items()))
-        _check_resolved([command, str(path)] + ([] if points is None else [f"--points={points}"]))
+        flags = [] if points is None or command == "single" else [f"--points={points}"]  # single reads none
+        _check_resolved([command, str(path)] + flags)
 
     @pytest.mark.parametrize("key", sorted(_SCENARIO_KEYS))
     @given(data=st.data(), command=_COMMAND)

@@ -123,6 +123,7 @@ class TestSweepSpec:
         dict(points=(10.0, 10.0)),
         dict(trials_per_point=5),
         dict(receivers=("magic",)),
+        dict(trials_per_point=1000.0),  # failed later: 'float' object cannot be interpreted as an integer
     ])
     def test_rejections_are_scenario_errors(self, bad):
         kw = dict(axis="direct_snr_db", points=(10.0,), trials_per_point=1000)
@@ -207,6 +208,40 @@ class TestSweep:
         spec = SweepSpec(axis="direct_snr_db", points=(20.0,), trials_per_point=1000)
         with pytest.raises(ScenarioError, match=f"at least 1 worker, got {workers}"):
             run_sweep(spec, paper_scenario(), master_seed=1, workers=workers)
+
+    @pytest.mark.parametrize("workers", [2.0, "2"])
+    def test_worker_count_that_is_not_an_integer_rejected(self, workers):
+        spec = SweepSpec(axis="direct_snr_db", points=(20.0,), trials_per_point=1000)
+        with pytest.raises(ScenarioError, match=f"worker count must be an integer, got {workers!r}"):
+            run_sweep(spec, paper_scenario(), master_seed=1, workers=workers)
+
+    @pytest.mark.parametrize("workers, trials, processes", [
+        (64, 1000, 4),  # 4 ranges
+        (3, 1024, 3),
+        (1, 1024, None),  # no pool
+    ])
+    def test_pool_is_no_larger_than_the_work(self, monkeypatch, workers, trials, processes):
+        created = []
+
+        class InProcessPool:  # records its size and maps here, so no process is started
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        spec = SweepSpec(axis="direct_snr_db", points=(20.0,), trials_per_point=trials,
+                         receivers=("perfect_csi",), with_theory=False)
+        curve = run_sweep(spec, paper_scenario(), master_seed=3, workers=workers)["perfect_csi"]
+        assert created == ([] if processes is None else [processes])
+        assert curve.points[0].trials == trials
 
     def test_one_pool_per_sweep(self, monkeypatch):
         created = []
@@ -421,6 +456,19 @@ class TestDrawOnce:
                          receivers=("perfect_csi", "proposed_m2"))
         with pytest.raises(ScenarioError, match="direct_snr_db = 4000"):
             run_sweep(spec, paper_scenario(), master_seed=1)
+
+    def test_comb_without_data_subcarrier_fails_before_any_draw(self, monkeypatch):
+        # ran with numpy RuntimeWarnings and returned NaN primary BER and theory
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(harness, "draw_trials", no_draws)
+        scen = paper_scenario(system=dict(n_p=64))
+        spec = SweepSpec(axis="direct_snr_db", points=(20.0,), trials_per_point=1000, receivers=("perfect_csi",))
+        with pytest.raises(ScenarioError, match="n_p = 64 pilots leave no data subcarrier of n = 64"):
+            run_sweep(spec, scen, master_seed=1)
+        with pytest.raises(ScenarioError, match="n_p = 64 pilots leave no data subcarrier of n = 64"):
+            run_trial(scen, "direct_snr_db", 20.0, 0, 1, ("ml_perfect",))
 
     def test_pilot_receiver_without_pilots_fails_before_any_draw(self, monkeypatch):
         scen = paper_scenario(system=dict(n_p=0))

@@ -4,6 +4,7 @@ import pytest
 from oracles import composite_cir, draw_noise, draw_primary, draw_secondary
 from srofdm import txchain
 from srofdm.channel import ChannelConfig, draw_channel, realization_from_taps
+from srofdm.harness import Scenario
 from srofdm.numerics import RandomStream, draw_cn
 from srofdm.txchain import (
     FrameObservation,
@@ -170,13 +171,11 @@ class TestSystemConfig:
 
     def test_validate_with_channel(self):
         cfg = paper_cfg()
-        cfg.validate_with_channel(ChannelConfig())
+        Scenario(cfg, ChannelConfig()).validate()
         with pytest.raises(ValueError):
             # 4 pilots cannot resolve the 4-tap composite response... they can;
             # shrink to 2 pilots to trigger the failure
-            paper_cfg(n_p=2).validate_with_channel(
-                ChannelConfig()
-            )
+            Scenario(paper_cfg(n_p=2), ChannelConfig()).validate()
 
     def test_data_subcarrier_bookkeeping(self):
         cfg = paper_cfg()
