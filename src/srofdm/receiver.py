@@ -30,6 +30,8 @@ __all__ = [
     "detect_secondary",
     "run_algorithm1",
     "run_ml_benchmark",
+    "MlCandidates",
+    "ml_candidates",
     "ml_symbol_metrics",
 ]
 
@@ -200,22 +202,50 @@ def _effective_backscatter(real: ChannelRealization, xi: int) -> np.ndarray:
     return real.H_b * np.exp(-2j * np.pi * np.arange(n) * xi / n)
 
 
-def ml_symbol_metrics(
-    y: np.ndarray,
+@dataclass(frozen=True)
+class MlCandidates:
+    """The terms of an ML search that do not depend on the received symbol,
+    for one set of secondary candidates: a = sqrt(P)(H_d + c H_b) on the
+    searched and the pilot subcarriers, the entries where every QAM point
+    ties, and the divisor of the slicer. Built by `ml_candidates`."""
+
+    values: np.ndarray = field(repr=False)  # (n_cand,) the candidates c
+    searched: np.ndarray = field(repr=False)  # subcarriers of the QAM search
+    pilots: np.ndarray = field(repr=False)  # comb subcarriers in the metric, if any
+    a_d: np.ndarray = field(repr=False)  # (..., n_cand, n_searched)
+    a_p: np.ndarray = field(repr=False)  # (..., n_cand, n_pilots)
+    tied: np.ndarray = field(repr=False)  # |a_d| zero or subnormal
+    divisor: np.ndarray = field(repr=False)  # a_d, 1 where tied
+
+
+def ml_candidates(
     h_d: np.ndarray,
     h_b: np.ndarray,
     cfg: SystemConfig,
     *,
     pilot_structure: bool = True,
     candidates: Optional[np.ndarray] = None,
-):
+) -> MlCandidates:
+    """The search terms of the secondary candidates (the PSK alphabet by
+    default) against the responses h_d and h_b. With pilot_structure the
+    comb carries its known symbol; without it every subcarrier is searched."""
+    values = cfg.psk.points if candidates is None else np.asarray(candidates)
+    searched = cfg.data_indices if pilot_structure else np.arange(cfg.n)
+    pilots = cfg.pilot_indices if pilot_structure else cfg.pilot_indices[:0]
+    a = np.sqrt(cfg.p_t) * composite_response(h_d, h_b, values)  # (..., n_cand, n)
+    a_d = np.take(a, searched, axis=-1)
+    tied = np.abs(a_d) < np.finfo(float).tiny
+    return MlCandidates(values, searched, pilots, a_d, a[..., pilots], tied, np.where(tied, 1, a_d))
+
+
+def ml_symbol_metrics(y: np.ndarray, cands: MlCandidates, cfg: SystemConfig):
     """Two-step ML metric for one OFDM symbol (batched over leading dims).
 
     For every secondary candidate c the per-subcarrier minimum over the QAM
     alphabet of |Y_k - a_k S|^2, a_k = sqrt(P)(H_d,k + c H_b,k), is
     accumulated; pilot subcarriers contribute their known symbol instead of a
     search. Returns (totals, s_idx) with totals shaped (..., n_candidates)
-    and s_idx the per-candidate data-subcarrier decisions.
+    and s_idx the per-candidate decisions on the searched subcarriers.
 
     The minimiser is the rail slicer on Y_k / a_k, and the distance is
     recomputed from the sliced point, so totals and decisions are those of an
@@ -225,25 +255,22 @@ def ml_symbol_metrics(
     scan's rounded distances tied where the slicer still separates them.)
     """
     y = np.asarray(y)
-    cands = cfg.psk.points if candidates is None else np.asarray(candidates)
-    data_idx = cfg.data_indices if pilot_structure else np.arange(cfg.n)
-    a = np.sqrt(cfg.p_t) * composite_response(h_d, h_b, cands)
-    a = np.broadcast_to(a, y.shape[:-1] + a.shape[-2:])  # (..., n_cand, n)
-    y_d = np.take(y, data_idx, axis=-1)[..., None, :]
-    # np.take keeps the subcarrier axis contiguous, so the sum over it below
-    # is numpy's pairwise one, as in the scan
-    a_d = np.take(a, data_idx, axis=-1)
-    tied = np.abs(a_d) < np.finfo(float).tiny
+    y_d = np.take(y, cands.searched, axis=-1)[..., None, :]
     with np.errstate(over="ignore"):
-        s_idx = cfg.qam.detect(y_d / np.where(tied, 1, a_d))
-    s_idx[tied] = 0
-    # np.multiply, not *, keeps a_d the first factor: numpy's fused complex
-    # product rounds differently with the operands swapped, which operator
-    # temporaries of 256 KiB and more would do
-    totals = np.sum(np.abs(y_d - np.multiply(a_d, cfg.qam.points[s_idx])) ** 2, axis=-1)
-    if pilot_structure and cfg.n_p:  # the pilot symbols are 1
-        pilots = cfg.pilot_indices
-        totals += np.sum(np.abs(y[..., None, pilots] - a[..., pilots]) ** 2, axis=-1)
+        s_idx = cfg.qam.detect(y_d / cands.divisor)
+    np.copyto(s_idx, 0, where=cands.tied)
+    # |y_d - a_d S|^2 in one buffer, summed over its contiguous subcarrier
+    # axis (numpy's pairwise sum, as in the scan). np.multiply, not *, keeps
+    # a_d the first factor: numpy's fused complex product rounds differently
+    # with the operands swapped, which operator temporaries of 256 KiB and
+    # more would do
+    err = np.take(cfg.qam.points, s_idx)
+    np.multiply(cands.a_d, err, out=err)
+    np.subtract(y_d, err, out=err)
+    dist = np.abs(err)
+    totals = np.sum(np.square(dist, out=dist), axis=-1)
+    if cands.pilots.size:  # the pilot symbols are 1
+        totals += np.sum(np.abs(y[..., None, cands.pilots] - cands.a_p) ** 2, axis=-1)
     return totals, s_idx
 
 
@@ -262,7 +289,8 @@ def run_ml_benchmark(
     With pilot_structure the comb symbols are fixed in the metric and the
     preamble symbols are known; without it every subcarrier is searched and
     every symbol's secondary value is a free candidate (which leaves a sign
-    ambiguity when the direct path is absent).
+    ambiguity when the direct path is absent). Each candidate set's terms
+    (the PSK alphabet, or one known preamble value) are built once per call.
     """
     y = obs.y
     n_sym = y.shape[-2]
@@ -270,18 +298,19 @@ def run_ml_benchmark(
     s_hat = np.empty(batch + (n_sym, cfg.n_data), dtype=np.int64)
     c_dec = np.empty(batch + (n_sym,), dtype=np.int64)
     c_val = np.empty(batch + (n_sym,), dtype=complex)
+    free = ml_candidates(h_d, h_b, cfg, pilot_structure=pilot_structure)
+    known = ([ml_candidates(h_d, h_b, cfg, candidates=[c]) for c in cfg.preamble]
+             if pilot_structure else [])  # one candidate per known preamble symbol
     for m in range(n_sym):
-        known = pilot_structure and m < cfg.t_preamble  # a preamble symbol
-        cands = np.asarray([cfg.preamble[m]]) if known else cfg.psk.points
-        totals, s_idx = ml_symbol_metrics(y[..., m, :], h_d, h_b, cfg,
-                                          pilot_structure=pilot_structure, candidates=cands)
+        cands = known[m] if m < len(known) else free
+        totals, s_idx = ml_symbol_metrics(y[..., m, :], cands, cfg)
         pick = np.argmin(totals, axis=-1)
-        c_dec[..., m] = pick if len(cands) > 1 else -1
+        c_dec[..., m] = pick if len(cands.values) > 1 else -1
         chosen = np.take_along_axis(s_idx, pick[..., None, None], axis=-2)[..., 0, :]
         if not pilot_structure:  # keep only the data positions for error accounting
             chosen = chosen[..., cfg.data_indices]
         s_hat[..., m, :] = chosen
-        c_val[..., m] = cands[pick]
+        c_val[..., m] = cands.values[pick]
     h_hat = composite_response(h_d, h_b, c_val)
     return DetectionOutput(
         s_hat=s_hat,

@@ -64,13 +64,26 @@ class QamAlphabet:
         return self.order.bit_length() - 1
 
     def detect(self, z: np.ndarray) -> np.ndarray:
-        """Nearest-point decision; rail slicing, exact for the square grid."""
+        """Nearest-point decision; rail slicing, exact for the square grid.
+        Each rail is clip(rint((x * scale + m - 1) / 2), 0, m - 1), worked
+        in place in one buffer."""
         z = np.asarray(z)
+        if z.ndim == 0:  # ufuncs return scalars there, which take no out=
+            return self.detect(z[None])[0]
         m = int(round(np.sqrt(self.order)))
         scale = np.sqrt(2.0 * (self.order - 1) / 3.0)
-        re_idx = np.clip(np.rint((z.real * scale + (m - 1)) / 2.0), 0, m - 1)
-        im_idx = np.clip(np.rint((z.imag * scale + (m - 1)) / 2.0), 0, m - 1)
-        return (re_idx * m + im_idx).astype(np.int64)
+        idx = self._rail(z.real, scale, m)
+        idx *= m
+        idx += self._rail(z.imag, scale, m)
+        return idx.astype(np.int64)
+
+    @staticmethod
+    def _rail(x: np.ndarray, scale: float, m: int) -> np.ndarray:
+        r = np.multiply(x, scale)
+        r += m - 1
+        r *= 0.5  # exactly / 2
+        np.rint(r, out=r)
+        return np.clip(r, 0, m - 1, out=r)
 
     def bit_errors(self, tx_idx: np.ndarray, rx_idx: np.ndarray) -> np.ndarray:
         return _POPCOUNT[self.labels[tx_idx] ^ self.labels[rx_idx]]

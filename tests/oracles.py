@@ -8,7 +8,9 @@ level and decision edge (`telescoped_qam_error_rates`), a Monte Carlo of the met
 expectation, the method-2 tap fit by a batched QR of the full N x L
 system, the general least-squares solves that the comb and the zero-sum
 preamble reduce to closed forms (`qr_pilot_gain`, `gram_pilot_leverage`,
-`lstsq_separate_links`), the receivers composed by flags, each rerunning its whole chain
+`lstsq_separate_links`), the two-rail QAM slicer worked in fresh arrays
+(`rail_slicer`), the ML metric as an exhaustive scan over the QAM alphabet
+(`exhaustive_ml_symbol_metrics`), the receivers composed by flags, each rerunning its whole chain
 (`flag_run_algorithm1`, `flag_run_ml_benchmark`), which the stage chains of
 `srofdm.harness.RECEIVERS` must reproduce bit for bit, and a frame batch
 drawn and received one trial and one point at a time with one `draw_cn` per
@@ -27,6 +29,7 @@ from srofdm.receiver import (
     detect_primary,
     detect_secondary,
     full_symbol_vector,
+    ml_candidates,
     ml_symbol_metrics,
     reestimate_method1,
     reestimate_method2,
@@ -190,6 +193,49 @@ def lstsq_separate_links(h_hat: np.ndarray, preamble):
     return (s2 * r0 - s1 * r1) / det, (t * r1 - np.conj(s1) * r0) / det
 
 
+def rail_slicer(qam, z):
+    """QamAlphabet.detect as two rails, each worked in fresh arrays."""
+    z = np.asarray(z)
+    m = int(round(np.sqrt(qam.order)))
+    scale = np.sqrt(2.0 * (qam.order - 1) / 3.0)
+    re_idx = np.clip(np.rint((z.real * scale + (m - 1)) / 2.0), 0, m - 1)
+    im_idx = np.clip(np.rint((z.imag * scale + (m - 1)) / 2.0), 0, m - 1)
+    return (re_idx * m + im_idx).astype(np.int64)
+
+
+def exhaustive_ml_symbol_metrics(y, cands, cfg):
+    """Reference ML metric on the terms of `ml_candidates`: scan every QAM
+    point for every candidate and keep the first strict minimum, which leaves
+    index 0 where every point ties. ml_symbol_metrics must reproduce it bit
+    for bit."""
+    y = np.asarray(y)
+    y_d = y[..., cands.searched]
+    batch = np.broadcast_shapes(y.shape[:-1], cands.a_d.shape[:-2])
+    totals = np.empty(batch + (len(cands.values),))
+    s_out = np.empty(batch + cands.a_d.shape[-2:], dtype=np.int64)
+    for ci in range(len(cands.values)):
+        a_d = cands.a_d[..., ci, :]
+        best = np.full(batch + y_d.shape[-1:], np.inf)
+        best_idx = np.zeros(best.shape, dtype=np.int64)
+        for si, s in enumerate(cfg.qam.points):
+            d = np.abs(y_d - a_d * s) ** 2
+            better = d < best
+            best = np.where(better, d, best)
+            best_idx = np.where(better, si, best_idx)
+        totals[..., ci] = best.sum(axis=-1)
+        s_out[..., ci, :] = best_idx
+    if cands.pilots.size:  # the pilot symbols are 1, for every candidate in one sum
+        totals += np.sum(np.abs(y[..., None, cands.pilots] - cands.a_p) ** 2, axis=-1)
+    return totals, s_out
+
+
+def assert_same_metrics(got, want):
+    assert got[0].shape == want[0].shape and got[0].dtype == want[0].dtype
+    assert got[1].shape == want[1].shape and got[1].dtype == want[1].dtype
+    assert np.array_equal(got[0], want[0])  # totals, bit for bit
+    assert np.array_equal(got[1], want[1])
+
+
 def _true_composite(real: ChannelRealization, c_values: np.ndarray, xi: int = 0) -> np.ndarray:
     return composite_response(real.H_d, _effective_backscatter(real, xi), c_values)
 
@@ -303,9 +349,9 @@ def flag_run_ml_benchmark(
             cands = np.asarray([cfg.preamble[m]])
         else:
             cands = cfg.psk.points
-        totals, s_idx = ml_symbol_metrics(
-            y[..., m, :], h_d, h_b, cfg, pilot_structure=pilot_structure, candidates=cands
-        )
+        # the candidate terms are rebuilt for every symbol
+        terms = ml_candidates(h_d, h_b, cfg, pilot_structure=pilot_structure, candidates=cands)
+        totals, s_idx = ml_symbol_metrics(y[..., m, :], terms, cfg)
         pick = np.argmin(totals, axis=-1)
         c_dec[..., m] = pick if len(cands) > 1 else -1
         chosen = np.take_along_axis(s_idx, pick[..., None, None], axis=-2)[..., 0, :]

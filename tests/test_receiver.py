@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    assert_same_metrics,
     draw_noise,
     draw_primary,
     draw_secondary,
+    exhaustive_ml_symbol_metrics,
     flag_run_algorithm1,
     flag_run_ml_benchmark,
     lstsq_separate_links,
@@ -26,6 +28,7 @@ from srofdm.receiver import (
     detect_primary,
     detect_secondary,
     full_symbol_vector,
+    ml_candidates,
     ml_symbol_metrics,
     reestimate_method1,
     reestimate_method2,
@@ -509,9 +512,8 @@ class TestMlBenchmark:
         u = draw_noise(cfg, RandomStream(64, 3), s.shape)
         obs = frequency_domain_rx(s, c, real, cfg, noise=u, s_indices=si, c_indices=ci)
         for m in range(cfg.n_max):
-            totals, _ = ml_symbol_metrics(
-                obs.y[m], real.H_d, real.H_b, cfg, pilot_structure=False
-            )
+            cands = ml_candidates(real.H_d, real.H_b, cfg, pilot_structure=False)
+            totals, _ = ml_symbol_metrics(obs.y[m], cands, cfg)
             assert totals[0] == totals[1]  # exact tie, bit for bit
 
     def test_proposed_within_half_db_of_ml_perfect_csi(self):
@@ -550,39 +552,6 @@ class TestMlBenchmark:
         np.testing.assert_array_equal(out.c_hat, obs.c_indices)
 
 
-def exhaustive_ml_symbol_metrics(
-    y, h_d, h_b, cfg, *, pilot_structure=True, candidates=None
-):
-    """Reference ML metric: scan every QAM point for every candidate and keep
-    the first strict minimum. ml_symbol_metrics must reproduce it bit for bit."""
-    y = np.asarray(y)
-    cands = cfg.psk.points if candidates is None else np.asarray(candidates)
-    data_idx = cfg.data_indices if pilot_structure else np.arange(cfg.n)
-    sqrtp = np.sqrt(cfg.p_t)
-    totals = np.empty(y.shape[:-1] + (len(cands),))
-    s_out = np.empty(y.shape[:-1] + (len(cands), len(data_idx)), dtype=np.int64)
-    a_all = []
-    for ci, c in enumerate(cands):
-        a = sqrtp * (np.asarray(h_d) + c * np.asarray(h_b))
-        a = np.broadcast_to(a, y.shape)
-        y_d, a_d = y[..., data_idx], a[..., data_idx]
-        best = np.full(y_d.shape, np.inf)
-        best_idx = np.zeros(y_d.shape, dtype=np.int64)
-        for si, s in enumerate(cfg.qam.points):
-            d = np.abs(y_d - a_d * s) ** 2
-            better = d < best
-            best = np.where(better, d, best)
-            best_idx = np.where(better, si, best_idx)
-        total = best.sum(axis=-1)
-        totals[..., ci] = total
-        s_out[..., ci, :] = best_idx
-        a_all.append(a)
-    if pilot_structure and cfg.n_p:  # the pilot symbols are 1, for every candidate in one sum
-        pilots = cfg.pilot_indices
-        totals += np.sum(np.abs(y[..., None, pilots] - np.stack(a_all, axis=-2)[..., pilots]) ** 2, axis=-1)
-    return totals, s_out
-
-
 def random_ml_symbol(rng, cfg, shape):
     """Rayleigh direct and (10 dB weaker) backscatter responses and one
     received symbol per batch entry, at cfg's P and noise power."""
@@ -595,13 +564,6 @@ def random_ml_symbol(rng, cfg, shape):
     c = cfg.psk.points[rng.integers(0, cfg.m_c, shape)][..., None]
     y = np.sqrt(cfg.p_t) * (h_d + c * h_b) * s + cn(np.sqrt(cfg.sigma2))
     return y, h_d, h_b
-
-
-def assert_same_metrics(got, want):
-    assert got[0].shape == want[0].shape and got[0].dtype == want[0].dtype
-    assert got[1].shape == want[1].shape and got[1].dtype == want[1].dtype
-    assert np.array_equal(got[0], want[0])  # totals, bit for bit
-    assert np.array_equal(got[1], want[1])
 
 
 class TestMlSearchOracle:
@@ -620,12 +582,34 @@ class TestMlSearchOracle:
                 if snr_db == -10:  # noise-dominated: the slicer clips
                     z = y / (np.sqrt(cfg.p_t) * h_d)
                     assert np.mean(np.abs(z.real) > np.max(cfg.qam.points.real)) > 0.2
-                for cands in (None, cfg.psk.points[[3]]):
-                    kw = dict(pilot_structure=pilot_structure, candidates=cands)
+                for values in (None, cfg.psk.points[[3]]):
+                    cands = ml_candidates(h_d, h_b, cfg, pilot_structure=pilot_structure,
+                                          candidates=values)
                     assert_same_metrics(
-                        ml_symbol_metrics(y, h_d, h_b, cfg, **kw),
-                        exhaustive_ml_symbol_metrics(y, h_d, h_b, cfg, **kw),
+                        ml_symbol_metrics(y, cands, cfg),
+                        exhaustive_ml_symbol_metrics(y, cands, cfg),
                     )
+
+    @pytest.mark.parametrize("pilot_structure", [True, False])
+    def test_candidate_terms_are_the_composite_response(self, pilot_structure):
+        # the scan above reads a from these terms, so they are checked here
+        # against sqrt(P)(H_d + c H_b) built the long way
+        cfg = cfg_with(p_t=2.0, sigma2=1.0)
+        _, h_d, h_b = random_ml_symbol(np.random.default_rng(11), cfg, (4,))
+        h_d[:, 5] = h_b[:, 5] = 0  # a = 0 for every candidate
+        searched = cfg.data_indices if pilot_structure else np.arange(cfg.n)
+        pilots = cfg.pilot_indices if pilot_structure else []
+        for values in (cfg.psk.points, cfg.psk.points[[3]]):
+            cands = ml_candidates(h_d, h_b, cfg, pilot_structure=pilot_structure,
+                                  candidates=None if len(values) > 1 else values)
+            a = np.stack([np.sqrt(cfg.p_t) * (h_d + c * h_b) for c in values], axis=-2)
+            tied = np.abs(a[..., searched]) < np.finfo(float).tiny
+            assert np.array_equal(cands.values, values)
+            assert np.array_equal(cands.searched, searched) and np.array_equal(cands.pilots, pilots)
+            assert np.array_equal(cands.a_d, a[..., searched])
+            assert np.array_equal(cands.a_p, a[..., pilots])
+            assert np.array_equal(cands.tied, tied) and np.all(tied[..., list(searched).index(5)])
+            assert np.array_equal(cands.divisor, np.where(tied, 1, a[..., searched]))
 
     @pytest.mark.parametrize("pilot_structure", [True, False])
     def test_null_and_subnormal_gains_keep_index_0(self, pilot_structure):
@@ -642,10 +626,9 @@ class TestMlSearchOracle:
         y[:, 22] = 1j  # zero real part: the complex quotient would be nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = ml_symbol_metrics(y, h_d, h_b, cfg, pilot_structure=pilot_structure)
-        assert_same_metrics(
-            got, exhaustive_ml_symbol_metrics(y, h_d, h_b, cfg, pilot_structure=pilot_structure)
-        )
+            cands = ml_candidates(h_d, h_b, cfg, pilot_structure=pilot_structure)
+            got = ml_symbol_metrics(y, cands, cfg)
+        assert_same_metrics(got, exhaustive_ml_symbol_metrics(y, cands, cfg))
         searched = list(cfg.data_indices if pilot_structure else range(cfg.n))
         assert np.all(got[1][..., [searched.index(k) for k in (3, 20, 21, 22)]] == 0)
         assert np.all(got[1][:, 0, searched.index(10)] == 0)
@@ -662,8 +645,15 @@ class TestMlSearchOracle:
         obs = draw_frame_batch(system, chan, master_seed=3, trial_ids=range(256))
         kw = dict(stages=links + (search,), taps=composite_tap_count(chan))
         got = run_algorithm1(obs, system, **kw)
-        monkeypatch.setattr("srofdm.receiver.ml_symbol_metrics", exhaustive_ml_symbol_metrics)
+        calls = []
+
+        def scan(*args):
+            calls.append(args)
+            return exhaustive_ml_symbol_metrics(*args)
+
+        monkeypatch.setattr("srofdm.receiver.ml_symbol_metrics", scan)
         want = run_algorithm1(obs, system, **kw)
+        assert len(calls) == system.n_max  # one search per symbol, none bypassing the module name
         for name in ("s_hat", "c_hat", "H_tilde", "H_hat", "H_hat_d", "H_hat_b", "n_erased"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -735,9 +725,10 @@ class TestBatchInvariance:
         system, chan, _ = _paper_point("direct_snr_db", 12.0)
         obs = draw_frame_batch(system, chan, master_seed=7, trial_ids=range(CHUNK_TRIALS))
         y, real = obs.y[:, 3], obs.realization  # a data symbol: every candidate searched
-        totals, _ = ml_symbol_metrics(y, real.H_d, real.H_b, system)
+        totals, _ = ml_symbol_metrics(y, ml_candidates(real.H_d, real.H_b, system), system)
         for k in range(CHUNK_TRIALS):
-            alone, _ = ml_symbol_metrics(y[k : k + 1], real.H_d[k : k + 1], real.H_b[k : k + 1], system)
+            cands = ml_candidates(real.H_d[k : k + 1], real.H_b[k : k + 1], system)
+            alone, _ = ml_symbol_metrics(y[k : k + 1], cands, system)
             assert np.array_equal(alone[0], totals[k]), k
 
     @pytest.mark.parametrize("axis, value", [("direct_snr_db", 12.0), ("sync_error_samples", 4.0)])

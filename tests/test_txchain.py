@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import composite_cir, draw_noise, draw_primary, draw_secondary
+from oracles import composite_cir, draw_noise, draw_primary, draw_secondary, rail_slicer
 from srofdm import txchain
 from srofdm.channel import ChannelConfig, draw_channel, realization_from_taps
 from srofdm.harness import Scenario
@@ -68,6 +68,39 @@ class TestAlphabets:
         a = QamAlphabet.build(16)
         idx = np.arange(16)
         np.testing.assert_array_equal(a.detect(a.points[idx]), idx)
+
+    @pytest.mark.parametrize("order", [4**k for k in range(1, 7)])
+    def test_detect_matches_rail_slicer(self, order):
+        # the in-place rails give the two-rail slicer's indices, dtype and
+        # shape, on every layout and on the values at the edges of float
+        qam = QamAlphabet.build(order)
+        edge = np.max(qam.points.real)
+        tiny = np.finfo(float).tiny
+        special = np.array([np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, tiny / 3, tiny,
+                            1.5 * edge, -1.5 * edge, 1e300, -1e300, np.finfo(float).max])
+        rng = np.random.default_rng(order)
+        z = rng.normal(scale=edge, size=(6, 40)) + 1j * rng.normal(scale=edge, size=(6, 40))
+        # set rail by rail: 1j * inf would put a nan on the real rail
+        z.real[0, : special.size], z.imag[0, : special.size] = special, special[::-1]
+        z.real[1, : special.size], z.imag[1, : special.size] = -0.0, special
+        cases = {
+            "contiguous": z,
+            "strided": z[::2, ::3],
+            "transposed": z.T,
+            "rails": z.imag,  # a real array, itself a strided view
+            "real": special,
+            "0-d": np.asarray(z[0, 3]),
+            "0-d real": np.asarray(-0.0),
+            "scalar": z[0, 0],
+            "empty": z[:0],
+        }
+        with np.errstate(over="ignore"):
+            for name, case in cases.items():
+                got, want = qam.detect(case), rail_slicer(qam, case)
+                assert type(got) is type(want) and got.dtype == want.dtype, name
+                assert got.shape == want.shape and np.array_equal(got, want), name
+            # inf + max j and -inf - 1e300 j lie beyond the clip range: corners
+            assert np.array_equal(qam.detect(z[0, :2]), [order - 1, 0])
 
     def test_bit_error_count(self):
         a = PskAlphabet.build(2)
