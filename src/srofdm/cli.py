@@ -343,9 +343,10 @@ def cmd_theory(args) -> int:
     values, scenario, run, _ = _resolve_run(args)
     points = parse_points(run["points"])
     # SNR grid in dB: the points of an SNR axis, else a fixed 0..40 dB grid
-    gamma_grid = points if run["axis"] in ("direct_snr_db", "backscatter_snr_db") else tuple(
-        float(v) for v in np.arange(0.0, 42.0, 2.0)
-    )
+    snr_axis = run["axis"] in ("direct_snr_db", "backscatter_snr_db")
+    if args.points is not None and not snr_axis:
+        raise ScenarioError(f"theory --points needs an SNR axis; axis {run['axis']} takes a fixed 0..40 dB grid")
+    gamma_grid = points if snr_axis else tuple(float(v) for v in np.arange(0.0, 42.0, 2.0))
     snrs = [from_db(db) for db in gamma_grid]
     for db, snr in zip(gamma_grid, snrs):
         if not 0 < snr < float("inf"):
@@ -361,7 +362,7 @@ def cmd_theory(args) -> int:
     }
     # fixed-point secondary curves at the expected backscatter energy: each
     # receiver's own companion on one unit tap with P / sigma^2 set to the axis value
-    taps = composite_tap_count(scenario.chan)
+    taps = composite_tap_count(scenario.chan, scenario.sync_error)  # the sweep's taps off the sync axis
     fixed = [replace(system, p_t=snr, sigma2=1.0) for snr in snrs]
     for name, receiver in (("perfect", "perfect_csi"), ("m1", "proposed_m1"), ("m2", "proposed_m2")):
         spec = RECEIVERS[receiver]

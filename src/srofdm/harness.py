@@ -166,7 +166,7 @@ class Scenario:
         if chan.l_b + chan.d_b > system.n_cp:
             raise ValueError(f"backscatter span {chan.l_b}+{chan.d_b} exceeds CP length {system.n_cp}")
         taps = composite_tap_count(chan)
-        if system.n_p and system.n_p < taps:
+        if system.n_p < taps:
             raise ValueError(f"{system.n_p} pilots cannot resolve {taps} composite taps")
         if not 0 <= self.sync_error < system.symbol_period:
             raise ValueError(f"sync error {self.sync_error} outside [0, {system.symbol_period})")
@@ -298,7 +298,7 @@ class PointResult:
 
     @staticmethod
     def _halfwidth(rate, total):
-        if not total or not np.isfinite(rate):
+        if not total:
             return float("nan")
         return 1.96 * np.sqrt(rate * (1.0 - rate) / total)
 
@@ -511,9 +511,6 @@ def _prepare(scenario: Scenario, axis: str, values, receivers) -> tuple:
     system = scenario.system
     if system.n_p == system.n:
         raise ScenarioError(f"n_p = {system.n_p} pilots leave no data subcarrier of n = {system.n}")
-    for r in receivers:
-        if not system.n_p and "pilot_ls" in RECEIVERS[r].stages:
-            raise ScenarioError(f"receiver {r!r} estimates from pilots, and n_p = 0 places none")
     points = tuple((float(v), *apply_axis(scenario, axis, float(v))) for v in values)
     return _receive_path(axis, scenario.sync_error), points
 

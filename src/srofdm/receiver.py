@@ -65,8 +65,6 @@ class PilotEstimator:
     """
 
     def __init__(self, cfg: SystemConfig, taps: int):
-        if cfg.n_p == 0:
-            raise SingularSystemError("no pilot subcarriers configured")
         if taps > cfg.n_p:
             raise SingularSystemError(
                 f"{taps} taps exceed {cfg.n_p} pilot subcarriers"

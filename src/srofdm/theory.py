@@ -123,7 +123,7 @@ def composite_snr(h_d, h_b, c_values, cfg: SystemConfig):
     the grid both primary-rate companions take, so that a caller evaluating
     both over one batch builds it once. Pass the realized c sequence to
     condition on one frame, or the PSK points to average over the alphabet."""
-    h = composite_response(h_d, h_b, c_values)[..., list(cfg.data_indices)]
+    h = composite_response(h_d, h_b, c_values)[..., cfg.data_indices]
     return cfg.p_t * np.abs(h) ** 2 / cfg.sigma2
 
 

@@ -140,12 +140,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class SystemConfig:
     """Everything the link needs beyond the channel: frame geometry, pilot
     comb, alphabets, transmit and noise power (linear watts). The comb is n_p
-    pilots of symbol 1 on every (n/n_p)-th subcarrier from 0; n_p = 0 means
-    no pilots."""
+    pilots of symbol 1 on every (n/n_p)-th subcarrier from 0."""
 
     n: int = 64
     n_cp: int = 16
-    n_p: int = 0
+    n_p: int = 8
     m_s: int = 16
     m_c: int = 8
     t_preamble: int = 2
@@ -160,7 +159,7 @@ class SystemConfig:
             raise ValueError(f"n = {self.n}: need at least one subcarrier")
         if self.n_cp < 0:
             raise ValueError(f"n_cp = {self.n_cp} is negative")
-        if self.n_p < 0 or (self.n_p and self.n % self.n_p):
+        if self.n_p < 1 or self.n % self.n_p:
             raise ValueError(f"n_p = {self.n_p} pilots do not divide n = {self.n} subcarriers evenly")
         for key in ("m_s", "m_c"):
             if getattr(self, key) > MAX_ORDER:
@@ -192,7 +191,7 @@ class SystemConfig:
 
     @cached_property
     def pilot_indices(self) -> np.ndarray:
-        return _read_only(np.arange(self.n_p, dtype=np.int64) * (self.n // max(self.n_p, 1)))
+        return _read_only(np.arange(self.n_p, dtype=np.int64) * (self.n // self.n_p))
 
     @cached_property
     def data_indices(self) -> np.ndarray:
@@ -347,7 +346,7 @@ def sample_level_rx(
     x_stream = x_cp.reshape(x_cp.shape[:-2] + (frame_len,))
 
     rx = _tap_convolve(x_stream, realization.h_d)
-    if realization.h_b.shape[-1] and np.any(realization.h_b):
+    if np.any(realization.h_b):
         incident = _tap_convolve(x_stream, realization.b)
         emitted = tag_emitted_stream(incident, c_values, cfg, xi)
         rx = rx + _delay(_tap_convolve(emitted, realization.g), realization.d_b)

@@ -207,7 +207,7 @@ class TestAcceptance:
 
         # constructed BPSK frame, no pilot structure: exact metric tie
         cfg = SystemConfig(
-            n=16, n_cp=4, m_s=4, m_c=2,
+            n=16, n_cp=4, n_p=8, m_s=4, m_c=2,
             n_max=3, t_preamble=2, p_t=1.0, sigma2=0.01,
         )
         real = draw_channel(

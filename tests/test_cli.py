@@ -559,7 +559,7 @@ class TestTheoryCommand:
             ]
             assert all(e >= p - 1e-15 for e, p in zip(est, perfect))
 
-    @pytest.mark.parametrize("text", ["", "m_s = 4\nm_c = 2\nl_d = 6\n"])
+    @pytest.mark.parametrize("text", ["", "m_s = 4\nm_c = 2\nl_d = 6\n", "sync_error = 3\n"])
     def test_secondary_curves_are_the_receiver_companions(self, tmp_path, text):
         # each fixed-point curve is its receiver's own companion on one unit tap at P / sigma^2
         scenario = tmp_path / "s.txt"
@@ -567,7 +567,7 @@ class TestTheoryCommand:
         scenario, out = str(scenario), tmp_path / "theory4"
         assert main(["theory", scenario, "--points", "0:40:5", "--out", str(out), "--quiet"]) == 0
         resolved = resolve_scenario(load_scenario_file(scenario))[0]
-        system, taps = resolved.system, composite_tap_count(resolved.chan)
+        system, taps = resolved.system, composite_tap_count(resolved.chan, resolved.sync_error)
         for name, receiver in (("perfect", "perfect_csi"), ("m1", "proposed_m1"), ("m2", "proposed_m2")):
             spec = RECEIVERS[receiver]
             rows = [r.split(",") for r in (out / f"theory__secondary_{name}.csv").read_text().splitlines()[1:]]
@@ -577,6 +577,19 @@ class TestTheoryCommand:
                 want = spec.secondary_theory(np.ones(1), point, taps)
                 assert (r[1], r[2]) == (f"theory_secondary_{name}", spec.csi)
                 assert r[-1] == format(want["secondary_ber_theory"], ".9g")
+
+    @pytest.mark.parametrize("axis", sorted(set(SWEEP_AXES) - {"direct_snr_db", "backscatter_snr_db"}))
+    def test_points_refused_off_the_snr_axes(self, tmp_path, capsys, axis):
+        # these axes take a fixed grid, which explicit points would not change
+        out = tmp_path / "theory5"
+        assert main(["theory", "paper_default", "--axis", axis, "--points", "1,2,3", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: theory --points needs an SNR axis; axis {axis}"
+                                           " takes a fixed 0..40 dB grid\n")
+        assert not out.exists()
+        scenario = tmp_path / "s.txt"  # a scenario file's own points key stays accepted
+        scenario.write_text(f"axis = {axis}\npoints = 1,2,3\n")
+        assert main(["theory", str(scenario), "--out", str(out), "--quiet"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["points"] == list(range(0, 41, 2))
 
     def test_manifest_echoes_moments(self, tmp_path):
         out = tmp_path / "theory3"

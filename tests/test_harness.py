@@ -469,21 +469,3 @@ class TestDrawOnce:
             run_sweep(spec, scen, master_seed=1)
         with pytest.raises(ScenarioError, match="n_p = 64 pilots leave no data subcarrier of n = 64"):
             run_trial(scen, "direct_snr_db", 20.0, 0, 1, ("ml_perfect",))
-
-    def test_pilot_receiver_without_pilots_fails_before_any_draw(self, monkeypatch):
-        scen = paper_scenario(system=dict(n_p=0))
-        no_pilots = lambda receivers: run_trial(scen, "direct_snr_db", 20.0, 0, 1, receivers)
-        assert set(no_pilots(("perfect_csi", "ml_perfect", "ml_nopilot"))) == {
-            "perfect_csi", "ml_perfect", "ml_nopilot"}  # no pilot stage: these run
-
-        def no_draws(*args, **kwargs):
-            raise AssertionError("a trial was drawn")
-
-        monkeypatch.setattr(harness, "draw_trials", no_draws)
-        spec = SweepSpec(axis="direct_snr_db", points=(20.0,), trials_per_point=1000,
-                         receivers=("perfect_csi", "proposed_m2"))
-        with pytest.raises(ScenarioError, match="'proposed_m2' estimates from pilots"):
-            run_sweep(spec, scen, master_seed=1)
-        for receiver in ("proposed_m1_genie", "pilot_only", "ml_estimated"):
-            with pytest.raises(ScenarioError, match=f"'{receiver}' estimates from pilots"):
-                no_pilots(("ml_perfect", receiver))

@@ -35,7 +35,7 @@ from srofdm.receiver import (
     run_algorithm1,
     separate_links,
 )
-from srofdm.txchain import SystemConfig, frequency_domain_rx
+from srofdm.txchain import SystemConfig, frequency_domain_rx, modulate_primary
 
 
 def cfg_with(**kw) -> SystemConfig:
@@ -147,16 +147,17 @@ class TestDetectPrimary:
         assert erased.sum() == 1 and idx[3] == 0
 
     def test_single_subcarrier_ser_matches_formula(self):
-        # flat unit channel at 20 dB; exact conditional symbol error rate
+        # flat unit channel at 20 dB, the pilot on subcarrier 0 and the QAM
+        # symbol on subcarrier 1; exact conditional symbol error rate
         cfg = SystemConfig(
-            n=1, n_cp=0, m_s=16, m_c=2, n_max=3, t_preamble=2, p_t=100.0, sigma2=1.0
+            n=2, n_cp=0, n_p=1, m_s=16, m_c=2, n_max=3, t_preamble=2, p_t=100.0, sigma2=1.0
         )
         trials = 4 * 10**6
         stream = RandomStream(42, 0)
         s_idx = stream.integers(0, 16, size=trials)
-        s = cfg.qam.points[s_idx]
-        y = np.sqrt(cfg.p_t) * s + draw_cn(stream, trials, cfg.sigma2)
-        idx, _ = detect_primary(y[:, None], np.ones((trials, 1), dtype=complex), cfg)
+        y = np.sqrt(cfg.p_t) * modulate_primary(s_idx[:, None], cfg)
+        y[:, 1] += draw_cn(stream, trials, cfg.sigma2)
+        idx, _ = detect_primary(y, np.ones(cfg.n, dtype=complex), cfg)
         ser = np.mean(idx[:, 0] != s_idx)
         want = ser_qam_awgn(cfg.p_t / cfg.sigma2, 16)
         se = np.sqrt(want * (1 - want) / trials)
@@ -500,7 +501,7 @@ class TestMlBenchmark:
         # absent direct path + BPSK secondary: (c, S) and (-c, -S) explain the
         # observation identically, so the candidate totals tie exactly
         cfg = SystemConfig(
-            n=16, n_cp=4, m_s=4, m_c=2,
+            n=16, n_cp=4, n_p=8, m_s=4, m_c=2,
             n_max=3, t_preamble=2, p_t=1.0, sigma2=0.01,
         )
         real = draw_channel(

@@ -1,9 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import composite_cir, draw_noise, draw_primary, draw_secondary, rail_slicer
 from srofdm import txchain
 from srofdm.channel import ChannelConfig, draw_channel, realization_from_taps
+from srofdm.cli import load_scenario_file, resolve_scenario
 from srofdm.harness import Scenario
 from srofdm.numerics import RandomStream, draw_cn
 from srofdm.txchain import (
@@ -123,12 +128,26 @@ class TestSystemConfig:
             with pytest.raises(ValueError, match="read-only"):
                 indices[0] = 1
 
-    def test_no_pilots(self):
-        cfg = SystemConfig(n=64, n_p=0)
-        assert cfg.pilot_indices.size == 0 and cfg.n_data == 64
-        np.testing.assert_array_equal(cfg.data_indices, np.arange(64))
-        np.testing.assert_array_equal(modulate_primary(np.zeros((10, 64), dtype=int), cfg),
-                                      np.full((10, 64), cfg.qam.points[0]))
+    def test_default_is_the_paper_default_scenario(self):
+        # the powers are pinned per sweep point; every other field is the scenario's
+        want = resolve_scenario(load_scenario_file("paper_default"))[0].system
+        for f in fields(SystemConfig):
+            if f.name not in ("p_t", "sigma2"):
+                assert getattr(SystemConfig(), f.name) == getattr(want, f.name), f.name
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_comb_is_regular(self, data):
+        n = data.draw(st.integers(-2, 1024), label="n")
+        divisors = st.sampled_from([d for d in range(1, n + 1) if n % d == 0]) if n > 0 else st.nothing()
+        n_p = data.draw(st.none() | st.integers(-2, 1030) | divisors, label="n_p")
+        try:
+            cfg = SystemConfig(n=n) if n_p is None else SystemConfig(n=n, n_p=n_p)
+        except ValueError:
+            return
+        assert cfg.n_p >= 1
+        np.testing.assert_array_equal(cfg.pilot_indices, np.arange(0, cfg.n, cfg.n // cfg.n_p))
+        np.testing.assert_array_equal(cfg.data_indices, np.setdiff1d(np.arange(cfg.n), cfg.pilot_indices))
 
     @pytest.mark.parametrize("kw, message", [
         (dict(n_p=-1), "n_p = -1 pilots do not divide n = 64 subcarriers evenly"),
@@ -142,6 +161,7 @@ class TestSystemConfig:
         (dict(n_max=10**12), r"n_max \* \(n \+ n_cp\) = 1000000000000 \* 80 samples exceeds"),
         (dict(n=2**13, n_p=8), r"= 10 \* 8208 samples exceeds the largest frame, 65536"),
         (dict(t_preamble=10**12, n_max=10**12 + 1), "exceeds the largest frame"),
+        (dict(n_p=0), "n_p = 0 pilots do not divide n = 64 subcarriers evenly"),
     ])
     def test_sizes_checked_before_any_array_is_built(self, monkeypatch, kw, message):
         def unbuilt(*args):
