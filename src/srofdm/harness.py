@@ -15,9 +15,11 @@ receiver means adding one entry; a chunk runs each stage prefix once.
 """
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import cache
 from numbers import Integral
 from typing import Callable, Optional
 
@@ -493,10 +495,36 @@ def _run_point(draws: TrialDraws, point, receivers, with_theory) -> dict:
     return results
 
 
+# glibc's mallopt parameters and the values pinned: the ceiling of its
+# dynamic mmap threshold on 64-bit builds, and twice that for trimming
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+@cache
+def _pin_heap_thresholds() -> None:
+    """Keep a chunk's multi-MB temporaries on the heap. By default glibc
+    serves each from a fresh mmap, or trims it back to the kernel once
+    freed, until a large enough free raises its dynamic threshold; every
+    chunk then faults the same pages in again. Pinning both thresholds at
+    the ceiling of that dynamic rule ends this from the first chunk on.
+    Once per process, for its rest; a no-op where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def _process_chunk(args) -> list:
     """One range of trials at every resolved point: [{receiver: PointResult}]
     in point order. The range is drawn once; only one point's observation
-    lives at a time."""
+    lives at a time. The unit of work in process and in every pool worker,
+    so it pins the heap thresholds first (`_pin_heap_thresholds`)."""
+    _pin_heap_thresholds()
     (path, points, master_seed, trial_ids, receivers, with_theory) = args
     _, system, chan, _ = points[0]  # every point draws the same: see TrialDraws
     draws = draw_trials(system, chan, master_seed, trial_ids, path)

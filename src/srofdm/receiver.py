@@ -114,6 +114,24 @@ def reestimate_method1(y: np.ndarray, s_hat: np.ndarray, cfg: SystemConfig) -> n
     return np.asarray(y) / (np.sqrt(cfg.p_t) * s_hat)
 
 
+def _prediction_errors(row: np.ndarray) -> np.ndarray:
+    """Levinson-Durbin recursion over a batch of Hermitian Toeplitz matrices
+    given by their first rows, laid out batch-last as (L, ...): the
+    prediction errors of orders 0 to L - 1, which are the squared diagonal of
+    each matrix's Cholesky factor (Golub & Van Loan, Matrix Computations,
+    4.7). A matrix that is not positive definite gives an error <= 0 or NaN."""
+    err = np.empty(row.shape)
+    pred = np.zeros_like(row)  # the predictor of the current order, pred[0] = 1
+    pred[0] = 1
+    err[0] = row[0].real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(1, len(row)):
+            refl = -np.sum(pred[:m] * row[m:0:-1], axis=0) / err[m - 1]
+            pred[: m + 1] += refl * np.conj(pred[m::-1])
+            err[m] = err[m - 1] * (1 - np.abs(refl) ** 2)
+    return err
+
+
 def reestimate_method2(
     y: np.ndarray, s_hat: np.ndarray, cfg: SystemConfig, taps: int
 ) -> np.ndarray:
@@ -127,26 +145,23 @@ def reestimate_method2(
     decisions keep it well conditioned (condition number at most 9 for
     16-QAM, 49 for 64-QAM). SingularSystemError marks a rank-deficient
     system: fewer than `taps` nonzero decisions (diag(s) F_L has rank
-    min(nonzeros, L), its rows being powers of distinct roots of unity), a
-    failed Cholesky factorization, or a Cholesky diagonal entry (|diag R| of a
-    QR of diag(s) F_L) below 1e-12."""
+    min(nonzeros, L), its rows being powers of distinct roots of unity), or a
+    Levinson-Durbin prediction error on the Gram's first row below 1e-24 (a
+    Cholesky diagonal entry, |diag R| of a QR of diag(s) F_L, below 1e-12).
+    The solve reads the Gram as a sliding window over the 2L - 1 lags
+    -(L - 1)..L - 1, so no (..., L, L) gather is built."""
     if taps > cfg.n:
         raise SingularSystemError(f"{taps} taps exceed {cfg.n} subcarriers")
     s_hat = np.asarray(s_hat)
-    lags = (np.arange(taps)[None, :] - np.arange(taps)[:, None]) % cfg.n
-    gram = np.fft.fft(np.abs(s_hat) ** 2, axis=-1)[..., lags]
-    # an exactly singular Gram can leave Cholesky pivots of rounding size,
-    # far above 1e-12, so the nonzero count is checked first
-    rank_deficient = np.min(np.count_nonzero(s_hat, axis=-1)) < taps
-    if not rank_deficient:
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            rank_deficient = True
-        else:
-            rank_deficient = np.min(np.diagonal(chol, axis1=-2, axis2=-1).real) < 1e-12
-    if rank_deficient:
+    spectrum = np.fft.fft(np.abs(s_hat) ** 2, axis=-1)
+    first_row = np.ascontiguousarray(np.moveaxis(spectrum[..., :taps], -1, 0))  # batch-last
+    # an exactly singular Gram can leave prediction errors of rounding size,
+    # above 1e-24, so the nonzero count is checked first; NaN fails the test
+    if (np.min(np.count_nonzero(s_hat, axis=-1)) < taps
+            or not np.min(_prediction_errors(first_row)) >= 1e-24):
         raise SingularSystemError("data-aided tap system is rank deficient")
+    lags = np.concatenate([spectrum[..., cfg.n - taps + 1 :], spectrum[..., :taps]], axis=-1)
+    gram = np.lib.stride_tricks.sliding_window_view(lags, taps, axis=-1)[..., ::-1, :]
     f_l = partial_fourier(cfg.n, taps)
     rhs = (np.conj(s_hat) * np.asarray(y) / np.sqrt(cfg.p_t)) @ np.conj(f_l)
     h = np.linalg.solve(gram, rhs[..., None])[..., 0]

@@ -6,7 +6,8 @@ response per symbol value and in the tap domain, the classic closed-form QAM
 symbol error rate, the Gray-QAM error rates as telescoped sums over every
 level and decision edge (`telescoped_qam_error_rates`), a Monte Carlo of the method-1 secondary error
 expectation, the method-2 tap fit by a batched QR of the full N x L
-system, the general least-squares solves that the comb and the zero-sum
+system and through a lag-gathered Gram with a Cholesky rank check
+(`gathered_reestimate_method2`), the general least-squares solves that the comb and the zero-sum
 preamble reduce to closed forms (`qr_pilot_gain`, `gram_pilot_leverage`,
 `lstsq_separate_links`), the two-rail QAM slicer worked in fresh arrays
 (`rail_slicer`), the ML metric as an exhaustive scan over the QAM alphabet
@@ -153,6 +154,36 @@ def qr_reestimate_method2(
         raise SingularSystemError("data-aided tap system is rank deficient")
     rhs = np.einsum("...ij,...i->...j", q.conj(), np.asarray(y) / np.sqrt(cfg.p_t))
     h = np.linalg.solve(r, rhs[..., None])[..., 0]
+    return h @ f_l.T
+
+
+def gathered_reestimate_method2(
+    y: np.ndarray, s_hat: np.ndarray, cfg: SystemConfig, taps: int
+) -> np.ndarray:
+    """Method 2 through the L x L normal equations, with the Gram gathered
+    lag by lag into a (..., L, L) array and its rank checked by a Cholesky
+    factorization. `reestimate_method2` must reproduce it byte for byte, and
+    its Levinson prediction errors must be this Cholesky diagonal squared."""
+    if taps > cfg.n:
+        raise SingularSystemError(f"{taps} taps exceed {cfg.n} subcarriers")
+    s_hat = np.asarray(s_hat)
+    lags = (np.arange(taps)[None, :] - np.arange(taps)[:, None]) % cfg.n
+    gram = np.fft.fft(np.abs(s_hat) ** 2, axis=-1)[..., lags]
+    # an exactly singular Gram can leave Cholesky pivots of rounding size,
+    # far above 1e-12, so the nonzero count is checked first
+    rank_deficient = np.min(np.count_nonzero(s_hat, axis=-1)) < taps
+    if not rank_deficient:
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            rank_deficient = True
+        else:
+            rank_deficient = np.min(np.diagonal(chol, axis1=-2, axis2=-1).real) < 1e-12
+    if rank_deficient:
+        raise SingularSystemError("data-aided tap system is rank deficient")
+    f_l = partial_fourier(cfg.n, taps)
+    rhs = (np.conj(s_hat) * np.asarray(y) / np.sqrt(cfg.p_t)) @ np.conj(f_l)
+    h = np.linalg.solve(gram, rhs[..., None])[..., 0]
     return h @ f_l.T
 
 

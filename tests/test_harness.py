@@ -1,4 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,3 +474,32 @@ class TestDrawOnce:
             run_sweep(spec, scen, master_seed=1)
         with pytest.raises(ScenarioError, match="n_p = 64 pilots leave no data subcarrier of n = 64"):
             run_trial(scen, "direct_snr_db", 20.0, 0, 1, ("ml_perfect",))
+
+
+# a headline-shaped chunk twice in one fresh interpreter, so that no earlier
+# test has raised glibc's dynamic mmap threshold; prints the minor faults of
+# the second
+REPEAT_CHUNK = """
+import resource
+from srofdm import cli, harness
+scenario, _ = cli.resolve_scenario(cli.load_scenario_file("paper_default"))
+receivers = ("perfect_csi", "proposed_m1", "proposed_m2")
+path, points = harness._prepare(scenario, "direct_snr_db", range(12, 31, 3), receivers)
+chunk = (path, points, 7, range(harness.CHUNK_TRIALS), receivers, True)
+harness._process_chunk(chunk)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+harness._process_chunk(chunk)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
+def test_repeated_chunk_keeps_its_memory_resident():
+    # with glibc's default thresholds the second chunk faulted ~90k pages
+    # back in, the temporaries the first had returned to the kernel
+    src = Path(harness.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", REPEAT_CHUNK], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    assert int(done.stdout) < 2000

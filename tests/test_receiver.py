@@ -12,6 +12,7 @@ from oracles import (
     exhaustive_ml_symbol_metrics,
     flag_run_algorithm1,
     flag_run_ml_benchmark,
+    gathered_reestimate_method2,
     lstsq_separate_links,
     qr_pilot_gain,
     qr_reestimate_method2,
@@ -25,6 +26,7 @@ from srofdm.receiver import (
     DetectionOutput,
     PilotEstimator,
     UndetectableSecondaryError,
+    _prediction_errors,
     detect_primary,
     detect_secondary,
     full_symbol_vector,
@@ -228,16 +230,44 @@ class TestReestimation:
 
 
 class TestMethod2Oracle:
-    """The normal-equation solve against the QR fit of the full N x L system."""
+    """The normal-equation solve against the QR fit of the full N x L system,
+    and byte for byte against the same solve on a lag-gathered Gram with a
+    Cholesky rank check."""
+
+    @staticmethod
+    def frames(cfg, shape, seed):
+        rng = np.random.default_rng(seed)
+        for taps in (1, 4, 7, 23, cfg.n_p, cfg.n):  # taps = N: the circulant case
+            s = cfg.qam.points[rng.integers(0, cfg.m_s, shape + (cfg.n,))]
+            y = rng.standard_normal(shape + (cfg.n,)) + 1j * rng.standard_normal(shape + (cfg.n,))
+            yield y, s, taps
+
+    @pytest.mark.parametrize("shape", [(), (3,), (256, 10)], ids=str)
+    @pytest.mark.parametrize("m_s", [4, 16, 64])
+    def test_matches_gathered_gram_bytes(self, m_s, shape):
+        cfg = cfg_with(m_s=m_s, p_t=2.0)
+        for y, s, taps in self.frames(cfg, shape, m_s + len(shape)):
+            got = reestimate_method2(y, s, cfg, taps)
+            want = gathered_reestimate_method2(y, s, cfg, taps)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), taps
+
+    @pytest.mark.parametrize("shape", [(), (3,), (256, 10)], ids=str)
+    @pytest.mark.parametrize("m_s", [4, 16, 64])
+    def test_prediction_errors_are_cholesky_diagonal(self, m_s, shape):
+        cfg = cfg_with(m_s=m_s)
+        for _, s, taps in self.frames(cfg, shape, m_s + len(shape)):
+            spectrum = np.fft.fft(np.abs(s) ** 2, axis=-1)
+            lags = (np.arange(taps)[None, :] - np.arange(taps)[:, None]) % cfg.n
+            chol = np.linalg.cholesky(spectrum[..., lags])
+            want = np.abs(np.diagonal(chol, axis1=-2, axis2=-1)) ** 2
+            got = np.moveaxis(_prediction_errors(np.moveaxis(spectrum[..., :taps], -1, 0).copy()), 0, -1)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("shape", [(), (3,), (256, 10)], ids=str)
     @pytest.mark.parametrize("m_s", [4, 16, 64])
     def test_matches_qr(self, m_s, shape):
         cfg = cfg_with(m_s=m_s, p_t=2.0)
-        rng = np.random.default_rng(m_s + len(shape))
-        for taps in (1, 4, 7, 23, cfg.n_p, cfg.n):  # taps = N: the circulant case
-            s = cfg.qam.points[rng.integers(0, m_s, shape + (cfg.n,))]
-            y = rng.standard_normal(shape + (cfg.n,)) + 1j * rng.standard_normal(shape + (cfg.n,))
+        for y, s, taps in self.frames(cfg, shape, m_s + len(shape)):
             got = reestimate_method2(y, s, cfg, taps)
             want = qr_reestimate_method2(y, s, cfg, taps)
             assert got.shape == want.shape == shape + (cfg.n,)
@@ -257,15 +287,22 @@ class TestMethod2Oracle:
             (np.zeros(cfg.n), 4),
             (few, 7),
             (comb, 8),
-            # 32 nonzeros, 33 taps: Cholesky ends on a rounding-size pivot,
-            # a diagonal near 1e-7, instead of failing
+            # 32 nonzeros, 33 taps: an exactly singular Gram, which the
+            # nonzero count rejects first; a factorization of it can end on a
+            # rounding-size pivot instead (Cholesky's diagonal: near 1e-7)
             (np.tile([1.0, 0.0], cfg.n // 2), 33),
             (np.stack([s, few]), 7),  # one deficient frame fails the batch
+            # every nonzero, every prediction error 64e-26 < 1e-24 (every
+            # |diag R| of the QR 8e-13 < 1e-12)
+            (np.full(cfg.n, 1e-13), 4),
         ]
         for s_hat, taps in cases:
             for solve in (reestimate_method2, qr_reestimate_method2):
                 with pytest.raises(SingularSystemError):
                     solve(y, s_hat, cfg, taps)
+        tiny = np.full(cfg.n, 1e-11)  # prediction errors 64e-22: accepted
+        for solve in (reestimate_method2, qr_reestimate_method2):
+            assert np.all(np.isfinite(solve(y, tiny, cfg, 4)))
 
 
 class TestSeparateLinks:
