@@ -1,15 +1,15 @@
 """Minor page faults per sweep of each benchmark workload.
 
-    python3 tools/minor_faults.py [--root CHECKOUT] [--seed 7] [--workload NAME ...]
+    python3 tools/minor_faults.py [--root CHECKOUT]
 
 For each workload of bench/run.py, a fresh interpreter with BLAS on one
 thread imports `srofdm.cli` from CHECKOUT/src (this checkout by default), runs
-one untimed warm-up sweep and then one more with the same arguments, and
-reports the minor faults (`ru_minflt`) of that second sweep: of the process
-itself, and of its pool workers on a multi-worker workload (the workers are
-new for each sweep, so their count includes their start-up). Prints one JSON
-object, {workload: faults}. Each sweep writes to a temporary directory that is
-removed.
+one untimed warm-up sweep at the reference seed 7 and then one more with the
+same arguments, and reports the minor faults (`ru_minflt`) of that second
+sweep: of the process itself, and of its pool workers on a multi-worker
+workload (the workers are new for each sweep, so their count includes their
+start-up). Prints one JSON object, {workload: faults}. Each sweep writes to a
+temporary directory that is removed.
 """
 import argparse
 import json
@@ -26,7 +26,7 @@ workload = run.WORKLOADS[sys.argv[2]]
 
 def sweep():
     with tempfile.TemporaryDirectory() as out:
-        if cli.main(workload.argv(int(sys.argv[3]), out)) != 0:
+        if cli.main(workload.argv(7, out)) != 0:
             sys.exit("the sweep failed")
 
 def faults():
@@ -44,16 +44,13 @@ def main(argv=None) -> int:
     root = Path(__file__).resolve().parents[1]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, default=root, help="source checkout to measure")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--workload", action="append",
-                    help="workload name (repeatable); default: every workload of bench/run.py")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.root / "bench"))
     import run  # pins the BLAS threads in os.environ, which the children inherit
 
     counts = {}
-    for name in args.workload or run.WORKLOADS:
-        done = subprocess.run([sys.executable, "-c", CHILD, str(args.root.resolve()), name, str(args.seed)],
+    for name in run.WORKLOADS:
+        done = subprocess.run([sys.executable, "-c", CHILD, str(args.root.resolve()), name],
                               capture_output=True, text=True, check=True)
         counts[name] = int(done.stdout.split()[-1])
     print(json.dumps(counts))
