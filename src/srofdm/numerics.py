@@ -84,9 +84,12 @@ def partial_fourier(n: int, l: int) -> np.ndarray:
 def q_function(z):
     """Gaussian tail probability Q(z) = P(N(0,1) > z).
 
-    Evaluated as 0.5*erfc(z/sqrt(2)); accepts scalars or arrays.
+    Evaluated as 0.5*erfc(z/sqrt(2)), halved in erfc's own result; accepts
+    scalars (a numpy scalar comes back) or arrays.
     """
-    return 0.5 * erfc(np.asarray(z) / np.sqrt(2.0))
+    q = erfc(np.asarray(z) / np.sqrt(2.0))
+    q *= 0.5
+    return q
 
 
 def draw_cn(stream: RandomStream, count: int, variance: float) -> np.ndarray:

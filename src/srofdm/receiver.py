@@ -79,7 +79,7 @@ class PilotEstimator:
 
     def estimate_cfr(self, y: np.ndarray) -> np.ndarray:
         """Composite response on all subcarriers from one symbol's pilots."""
-        h = self.estimate_cir(y[..., self.pilot_indices])
+        h = self.estimate_cir(np.take(y, self.pilot_indices, axis=-1))
         return h @ self.f_l.T
 
 
@@ -89,8 +89,8 @@ def detect_primary(y: np.ndarray, h_tilde: np.ndarray, cfg: SystemConfig):
     Returns (indices, erased) where erased flags subcarriers whose channel
     estimate was an exact null (decision forced to index 0).
     """
-    y_d = np.asarray(y)[..., cfg.data_indices]
-    h_d = np.asarray(h_tilde)[..., cfg.data_indices]
+    y_d = np.take(y, cfg.data_indices, axis=-1)
+    h_d = np.take(h_tilde, cfg.data_indices, axis=-1)
     power = np.abs(h_d) ** 2
     erased = power < ERASURE_THRESHOLD**2
     safe = np.where(erased, 1.0, power)
@@ -109,7 +109,7 @@ def full_symbol_vector(s_idx: np.ndarray, cfg: SystemConfig) -> np.ndarray:
 def reestimate_method1(y: np.ndarray, s_hat: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Per-subcarrier data-aided estimate: invert each symbol individually."""
     s_hat = np.asarray(s_hat)
-    if np.any(np.abs(s_hat) == 0):
+    if np.any(s_hat == 0):  # a zero of either sign; a NaN or inf decision is not one
         raise ValueError("method 1 needs nonzero symbol decisions everywhere")
     return np.asarray(y) / (np.sqrt(cfg.p_t) * s_hat)
 
@@ -248,7 +248,8 @@ def ml_candidates(
     a = np.sqrt(cfg.p_t) * composite_response(h_d, h_b, values)  # (..., n_cand, n)
     a_d = np.take(a, searched, axis=-1)
     tied = np.abs(a_d) < np.finfo(float).tiny
-    return MlCandidates(values, searched, pilots, a_d, a[..., pilots], tied, np.where(tied, 1, a_d))
+    a_p = np.take(a, pilots, axis=-1)
+    return MlCandidates(values, searched, pilots, a_d, a_p, tied, np.where(tied, 1, a_d))
 
 
 def ml_symbol_metrics(y: np.ndarray, cands: MlCandidates, cfg: SystemConfig):
@@ -283,7 +284,8 @@ def ml_symbol_metrics(y: np.ndarray, cands: MlCandidates, cfg: SystemConfig):
     dist = np.abs(err)
     totals = np.sum(np.square(dist, out=dist), axis=-1)
     if cands.pilots.size:  # the pilot symbols are 1
-        totals += np.sum(np.abs(y[..., None, cands.pilots] - cands.a_p) ** 2, axis=-1)
+        y_p = np.take(y, cands.pilots, axis=-1)[..., None, :]
+        totals += np.sum(np.abs(y_p - cands.a_p) ** 2, axis=-1)
     return totals, s_idx
 
 
@@ -321,7 +323,7 @@ def run_ml_benchmark(
         c_dec[..., m] = pick if len(cands.values) > 1 else -1
         chosen = np.take_along_axis(s_idx, pick[..., None, None], axis=-2)[..., 0, :]
         if not pilot_structure:  # keep only the data positions for error accounting
-            chosen = chosen[..., cfg.data_indices]
+            chosen = np.take(chosen, cfg.data_indices, axis=-1)
         s_hat[..., m, :] = chosen
         c_val[..., m] = cands.values[pick]
     h_hat = composite_response(h_d, h_b, c_val)

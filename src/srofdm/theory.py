@@ -100,7 +100,11 @@ def qam_error_rates(snr, m_s: int):
     non-increasing in snr.
     """
     x, a_ber, a_ser = _folded_rail(m_s)
-    q = q_function(np.sqrt(2.0 * np.asarray(snr, dtype=float))[..., None] * x)  # (..., m-1)
+    t = np.sqrt(2.0 * np.asarray(snr, dtype=float))
+    arg = np.empty(t.shape + x.shape)  # (..., m-1), one contiguous pass over t per tail
+    for j, x_j in enumerate(x):
+        np.multiply(t, x_j, out=arg[..., j])
+    q = q_function(arg)
     rail_err = -(q @ a_ser)
     return rail_err * (2.0 - rail_err), q @ a_ber
 
@@ -123,7 +127,7 @@ def composite_snr(h_d, h_b, c_values, cfg: SystemConfig):
     the grid both primary-rate companions take, so that a caller evaluating
     both over one batch builds it once. Pass the realized c sequence to
     condition on one frame, or the PSK points to average over the alphabet."""
-    h = composite_response(h_d, h_b, c_values)[..., cfg.data_indices]
+    h = np.take(composite_response(h_d, h_b, c_values), cfg.data_indices, axis=-1)
     return cfg.p_t * np.abs(h) ** 2 / cfg.sigma2
 
 

@@ -238,11 +238,18 @@ class FrameObservation:
 
 def modulate_primary(data_indices, cfg: SystemConfig) -> np.ndarray:
     """Build frame symbol vectors: pilots at the comb positions, Gray QAM at
-    the rest. Returns s_values shaped (..., n_sym, n)."""
+    the rest. Returns s_values shaped (..., n_sym, n).
+
+    The comb is every (n/n_p)-th subcarrier from 0, so the frame is filled as
+    n_p rows of n/n_p subcarriers: the pilot in column 0 of each row and
+    that row's n/n_p - 1 data symbols after it."""
     data_indices = np.asarray(data_indices)
-    s = np.empty(data_indices.shape[:-1] + (cfg.n,), dtype=complex)
-    s[..., cfg.pilot_indices] = 1
-    s[..., cfg.data_indices] = cfg.qam.points[data_indices]
+    batch = data_indices.shape[:-1]
+    step = cfg.n // cfg.n_p
+    s = np.empty(batch + (cfg.n,), dtype=complex)
+    rows = s.reshape(batch + (cfg.n_p, step))
+    rows[..., 0] = 1
+    rows[..., 1:] = cfg.qam.points[data_indices.reshape(batch + (cfg.n_p, step - 1))]
     return s
 
 

@@ -17,13 +17,19 @@ preamble reduce to closed forms (`qr_pilot_gain`, `gram_pilot_leverage`,
 drawn and received one trial and one point at a time with one `draw_cn` per
 draw (`per_trial_draw_frame_batch`, `per_trial_link_taps`), which the
 sweep's draw-once split (`draw_trials`, then `observe_trials` per point)
-must reproduce bit for bit. The package itself never calls them.
+must reproduce bit for bit, and the comb and companion kernels as they were
+written with fancy-index gathers and a broadcast tail argument
+(`gather_modulate_primary`, `gather_detect_primary`,
+`broadcast_qam_error_rates`), whose bytes the contiguous versions must
+keep. The package itself never calls them.
 """
 import numpy as np
+from scipy.special import erfc
 
 from srofdm.channel import ChannelConfig, ChannelRealization, composite_response, realization_from_taps
 from srofdm.numerics import RandomStream, SingularSystemError, draw_cn, partial_fourier, q_function
 from srofdm.receiver import (
+    ERASURE_THRESHOLD,
     DetectionOutput,
     PilotEstimator,
     _effective_backscatter,
@@ -36,6 +42,7 @@ from srofdm.receiver import (
     reestimate_method2,
     separate_links,
 )
+from srofdm.theory import _folded_rail
 from srofdm.txchain import (
     FrameObservation,
     SystemConfig,
@@ -47,6 +54,9 @@ from srofdm.txchain import (
 )
 
 ESTIMATOR_KINDS = ("pilot_only", "method1", "method2")
+QAM_ORDERS = (4, 16, 64, 256, 1024, 4096)  # every square Gray order up to MAX_ORDER
+# every comb SystemConfig accepts up to 256 subcarriers, n_p = 1 and n_p = n included
+COMBS = tuple((n, n_p) for n in range(1, 257) for n_p in range(1, n + 1) if n % n_p == 0)
 
 
 def composite_cfr(real: ChannelRealization, c) -> np.ndarray:
@@ -108,6 +118,17 @@ def telescoped_qam_error_rates(snr, m_s: int):
     rail_err = 1.0 - (1.0 + np.einsum("...ie,ie->...", q_edges, w_ser)) / m
     ser = 1.0 - (1.0 - rail_err) ** 2
     return ser, ber
+
+
+def broadcast_qam_error_rates(snr, m_s: int):
+    """`srofdm.theory.qam_error_rates` with its tail arguments built as one
+    broadcast product, t[..., None] * x, whose inner loop runs m - 1 long, and
+    Q as 0.5 * erfc(z / sqrt(2)) in a fresh array."""
+    x, a_ber, a_ser = _folded_rail(m_s)
+    z = np.sqrt(2.0 * np.asarray(snr, dtype=float))[..., None] * x  # (..., m-1)
+    q = 0.5 * erfc(np.asarray(z) / np.sqrt(2.0))
+    rail_err = -(q @ a_ser)
+    return rail_err * (2.0 - rail_err), q @ a_ber
 
 
 def mc_ber_secondary_method1(
@@ -185,6 +206,30 @@ def gathered_reestimate_method2(
     rhs = (np.conj(s_hat) * np.asarray(y) / np.sqrt(cfg.p_t)) @ np.conj(f_l)
     h = np.linalg.solve(gram, rhs[..., None])[..., 0]
     return h @ f_l.T
+
+
+def gather_modulate_primary(data_indices, cfg: SystemConfig) -> np.ndarray:
+    """`srofdm.txchain.modulate_primary` with the pilots and the QAM points
+    scattered through the comb's index arrays."""
+    data_indices = np.asarray(data_indices)
+    s = np.empty(data_indices.shape[:-1] + (cfg.n,), dtype=complex)
+    s[..., cfg.pilot_indices] = 1
+    s[..., cfg.data_indices] = cfg.qam.points[data_indices]
+    return s
+
+
+def gather_detect_primary(y: np.ndarray, h_tilde: np.ndarray, cfg: SystemConfig):
+    """`srofdm.receiver.detect_primary` with the data subcarriers of y and
+    H~ gathered by fancy indexing."""
+    y_d = np.asarray(y)[..., cfg.data_indices]
+    h_d = np.asarray(h_tilde)[..., cfg.data_indices]
+    power = np.abs(h_d) ** 2
+    erased = power < ERASURE_THRESHOLD**2
+    safe = np.where(erased, 1.0, power)
+    z = np.conj(h_d) * y_d / (safe * np.sqrt(cfg.p_t))
+    idx = cfg.qam.detect(z)
+    idx = np.where(erased, 0, idx)
+    return idx, erased
 
 
 def qr_pilot_gain(cfg: SystemConfig, taps: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from srofdm.numerics import (
     RandomStream,
@@ -88,6 +89,24 @@ class TestQFunction:
     @settings(max_examples=50, deadline=None)
     def test_reflection(self, z):
         assert q_function(-z) == pytest.approx(1.0 - q_function(z), abs=1e-12)
+
+
+class TestQFunctionContract:
+    def test_scalar_in_numpy_scalar_out(self):
+        for z in (1.5, np.array(1.5), np.float64(1.5)):
+            q = q_function(z)
+            assert type(q) is np.float64
+            assert q == 0.5 * erfc(1.5 / np.sqrt(2.0))
+
+    def test_array_in_array_out_argument_untouched(self):
+        z = np.random.default_rng(24).uniform(-40, 40, size=(4, 5))
+        z[0, :4] = [0.0, -0.0, np.inf, 5e-324]
+        before = z.tobytes()
+        z.setflags(write=False)
+        q = q_function(z)
+        assert isinstance(q, np.ndarray) and q.dtype == np.float64 and q.shape == z.shape
+        assert z.tobytes() == before
+        assert q.tobytes() == (0.5 * erfc(z / np.sqrt(2.0))).tobytes()
 
 
 class TestRandomStream:

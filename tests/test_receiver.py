@@ -3,8 +3,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    COMBS,
+    QAM_ORDERS,
     assert_same_metrics,
     draw_noise,
     draw_primary,
@@ -12,6 +16,7 @@ from oracles import (
     exhaustive_ml_symbol_metrics,
     flag_run_algorithm1,
     flag_run_ml_benchmark,
+    gather_detect_primary,
     gathered_reestimate_method2,
     lstsq_separate_links,
     qr_pilot_gain,
@@ -166,6 +171,37 @@ class TestDetectPrimary:
         assert abs(ser - want) <= 3 * se
 
 
+class TestDetectPrimaryOracle:
+    """detect_primary's contiguous gathers byte for byte against the fancy
+    index, with H~ spanning the erasure threshold and exact nulls."""
+
+    @staticmethod
+    def check(comb, m_s, batch, seed):
+        n, n_p = comb
+        cfg = SystemConfig(n=n, n_cp=0, n_p=n_p, m_s=m_s, m_c=2, n_max=3, p_t=2.0)
+        rng = np.random.default_rng(seed)
+        shape = batch + (n,)
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(-14, 2, shape)
+        h.reshape(-1)[::7] = 0
+        got, want = detect_primary(y, h, cfg), gather_detect_primary(y, h, cfg)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape == batch + (cfg.n_data,)
+            assert g.tobytes() == w.tobytes(), (comb, m_s, batch)
+
+    def test_every_comb(self):
+        for k, comb in enumerate(COMBS):
+            self.check(comb, QAM_ORDERS[k % len(QAM_ORDERS)], (2, 3), k)
+
+    @given(st.sampled_from(COMBS), st.sampled_from(QAM_ORDERS),
+           st.sampled_from([(), (3,), (4, 10)]), st.integers(0, 2**32 - 1))
+    @example((256, 1), 4096, (4, 10), 0)
+    @example((256, 256), 4, (3,), 1)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_random_batches(self, comb, m_s, batch, seed):
+        self.check(comb, m_s, batch, seed)
+
+
 class TestReestimation:
     def test_method1_noise_free_exact(self):
         cfg, ch, obs = noise_free_obs(seed=3)
@@ -177,6 +213,22 @@ class TestReestimation:
         cfg = cfg_with(p_t=1.0)
         y = draw_cn(RandomStream(43, 0), cfg.n, 1.0)
         np.testing.assert_array_equal(reestimate_method1(y, np.ones(cfg.n), cfg), y)
+
+    def test_method1_rejects_exact_zero_decisions_only(self):
+        # a zero of either sign is a zero; a subnormal, inf or NaN decision is not
+        cfg = cfg_with(p_t=1.0)
+        y = draw_cn(RandomStream(45, 0), cfg.n, 1.0)
+        for zero in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+            s = np.ones(cfg.n, dtype=complex)
+            s[5] = zero
+            with pytest.raises(ValueError, match="nonzero symbol decisions"):
+                reestimate_method1(y, s, cfg)
+        for kept in (5e-324 + 0j, complex(-0.0, 5e-324), complex(np.inf, 0.0), complex(np.nan, 0.0)):
+            s = np.ones(cfg.n, dtype=complex)
+            s[5] = kept
+            with np.errstate(over="ignore", invalid="ignore"):
+                h = reestimate_method1(y, s, cfg)
+            np.testing.assert_array_equal(np.delete(h, 5), np.delete(y, 5))
 
     def test_method1_error_variance_gamma1(self):
         # error per subcarrier = U / (sqrt(P) S): variance Gamma1 sigma^2 / P

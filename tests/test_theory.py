@@ -3,11 +3,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import factorial
 
-from oracles import gram_pilot_leverage, mc_ber_secondary_method1, ser_qam_awgn, telescoped_qam_error_rates
+from oracles import (
+    QAM_ORDERS,
+    broadcast_qam_error_rates,
+    gram_pilot_leverage,
+    mc_ber_secondary_method1,
+    ser_qam_awgn,
+    telescoped_qam_error_rates,
+)
 from srofdm import theory
 from srofdm.channel import ChannelConfig, composite_tap_count, draw_channel
 from srofdm.numerics import RandomStream, draw_cn, q_function
@@ -471,6 +479,36 @@ class TestFoldedQamRates:
         np.testing.assert_array_equal(a_ber, [3 / 4, 2 / 4, -1 / 4])
         np.testing.assert_array_equal(a_ser, [-3 / 2, 0, 0])
         np.testing.assert_allclose(x, np.array([1, 3, 5]) / np.sqrt(10), rtol=1e-15)
+
+
+def assert_same_rates(got, want):
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+class TestContiguousTails:
+    """qam_error_rates, one contiguous pass per tail, byte for byte against
+    the broadcast tail argument."""
+
+    @pytest.mark.parametrize("shape", [(), (3,), (256, 10, 56)], ids=str)
+    @pytest.mark.parametrize("m_s", QAM_ORDERS)
+    def test_matches_broadcast_bytes(self, m_s, shape):
+        rng = np.random.default_rng(m_s + len(shape))
+        for edge in (None, 0.0, 5e-324, 1e300, np.inf):  # every other entry at the edge
+            snr = np.array(10.0 ** rng.uniform(-3.0, 7.0, shape))
+            if edge is not None:
+                snr.reshape(-1)[::2] = edge
+            assert_same_rates(qam_error_rates(snr, m_s), broadcast_qam_error_rates(snr, m_s))
+
+    @given(hnp.arrays(np.float64, st.sampled_from([(), (3,)]), elements=st.floats(min_value=0.0)),
+           st.sampled_from(QAM_ORDERS))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_broadcast_bytes_at_any_snr(self, snr, m_s):
+        with np.errstate(over="ignore"):  # 2 snr is inf above half the largest float
+            assert_same_rates(qam_error_rates(snr, m_s), broadcast_qam_error_rates(snr, m_s))
+            if snr.ndim == 0:  # a Python float too
+                assert_same_rates(qam_error_rates(float(snr), m_s), broadcast_qam_error_rates(float(snr), m_s))
 
 
 class TestEq17Expectation:

@@ -2,10 +2,19 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import composite_cir, draw_noise, draw_primary, draw_secondary, rail_slicer
+from oracles import (
+    COMBS,
+    QAM_ORDERS,
+    composite_cir,
+    draw_noise,
+    draw_primary,
+    draw_secondary,
+    gather_modulate_primary,
+    rail_slicer,
+)
 from srofdm import txchain
 from srofdm.channel import ChannelConfig, draw_channel, realization_from_taps
 from srofdm.cli import load_scenario_file, resolve_scenario
@@ -256,6 +265,32 @@ class TestModulation:
         c, idx = draw_secondary(cfg, RandomStream(22, 0))
         np.testing.assert_allclose(c[:2], [1.0, -1.0])
         np.testing.assert_array_equal(cfg.psk.detect(c[2:]), idx)
+
+
+class TestCombOracle:
+    """modulate_primary's row fill byte for byte against the scatter through
+    the comb's index arrays."""
+
+    @staticmethod
+    def check(comb, m_s, batch, seed):
+        n, n_p = comb
+        cfg = SystemConfig(n=n, n_cp=0, n_p=n_p, m_s=m_s, m_c=2, n_max=3)
+        idx = np.random.default_rng(seed).integers(0, m_s, batch + (cfg.n_data,))
+        got, want = modulate_primary(idx, cfg), gather_modulate_primary(idx, cfg)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape) == (complex, batch + (n,))
+        assert got.tobytes() == want.tobytes(), (comb, m_s, batch)
+
+    def test_every_comb(self):
+        for k, comb in enumerate(COMBS):
+            self.check(comb, QAM_ORDERS[k % len(QAM_ORDERS)], (2, 3), k)
+
+    @given(st.sampled_from(COMBS), st.sampled_from(QAM_ORDERS),
+           st.sampled_from([(), (3,), (4, 10)]), st.integers(0, 2**32 - 1))
+    @example((256, 1), 4096, (4, 10), 0)
+    @example((256, 256), 4, (3,), 1)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_random_batches(self, comb, m_s, batch, seed):
+        self.check(comb, m_s, batch, seed)
 
 
 class TestFrequencyDomainRx:
