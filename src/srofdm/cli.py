@@ -217,7 +217,6 @@ def resolve_scenario(values: dict):
                         "exp_fwd", "exp_bwd", "pathloss_ref", "direct_model", "backscatter_model"),
         )
         scenario = Scenario(system, chan, **same_name("direct_snr_db", "backscatter_snr_db", "sync_error"))
-        scenario.validate()
     except ValueError as exc:
         if isinstance(exc, ScenarioError):
             raise

@@ -108,8 +108,8 @@ def _secondary_method1(h_b, system, taps):
     return {"secondary_ber_theory": float(np.sum(theory.ber_psk_from_snr(snr, system.m_c)))}
 
 
-def _secondary_method2(h_b, system, taps):
-    snr = theory.snr_secondary_method2(h_b, system, taps)
+def _secondary_method2(h_b, system, taps):  # at min(taps, n), the order the method2 stage runs
+    snr = theory.snr_secondary_method2(h_b, system, min(taps, system.n))
     return {"secondary_ber_theory": float(np.sum(theory.ber_psk_from_snr(snr, system.m_c)))}
 
 
@@ -159,19 +159,22 @@ class Scenario:
     backscatter_snr_db: Optional[float] = None
     sync_error: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         """Joint feasibility: the taps fit the CP, the pilot comb resolves the
-        synchronized composite response, and the sync error lies in a symbol."""
+        synchronized composite response, the sync error lies in a symbol,
+        and data subcarriers remain beside the comb."""
         system, chan = self.system, self.chan
         if chan.l_d > system.n_cp:
-            raise ValueError(f"direct taps {chan.l_d} exceed CP length {system.n_cp}")
+            raise ScenarioError(f"direct taps {chan.l_d} exceed CP length {system.n_cp}")
         if chan.l_b + chan.d_b > system.n_cp:
-            raise ValueError(f"backscatter span {chan.l_b}+{chan.d_b} exceeds CP length {system.n_cp}")
+            raise ScenarioError(f"backscatter span {chan.l_b}+{chan.d_b} exceeds CP length {system.n_cp}")
         taps = composite_tap_count(chan)
         if system.n_p < taps:
-            raise ValueError(f"{system.n_p} pilots cannot resolve {taps} composite taps")
+            raise ScenarioError(f"{system.n_p} pilots cannot resolve {taps} composite taps")
         if not 0 <= self.sync_error < system.symbol_period:
-            raise ValueError(f"sync error {self.sync_error} outside [0, {system.symbol_period})")
+            raise ScenarioError(f"sync error {self.sync_error} outside [0, {system.symbol_period})")
+        if system.n_p == system.n:
+            raise ScenarioError(f"n_p = {system.n_p} pilots leave no data subcarrier of n = {system.n}")
 
 
 def transmit_power(scenario: Scenario, chan: ChannelConfig) -> float:
@@ -531,14 +534,9 @@ def _process_chunk(args) -> list:
     return [_run_point(draws, point, receivers, with_theory) for point in points]
 
 
-def _prepare(scenario: Scenario, axis: str, values, receivers) -> tuple:
+def _prepare(scenario: Scenario, axis: str, values) -> tuple:
     """(receive path, points) of a run, each point its (value, SystemConfig,
     ChannelConfig, xi), after every check that can fail before a draw."""
-    scenario.validate()
-    _check_receivers(receivers)
-    system = scenario.system
-    if system.n_p == system.n:
-        raise ScenarioError(f"n_p = {system.n_p} pilots leave no data subcarrier of n = {system.n}")
     points = tuple((float(v), *apply_axis(scenario, axis, float(v))) for v in values)
     return _receive_path(axis, scenario.sync_error), points
 
@@ -547,7 +545,8 @@ def run_trial(scenario: Scenario, axis: str, value: float, trial_index: int,
               master_seed: int, receivers=("perfect_csi",)) -> dict:
     """One trial's error counts for each requested receiver; bitwise
     reproducible from (master_seed, trial_index)."""
-    path, points = _prepare(scenario, axis, [value], receivers)
+    _check_receivers(receivers)
+    path, points = _prepare(scenario, axis, [value])
     return _process_chunk((path, points, master_seed, [trial_index], receivers, True))[0]
 
 
@@ -571,7 +570,7 @@ def run_sweep(
         raise ScenarioError(f"the worker count must be an integer, got {workers!r}")
     if workers < 1:
         raise ScenarioError(f"need at least 1 worker, got {workers}")
-    path, points = _prepare(scenario, spec.axis, spec.points, spec.receivers)
+    path, points = _prepare(scenario, spec.axis, spec.points)
     tasks = [
         (path, points, master_seed,
          range(start, min(start + CHUNK_TRIALS, spec.trials_per_point)),

@@ -358,8 +358,8 @@ def _stage(stage: str, obs: FrameObservation, cfg: SystemConfig, taps: int, st: 
         return {"s_full": obs.s_values}
     if stage == "method1":
         return {"H_hat": reestimate_method1(y, st["s_full"], cfg)}
-    if stage == "method2":
-        return {"H_hat": reestimate_method2(y, st["s_full"], cfg, taps)}
+    if stage == "method2":  # more taps than subcarriers (a sync error near a symbol) run at order n
+        return {"H_hat": reestimate_method2(y, st["s_full"], cfg, min(taps, cfg.n))}
     if stage == "no_reestimate":
         return {"H_hat": st["H_tilde"]}
     if stage == "split":

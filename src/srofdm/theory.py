@@ -100,7 +100,8 @@ def qam_error_rates(snr, m_s: int):
     non-increasing in snr.
     """
     x, a_ber, a_ser = _folded_rail(m_s)
-    t = np.sqrt(2.0 * np.asarray(snr, dtype=float))
+    with np.errstate(over="ignore"):  # 2 snr is inf above half the largest float, and Q(inf) = 0
+        t = np.sqrt(2.0 * np.asarray(snr, dtype=float))
     arg = np.empty(t.shape + x.shape)  # (..., m-1), one contiguous pass over t per tail
     for j, x_j in enumerate(x):
         np.multiply(t, x_j, out=arg[..., j])

@@ -175,9 +175,6 @@ class SystemConfig:
         if not self.preamble:
             pre = (1.0 + 0j, -1.0 + 0j) if self.t_preamble == 2 else default_preamble(self.t_preamble)
             object.__setattr__(self, "preamble", pre)
-        self._check()
-
-    def _check(self):
         pre = np.asarray(self.preamble)
         if pre.shape != (self.t_preamble,):
             raise ValueError("preamble length must equal t_preamble")

@@ -1,7 +1,8 @@
 """The package exports only what it runs or documents: every name in a
 srofdm module's `__all__` is used by another srofdm module or listed under
 the README's "Analysis API" heading. Code that only the tests call belongs in
-the tests (see tests/oracles.py)."""
+the tests (see tests/oracles.py). Each config type checks its own rules as it
+is built, so no src module asks an instance to validate itself."""
 import ast
 import importlib
 import re
@@ -89,3 +90,18 @@ def test_no_private_imports_between_modules():
             private += [f"{path.name}: {name}" for name in names
                         if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
     assert not private, f"private names used across srofdm modules: {private}"
+
+
+def test_configs_are_valid_once_built():
+    # each config type checks its rules as it is built (or replaced), so no
+    # caller asks an instance whether it is valid
+    tree = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    calls = [f"{name}:{node.lineno}" for name, module in tree.items() for node in ast.walk(module)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "validate"]
+    assert not calls, f".validate() calls in srofdm: {calls}"
+    checked = {node.name for module in tree.values() for node in ast.walk(module)
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__" for item in node.body)}
+    missing = {"SystemConfig", "ChannelConfig", "Scenario", "SweepSpec"} - checked
+    assert not missing, f"no __post_init__ on {sorted(missing)}"

@@ -79,9 +79,9 @@ class TestChannelConfig:
 
     def test_cp_validation(self):
         cfg = ChannelConfig(l_d=4, l_1=1, l_2=2, d_b=1)
-        Scenario(SystemConfig(n_cp=16), cfg).validate()
+        Scenario(SystemConfig(n_cp=16), cfg)
         with pytest.raises(ValueError):
-            Scenario(SystemConfig(n_cp=3), cfg).validate()
+            Scenario(SystemConfig(n_cp=3), cfg)
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError):

@@ -229,6 +229,21 @@ class TestSweepCommand:
         csv = (out / "sync_error_samples__perfect_csi.csv").read_text().splitlines()
         assert len(csv) == 1 + 21
 
+    def test_sync_axis_runs_method2_at_most_n_taps(self, tmp_path):
+        # at xi >= 62 the l_b + d_b + xi composite taps outnumber the 64
+        # subcarriers; method 2 then runs at full order, as method 1 does
+        out = tmp_path / "sync_far"
+        assert main([
+            "sweep", "paper_default", "--axis", "sync_error_samples", "--points", "61,62,79",
+            "--trials", "1000", "--receivers", "proposed_m1,proposed_m2,ml_estimated",
+            "--out", str(out), "--quiet",
+        ]) == 0
+        rows = {name: (out / f"sync_error_samples__{name}.csv").read_text().splitlines()[1:]
+                for name in ("proposed_m1", "proposed_m2", "ml_estimated")}
+        assert [len(r) for r in rows.values()] == [3, 3, 3]
+        for m1, m2 in zip(rows["proposed_m1"][1:], rows["proposed_m2"][1:]):  # 62 and 79
+            assert m1.split(",")[3:7] == m2.split(",")[3:7]
+
     def test_bad_scenario_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         for text in ("nonsense = 1\n", "noise_dbm = nan\n", "dist_fwd = -inf\n",
@@ -577,6 +592,15 @@ class TestTheoryCommand:
                 want = spec.secondary_theory(np.ones(1), point, taps)
                 assert (r[1], r[2]) == (f"theory_secondary_{name}", spec.csi)
                 assert r[-1] == format(want["secondary_ber_theory"], ".9g")
+
+    def test_secondary_m2_counts_at_most_n_taps(self, tmp_path):
+        # sync_error = 70 gives l_b + d_b + 70 = 73 taps; method 2 runs at 64
+        scenario = tmp_path / "s.txt"
+        scenario.write_text("sync_error = 70\n")
+        out = tmp_path / "theory6"
+        assert main(["theory", str(scenario), "--points", "12", "--out", str(out), "--quiet"]) == 0
+        row = (out / "theory__secondary_m2.csv").read_text().splitlines()[1]
+        assert row.split(",")[-1] == "0.112218201"  # 0.118751827 at 73 taps
 
     @pytest.mark.parametrize("axis", sorted(set(SWEEP_AXES) - {"direct_snr_db", "backscatter_snr_db"}))
     def test_points_refused_off_the_snr_axes(self, tmp_path, capsys, axis):

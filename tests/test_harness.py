@@ -173,12 +173,23 @@ class TestTrialDeterminism:
             run_trial(paper_scenario(), "direct_snr_db", 20.0, 0, 1, receivers)
 
     def test_run_trial_validates_the_scenario_like_run_sweep(self):
-        scen = paper_scenario(system=dict(n_cp=2))  # 4 direct taps outlast the CP
-        spec = SweepSpec(axis="direct_snr_db", points=(20.0,), trials_per_point=1000)
-        for run in (lambda: run_sweep(spec, scen, master_seed=1),
-                    lambda: run_trial(scen, "direct_snr_db", 20.0, 0, 1)):
-            with pytest.raises(ValueError, match="direct taps 4 exceed CP length 2"):
-                run()
+        # neither can be handed the scenario: it fails as it is built
+        with pytest.raises(ScenarioError, match="direct taps 4 exceed CP length 2"):
+            paper_scenario(system=dict(n_cp=2))  # 4 direct taps outlast the CP
+
+
+class TestScenarioRules:
+    @pytest.mark.parametrize("change, message", [
+        (dict(chan=ChannelConfig(l_d=17)), "direct taps 17 exceed CP length 16"),
+        (dict(chan=ChannelConfig(d_b=15)), r"backscatter span 2\+15 exceeds CP length 16"),
+        (dict(system=SystemConfig(n_p=2)), "2 pilots cannot resolve 4 composite taps"),
+        (dict(sync_error=80), r"sync error 80 outside \[0, 80\)"),
+        (dict(system=SystemConfig(n_p=64)), "n_p = 64 pilots leave no data subcarrier of n = 64"),
+    ], ids=["cp_direct", "cp_backscatter", "comb_resolution", "sync_range", "data_subcarrier"])
+    def test_replace_into_a_broken_scenario_raises(self, change, message):
+        scen = paper_scenario()
+        with pytest.raises(ScenarioError, match=message):
+            replace(scen, **change)
 
 
 class TestSweep:
@@ -462,18 +473,11 @@ class TestDrawOnce:
         with pytest.raises(ScenarioError, match="direct_snr_db = 4000"):
             run_sweep(spec, paper_scenario(), master_seed=1)
 
-    def test_comb_without_data_subcarrier_fails_before_any_draw(self, monkeypatch):
-        # ran with numpy RuntimeWarnings and returned NaN primary BER and theory
-        def no_draws(*args, **kwargs):
-            raise AssertionError("a trial was drawn")
-
-        monkeypatch.setattr(harness, "draw_trials", no_draws)
-        scen = paper_scenario(system=dict(n_p=64))
-        spec = SweepSpec(axis="direct_snr_db", points=(20.0,), trials_per_point=1000, receivers=("perfect_csi",))
+    def test_comb_without_data_subcarrier_fails_before_any_draw(self):
+        # ran with numpy RuntimeWarnings and returned NaN primary BER and theory;
+        # no such scenario can now reach a draw
         with pytest.raises(ScenarioError, match="n_p = 64 pilots leave no data subcarrier of n = 64"):
-            run_sweep(spec, scen, master_seed=1)
-        with pytest.raises(ScenarioError, match="n_p = 64 pilots leave no data subcarrier of n = 64"):
-            run_trial(scen, "direct_snr_db", 20.0, 0, 1, ("ml_perfect",))
+            Scenario(SystemConfig(n_p=64), ChannelConfig())
 
 
 # a headline-shaped chunk twice in one fresh interpreter, so that no earlier
@@ -484,7 +488,7 @@ import resource
 from srofdm import cli, harness
 scenario, _ = cli.resolve_scenario(cli.load_scenario_file("paper_default"))
 receivers = ("perfect_csi", "proposed_m1", "proposed_m2")
-path, points = harness._prepare(scenario, "direct_snr_db", range(12, 31, 3), receivers)
+path, points = harness._prepare(scenario, "direct_snr_db", range(12, 31, 3))
 chunk = (path, points, 7, range(harness.CHUNK_TRIALS), receivers, True)
 harness._process_chunk(chunk)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

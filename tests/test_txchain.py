@@ -233,11 +233,11 @@ class TestSystemConfig:
 
     def test_validate_with_channel(self):
         cfg = paper_cfg()
-        Scenario(cfg, ChannelConfig()).validate()
+        Scenario(cfg, ChannelConfig())
         with pytest.raises(ValueError):
             # 4 pilots cannot resolve the 4-tap composite response... they can;
             # shrink to 2 pilots to trigger the failure
-            Scenario(paper_cfg(n_p=2), ChannelConfig()).validate()
+            Scenario(paper_cfg(n_p=2), ChannelConfig())
 
     def test_data_subcarrier_bookkeeping(self):
         cfg = paper_cfg()
