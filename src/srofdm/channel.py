@@ -179,7 +179,6 @@ class ChannelRealization:
     H_d: np.ndarray = field(repr=False)
     H_b: np.ndarray = field(repr=False)
     d_b: int = 0
-    n: int = 64
 
 
 def _fft_padded(taps: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
@@ -215,7 +214,6 @@ def realization_from_taps(h_d, b, g, d_b: int, n: int) -> ChannelRealization:
         H_d=_fft_padded(h_d, n),
         H_b=_fft_padded(h_b, n, shift=d_b),
         d_b=d_b,
-        n=n,
     )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from numbers import Integral
 from typing import Callable, Optional
@@ -272,8 +272,8 @@ class SweepSpec:
         if self.axis not in SWEEP_AXES:
             raise ScenarioError(f"unknown sweep axis {self.axis!r}")
         pts = np.asarray(self.points, dtype=float)
-        if pts.size == 0 or np.any(np.diff(pts) <= 0):
-            raise ScenarioError("sweep points must be strictly increasing")
+        if pts.size == 0 or not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0):
+            raise ScenarioError("sweep points must be finite and strictly increasing")
         if not isinstance(self.trials_per_point, Integral):
             raise ScenarioError(f"trials per point must be an integer, got {self.trials_per_point!r}")
         if self.trials_per_point < 10**3:
@@ -335,14 +335,8 @@ class PointResult:
         return self.theory_sums[key] / self.trials if key in self.theory_sums else None
 
     def merge(self, other: "PointResult"):
-        self.trials += other.trials
-        self.primary_bits += other.primary_bits
-        self.primary_bit_errors += other.primary_bit_errors
-        self.primary_symbols += other.primary_symbols
-        self.primary_symbol_errors += other.primary_symbol_errors
-        self.secondary_bits += other.secondary_bits
-        self.secondary_bit_errors += other.secondary_bit_errors
-        self.erasures += other.erasures
+        for f in fields(self)[1:-1]:  # the integer counters between point and theory_sums
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         for k, v in other.theory_sums.items():
             self.theory_sums[k] = self.theory_sums.get(k, 0.0) + v
 
@@ -427,10 +421,9 @@ def observe_trials(draws: TrialDraws, system: SystemConfig, chan: ChannelConfig,
         raise ValueError(f"a sync error of {xi} samples needs the sample path,"
                          f" and these draws are for the {draws.path} path")
     real = realization_from_taps(*scale_link_taps(chan, draws.unit_taps), chan.d_b, system.n)
-    truth = dict(s_indices=draws.s_indices, c_indices=draws.c_indices, noise=draws.noise)
     if draws.path == "sample":
-        return sample_level_rx(draws.s_values, draws.c_values, real, system, xi=xi, **truth)
-    return frequency_domain_rx(draws.s_values, draws.c_values, real, system, **truth)
+        return sample_level_rx(draws.s_values, draws.c_values, real, system, xi=xi, noise=draws.noise)
+    return frequency_domain_rx(draws.s_values, draws.c_values, real, system, noise=draws.noise)
 
 
 def draw_frame_batch(
@@ -446,19 +439,19 @@ def draw_frame_batch(
     return observe_trials(draw_trials(system, chan, master_seed, trial_ids, path), system, chan, xi)
 
 
-def _count_errors(result: PointResult, obs, out, system: SystemConfig):
-    batch = obs.s_indices.shape[0]
-    result.trials += batch
-    result.primary_symbols += obs.s_indices.size
-    result.primary_symbol_errors += int(np.sum(out.s_hat != obs.s_indices))
-    result.primary_bits += obs.s_indices.size * system.qam.bits_per_symbol
-    result.primary_bit_errors += int(np.sum(system.qam.bit_errors(obs.s_indices, out.s_hat)))
+def _count_errors(result: PointResult, draws: TrialDraws, out, system: SystemConfig):
+    """Add one receiver's decisions over a chunk to its counters, counted
+    against the indices the chunk drew."""
+    s_idx, c_idx = draws.s_indices, draws.c_indices
+    result.trials += s_idx.shape[0]
+    result.primary_symbols += s_idx.size
+    result.primary_symbol_errors += int(np.sum(out.s_hat != s_idx))
+    result.primary_bits += s_idx.size * system.qam.bits_per_symbol
+    result.primary_bit_errors += int(np.sum(system.qam.bit_errors(s_idx, out.s_hat)))
     result.erasures += int(np.sum(out.n_erased))
     if out.c_hat is not None:
-        result.secondary_bits += obs.c_indices.size * system.psk.bits_per_symbol
-        result.secondary_bit_errors += int(
-            np.sum(system.psk.bit_errors(obs.c_indices, out.c_hat))
-        )
+        result.secondary_bits += c_idx.size * system.psk.bits_per_symbol
+        result.secondary_bit_errors += int(np.sum(system.psk.bit_errors(c_idx, out.c_hat)))
 
 
 def _receive_path(axis: str, sync_error: int) -> str:
@@ -476,7 +469,7 @@ def _run_point(draws: TrialDraws, point, receivers, with_theory) -> dict:
     memo = {}  # stage prefix -> its values over this chunk, while a later receiver shares it
     results = {name: PointResult(point=value) for name in receivers}
     for i, name in enumerate(receivers):  # no output outlives its counting
-        _count_errors(results[name], obs, run_algorithm1(
+        _count_errors(results[name], draws, run_algorithm1(
             obs, system, RECEIVERS[name].stages, taps=taps, detect_c=with_backscatter, memo=memo), system)
         later = [RECEIVERS[r].stages for r in receivers[i + 1 :]]
         memo = {key: v for key, v in memo.items() if any(s[: len(key)] == key for s in later)}

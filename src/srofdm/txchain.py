@@ -182,8 +182,8 @@ class SystemConfig:
             raise ValueError("preamble symbols must have unit modulus")
         if not abs(pre.sum()) <= 1e-9:
             raise ValueError("preamble symbols must sum to zero")
-        if not (self.p_t > 0 and self.sigma2 >= 0):  # also NaN
-            raise ValueError("powers must be positive (noise may be zero)")
+        if not (0 < self.p_t < float("inf") and 0 <= self.sigma2 < float("inf")):  # also NaN
+            raise ValueError("powers must be positive and finite (noise may be zero)")
         self.qam, self.psk  # built once, here, which checks their orders
 
     @cached_property
@@ -221,13 +221,12 @@ class SystemConfig:
 @dataclass(frozen=True)
 class FrameObservation:
     """Frequency-domain receiver samples for one secondary frame plus the
-    ground truth needed for error counting and genie receivers. All arrays
-    may carry leading batch dimensions."""
+    sent values, channel and timing error that made them, which the genie
+    stages read. The drawn indices that errors are counted against stay in
+    the harness's TrialDraws. All arrays may carry leading batch dimensions."""
 
     y: np.ndarray = field(repr=False)
-    s_indices: np.ndarray = field(repr=False)  # (..., n_max, n_data) data positions
     s_values: np.ndarray = field(repr=False)  # (..., n_max, n) including pilots
-    c_indices: np.ndarray = field(repr=False)  # (..., n_max - T)
     c_values: np.ndarray = field(repr=False)  # (..., n_max) preamble + data
     realization: ChannelRealization = None
     xi: int = 0
@@ -274,8 +273,6 @@ def frequency_domain_rx(
     realization: ChannelRealization,
     cfg: SystemConfig,
     *,
-    s_indices=None,
-    c_indices=None,
     noise=None,
 ) -> FrameObservation:
     """Synchronized observation straight from the per-subcarrier model:
@@ -284,10 +281,7 @@ def frequency_domain_rx(
     c_values = np.asarray(c_values)
     h = composite_response(realization.H_d, realization.H_b, c_values)
     y = np.sqrt(cfg.p_t) * s_values * h + _noise_or_zero(noise, cfg)
-    return FrameObservation(
-        y=y, s_indices=s_indices, s_values=s_values,
-        c_indices=c_indices, c_values=c_values, realization=realization,
-    )
+    return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=realization)
 
 
 def _tap_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -327,8 +321,6 @@ def sample_level_rx(
     cfg: SystemConfig,
     xi: int = 0,
     *,
-    s_indices=None,
-    c_indices=None,
     noise=None,
 ) -> FrameObservation:
     """Full time-domain path: IDFT + CP, direct and gated backscatter tap
@@ -358,7 +350,4 @@ def sample_level_rx(
 
     blocks = rx.reshape(rx.shape[:-1] + (cfg.n_max, cfg.symbol_period))[..., n_cp:]
     y = np.fft.fft(blocks, axis=-1) / np.sqrt(n)
-    return FrameObservation(
-        y=y, s_indices=s_indices, s_values=s_values,
-        c_indices=c_indices, c_values=c_values, realization=realization, xi=xi,
-    )
+    return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=realization, xi=xi)

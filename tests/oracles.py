@@ -519,9 +519,10 @@ def per_trial_draw_frame_batch(
     trial_ids,
     xi: int = 0,
     path: str = "frequency",
-) -> FrameObservation:
+) -> tuple[FrameObservation, np.ndarray, np.ndarray]:
     """Draw a batch of independent trials, one stream per trial id, and run
-    them through the requested receive path in one vectorized call.
+    them through the requested receive path in one vectorized call. Returns
+    (observation, primary indices, secondary indices).
 
     Per-trial draw order is fixed (channel taps, primary indices, secondary
     indices, noise), which is what the reproducibility contract rests on.
@@ -550,13 +551,7 @@ def per_trial_draw_frame_batch(
     s_values = modulate_primary(s_idx, system)
     c_values = secondary_frame(c_idx, system)
     if path == "sample":
-        return sample_level_rx(
-            s_values, c_values, real, system, xi=xi,
-            s_indices=s_idx, c_indices=c_idx, noise=noise,
-        )
+        return sample_level_rx(s_values, c_values, real, system, xi=xi, noise=noise), s_idx, c_idx
     if noise is not None:
         noise = noise.reshape(batch, system.n_max, system.n)
-    return frequency_domain_rx(
-        s_values, c_values, real, system,
-        s_indices=s_idx, c_indices=c_idx, noise=noise,
-    )
+    return frequency_domain_rx(s_values, c_values, real, system, noise=noise), s_idx, c_idx

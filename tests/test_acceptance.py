@@ -214,10 +214,10 @@ class TestAcceptance:
             ChannelConfig(direct_model="none", l_d=2, l_1=1, l_2=2, d_b=0),
             RandomStream(1066, 0), cfg.n,
         )
-        s, si = draw_primary(cfg, RandomStream(1066, 1))
-        c, ci = draw_secondary(cfg, RandomStream(1066, 2))
+        s, _ = draw_primary(cfg, RandomStream(1066, 1))
+        c, _ = draw_secondary(cfg, RandomStream(1066, 2))
         u = draw_noise(cfg, RandomStream(1066, 3), s.shape)
-        obs = frequency_domain_rx(s, c, real, cfg, noise=u, s_indices=si, c_indices=ci)
+        obs = frequency_domain_rx(s, c, real, cfg, noise=u)
         for m in range(cfg.n_max):
             cands = ml_candidates(real.H_d, real.H_b, cfg, pilot_structure=False)
             totals, _ = ml_symbol_metrics(obs.y[m], cands, cfg)

@@ -222,7 +222,6 @@ class TestDerivedResponses:
             H_d=np.stack([r.H_d for r in singles]),
             H_b=np.stack([r.H_b for r in singles]),
             d_b=cfg.d_b,
-            n=64,
         )
         out = composite_cfr(batched, np.array([1.0, -1.0, 0.5]))
         for i, r in enumerate(singles):

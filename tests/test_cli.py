@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srofdm import harness
+from srofdm import cli, harness
 from srofdm.cli import (
     _SCENARIO_KEYS,
     _SWEEP_KEYS,
@@ -156,6 +156,25 @@ class TestSweepCommand:
         assert main(argv + ["--out", str(b)]) == 0
         for f in sorted(p.name for p in a.iterdir()):
             assert (a / f).read_bytes() == (b / f).read_bytes()
+
+    def test_default_output_prints_each_point(self, tmp_path, capsys):
+        scen = tmp_path / "direct_only.txt"
+        scen.write_text("backscatter_model = none\nreceivers = perfect_csi,proposed_m2\n")
+        loud, quiet = tmp_path / "loud", tmp_path / "quiet"
+        argv = ["sweep", str(scen), "--points", "16,24", "--trials", "1000", "--seed", "3"]
+        assert main(argv + ["--out", str(loud)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        want = []
+        for name in ("perfect_csi", "proposed_m2"):
+            for row in (loud / f"direct_snr_db__{name}.csv").read_text().splitlines()[1:]:
+                point, _, _, ber_primary, *_ = row.split(",")
+                want.append(f"direct_snr_db={point} {name}: ber_primary={ber_primary} ber_secondary=n/a")
+        assert lines == want and len(lines) == 4
+        assert main(argv + ["--out", str(quiet), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in loud.iterdir()) == sorted(p.name for p in quiet.iterdir())
+        for f in loud.iterdir():
+            assert f.read_bytes() == (quiet / f.name).read_bytes()
 
     def test_worker_count_does_not_change_output(self, tmp_path, fast_scenario):
         a, b = tmp_path / "w1", tmp_path / "w2"
@@ -442,6 +461,26 @@ class TestSweepCommand:
         assert len(csv) == 1 + 2
         assert json.loads((out / "manifest.json").read_text())["scenario"]["direct_model"] == "none"
 
+    def test_no_anchor_without_a_direct_link_exits_1(self, tmp_path, capsys):
+        scen = tmp_path / "no_anchor.txt"
+        scen.write_text("direct_model = none\n")
+        assert main(["sweep", str(scen), "--axis", "stx_distance_m", "--points", "5",
+                     "--out", str(tmp_path / "x"), "--quiet"]) == 1
+        assert main(["single", str(scen), "--axis", "stx_distance_m", "--value", "5"]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == ["error: no direct link: scenario needs backscatter_snr_db and a backscatter link"] * 2
+        assert not (tmp_path / "x").exists()
+
+    def test_runtime_failure_exits_2(self, tmp_path, capsys, monkeypatch, fast_scenario):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_sweep", boom)
+        assert main(["sweep", str(fast_scenario), "--points", "20", "--trials", "1000",
+                     "--out", str(tmp_path / "x"), "--quiet"]) == 2
+        assert capsys.readouterr().err == "runtime error: boom\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("axis, model", [
         ("direct_snr_db", "direct_model"),
         ("snr_ratio_db", "direct_model"),
@@ -614,6 +653,10 @@ class TestTheoryCommand:
         scenario.write_text(f"axis = {axis}\npoints = 1,2,3\n")
         assert main(["theory", str(scenario), "--out", str(out), "--quiet"]) == 0
         assert json.loads((out / "manifest.json").read_text())["points"] == list(range(0, 41, 2))
+
+    def test_default_output_prints_the_moments(self, tmp_path, capsys):
+        assert main(["theory", "paper_default", "--out", str(tmp_path / "theory")]) == 0
+        assert capsys.readouterr().out == "gamma1=1.888889 gamma2=6.827160\n"
 
     def test_manifest_echoes_moments(self, tmp_path):
         out = tmp_path / "theory3"

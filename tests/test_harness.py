@@ -129,6 +129,8 @@ class TestSweepSpec:
         dict(trials_per_point=5),
         dict(receivers=("magic",)),
         dict(trials_per_point=1000.0),  # failed later: 'float' object cannot be interpreted as an integer
+        dict(points=(float("nan"),)),  # np.diff of one NaN point has nothing to compare
+        dict(points=(1.0, float("inf"))),
     ])
     def test_rejections_are_scenario_errors(self, bad):
         kw = dict(axis="direct_snr_db", points=(10.0,), trials_per_point=1000)
@@ -370,16 +372,18 @@ class TestFrameBatch:
         scen = paper_scenario()
         system, chan, _ = apply_axis(scen, "direct_snr_db", 20.0)
         batch = draw_frame_batch(system, chan, master_seed=21, trial_ids=[0, 1, 2])
+        batch_draws = draw_trials(system, chan, 21, [0, 1, 2])
         for i in range(3):
             single = draw_frame_batch(system, chan, master_seed=21, trial_ids=[i])
             np.testing.assert_array_equal(batch.y[i], single.y[0])
-            np.testing.assert_array_equal(batch.s_indices[i], single.s_indices[0])
+            single_draws = draw_trials(system, chan, 21, [i])
+            np.testing.assert_array_equal(batch_draws.s_indices[i], single_draws.s_indices[0])
+            np.testing.assert_array_equal(batch_draws.c_indices[i], single_draws.c_indices[0])
 
 
 def frame_arrays(obs) -> dict:
     real = obs.realization
-    return {"y": obs.y, "s_indices": obs.s_indices, "s_values": obs.s_values,
-            "c_indices": obs.c_indices, "c_values": obs.c_values,
+    return {"y": obs.y, "s_values": obs.s_values, "c_values": obs.c_values,
             "h_d": real.h_d, "b": real.b, "g": real.g, "H_d": real.H_d, "H_b": real.H_b}
 
 
@@ -388,6 +392,11 @@ def assert_same_bytes(got, want):
         actual = frame_arrays(got)[name]
         assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape), name
         assert actual.tobytes() == expected.tobytes(), name  # also the sign of every zero
+
+
+def assert_same_indices(draws, s_idx, c_idx):
+    for got, want in ((draws.s_indices, s_idx), (draws.c_indices, c_idx)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 # (channel models, the axis that sets their power, two points on it)
@@ -415,7 +424,8 @@ class TestDrawSplit:
         draws = draw_trials(scen.system, scen.chan, 31, trial_ids, path)
         for value in values:
             system, chan, _ = apply_axis(scen, axis, value)
-            want = per_trial_draw_frame_batch(system, chan, 31, trial_ids, xi=xi, path=path)
+            want, s_idx, c_idx = per_trial_draw_frame_batch(system, chan, 31, trial_ids, xi=xi, path=path)
+            assert_same_indices(draws, s_idx, c_idx)
             assert_same_bytes(observe_trials(draws, system, chan, xi), want)
             assert_same_bytes(draw_frame_batch(system, chan, 31, trial_ids, xi=xi, path=path), want)
 
@@ -424,8 +434,9 @@ class TestDrawSplit:
         system = replace(system, sigma2=0.0)
         draws = draw_trials(system, chan, 8, [2, 7])
         assert draws.noise is None
-        assert_same_bytes(observe_trials(draws, system, chan),
-                          per_trial_draw_frame_batch(system, chan, 8, [2, 7]))
+        want, s_idx, c_idx = per_trial_draw_frame_batch(system, chan, 8, [2, 7])
+        assert_same_indices(draws, s_idx, c_idx)
+        assert_same_bytes(observe_trials(draws, system, chan), want)
 
     def test_frequency_draws_refuse_a_sync_error(self):
         with pytest.raises(ValueError, match="needs the sample path.*frequency path"):

@@ -66,8 +66,8 @@ def noise_free_obs(seed=1, ms=16, mc=8, ch=None):
     real = draw_channel(ch, RandomStream(seed, 0), cfg.n)
     s, si = draw_primary(cfg, RandomStream(seed, 1))
     c, ci = draw_secondary(cfg, RandomStream(seed, 2))
-    obs = frequency_domain_rx(s, c, real, cfg, s_indices=si, c_indices=ci)
-    return cfg, ch, obs
+    obs = frequency_domain_rx(s, c, real, cfg)
+    return cfg, ch, obs, si, ci
 
 
 class TestPilotEstimation:
@@ -131,14 +131,14 @@ class TestCirToCfr:
 
 class TestDetectPrimary:
     def test_noise_free_zero_errors(self):
-        cfg, ch, obs = noise_free_obs()
+        cfg, ch, obs, si, ci = noise_free_obs()
         h = obs.realization.H_d[None, :] + obs.c_values[:, None] * obs.realization.H_b[None, :]
         idx, erased = detect_primary(obs.y, h, cfg)
-        np.testing.assert_array_equal(idx, obs.s_indices)
+        np.testing.assert_array_equal(idx, si)
         assert not erased.any()
 
     def test_common_scaling_invariance(self):
-        cfg, ch, obs = noise_free_obs(seed=2)
+        cfg, ch, obs, _, _ = noise_free_obs(seed=2)
         h = obs.realization.H_d[None, :] + obs.c_values[:, None] * obs.realization.H_b[None, :]
         alpha = 0.37 - 1.91j
         a, _ = detect_primary(obs.y, h, cfg)
@@ -204,7 +204,7 @@ class TestDetectPrimaryOracle:
 
 class TestReestimation:
     def test_method1_noise_free_exact(self):
-        cfg, ch, obs = noise_free_obs(seed=3)
+        cfg, ch, obs, _, _ = noise_free_obs(seed=3)
         h = reestimate_method1(obs.y, obs.s_values, cfg)
         expect = obs.realization.H_d[None, :] + obs.c_values[:, None] * obs.realization.H_b[None, :]
         np.testing.assert_allclose(h, expect, atol=1e-10)
@@ -245,7 +245,7 @@ class TestReestimation:
         assert np.mean(np.abs(err) ** 2) == pytest.approx(want, rel=0.03)
 
     def test_method2_noise_free_exact(self):
-        cfg, ch, obs = noise_free_obs(seed=4)
+        cfg, ch, obs, _, _ = noise_free_obs(seed=4)
         taps = composite_tap_count(ch)
         h = reestimate_method2(obs.y, obs.s_values, cfg, taps)
         expect = obs.realization.H_d[None, :] + obs.c_values[:, None] * obs.realization.H_b[None, :]
@@ -471,22 +471,22 @@ class TestAlgorithm1:
         pytest.param("proposed_m2", id="method2"),
     ])
     def test_noise_free_end_to_end(self, receiver):
-        cfg, ch, obs = noise_free_obs(seed=5)
+        cfg, ch, obs, si, ci = noise_free_obs(seed=5)
         out = detect(receiver, obs, cfg, composite_tap_count(ch))
-        np.testing.assert_array_equal(out.s_hat, obs.s_indices)
-        np.testing.assert_array_equal(out.c_hat, obs.c_indices)
+        np.testing.assert_array_equal(out.s_hat, si)
+        np.testing.assert_array_equal(out.c_hat, ci)
 
     def test_no_direct_link_decoupled(self):
-        cfg, ch, obs = noise_free_obs(seed=6, ch=ChannelConfig(direct_model="none"))
+        cfg, ch, obs, si, ci = noise_free_obs(seed=6, ch=ChannelConfig(direct_model="none"))
         out = detect("proposed_m2", obs, cfg, composite_tap_count(ch))
-        np.testing.assert_array_equal(out.s_hat, obs.s_indices)
-        np.testing.assert_array_equal(out.c_hat, obs.c_indices)
+        np.testing.assert_array_equal(out.s_hat, si)
+        np.testing.assert_array_equal(out.c_hat, ci)
 
     def test_perfect_csi_noise_free(self):
-        cfg, ch, obs = noise_free_obs(seed=7)
+        cfg, ch, obs, si, ci = noise_free_obs(seed=7)
         out = detect("perfect_csi", obs, cfg, composite_tap_count(ch))
-        np.testing.assert_array_equal(out.s_hat, obs.s_indices)
-        np.testing.assert_array_equal(out.c_hat, obs.c_indices)
+        np.testing.assert_array_equal(out.s_hat, si)
+        np.testing.assert_array_equal(out.c_hat, ci)
 
     def test_method2_not_worse_than_method1(self):
         # shared observations; small sweep, loose statistical assertion
@@ -534,14 +534,14 @@ class TestAlgorithm1:
         np.testing.assert_allclose(pilot_est, m2, atol=1e-10)
 
     def test_unknown_stage_rejected(self):
-        cfg, ch, obs = noise_free_obs(seed=5)
+        cfg, ch, obs, _, _ = noise_free_obs(seed=5)
         with pytest.raises(ValueError, match="unknown receiver stage 'bogus'"):
             run_algorithm1(obs, cfg, ("pilot_ls", "bogus"), taps=composite_tap_count(ch))
 
     def test_receiver_model_order_cap(self):
         # over-length composite response: pilot stage caps at N_p and aliases,
         # tap-domain stage keeps the full order
-        cfg, ch, obs = noise_free_obs(seed=8)
+        cfg, ch, obs, _, _ = noise_free_obs(seed=8)
         out = detect("proposed_m2", obs, cfg, 12)
         assert out.H_hat.shape[-1] == cfg.n
         # with the cap the pilot-based estimate is off, but data-aided
@@ -575,16 +575,16 @@ class TestNoiseMomentIdentities:
 
 class TestMlBenchmark:
     def test_noise_free_joint_recovery(self):
-        cfg, ch, obs = noise_free_obs(seed=9, ms=4, mc=2)
+        cfg, ch, obs, si, ci = noise_free_obs(seed=9, ms=4, mc=2)
         out = detect("ml_perfect", obs, cfg, composite_tap_count(ch))
-        np.testing.assert_array_equal(out.s_hat, obs.s_indices)
-        np.testing.assert_array_equal(out.c_hat, obs.c_indices)
+        np.testing.assert_array_equal(out.s_hat, si)
+        np.testing.assert_array_equal(out.c_hat, ci)
 
     def test_estimated_csi_noise_free(self):
-        cfg, ch, obs = noise_free_obs(seed=10, ms=4, mc=2)
+        cfg, ch, obs, si, ci = noise_free_obs(seed=10, ms=4, mc=2)
         out = detect("ml_estimated", obs, cfg, composite_tap_count(ch))
-        np.testing.assert_array_equal(out.s_hat, obs.s_indices)
-        np.testing.assert_array_equal(out.c_hat, obs.c_indices)
+        np.testing.assert_array_equal(out.s_hat, si)
+        np.testing.assert_array_equal(out.c_hat, ci)
 
     def test_sign_ambiguity_metric_tie_without_pilot_structure(self):
         # absent direct path + BPSK secondary: (c, S) and (-c, -S) explain the
@@ -597,10 +597,10 @@ class TestMlBenchmark:
             ChannelConfig(direct_model="none", l_d=2, l_1=1, l_2=2, d_b=0),
             RandomStream(64, 0), cfg.n,
         )
-        s, si = draw_primary(cfg, RandomStream(64, 1))
-        c, ci = draw_secondary(cfg, RandomStream(64, 2))
+        s, _ = draw_primary(cfg, RandomStream(64, 1))
+        c, _ = draw_secondary(cfg, RandomStream(64, 2))
         u = draw_noise(cfg, RandomStream(64, 3), s.shape)
-        obs = frequency_domain_rx(s, c, real, cfg, noise=u, s_indices=si, c_indices=ci)
+        obs = frequency_domain_rx(s, c, real, cfg, noise=u)
         for m in range(cfg.n_max):
             cands = ml_candidates(real.H_d, real.H_b, cfg, pilot_structure=False)
             totals, _ = ml_symbol_metrics(obs.y[m], cands, cfg)
@@ -635,11 +635,11 @@ class TestMlBenchmark:
         s, si = draw_primary(cfg, RandomStream(65, 1))
         c, ci = draw_secondary(cfg, RandomStream(65, 2))
         u = draw_noise(cfg, RandomStream(65, 3), s.shape)
-        obs = frequency_domain_rx(s, c, real, cfg, noise=u, s_indices=si, c_indices=ci)
+        obs = frequency_domain_rx(s, c, real, cfg, noise=u)
         taps = composite_tap_count(ChannelConfig(direct_model="none"))
         out = detect("ml_perfect", obs, cfg, taps)
-        np.testing.assert_array_equal(out.s_hat, obs.s_indices)
-        np.testing.assert_array_equal(out.c_hat, obs.c_indices)
+        np.testing.assert_array_equal(out.s_hat, si)
+        np.testing.assert_array_equal(out.c_hat, ci)
 
 
 def random_ml_symbol(rng, cfg, shape):

@@ -354,7 +354,7 @@ class TestSecondaryClosedForms:
             u = draw_cn(stream, nblk * cfg.n_max * cfg.n, cfg.sigma2).reshape(
                 nblk, cfg.n_max, cfg.n
             )
-            obs = frequency_domain_rx(s, c, real, cfg, noise=u, s_indices=s_idx, c_indices=c_idx)
+            obs = frequency_domain_rx(s, c, real, cfg, noise=u)
             out = run_algorithm1(obs, cfg, RECEIVERS["proposed_m2_genie"].stages, taps=taps)
             errors += int(np.sum(cfg.psk.bit_errors(c_idx, out.c_hat)))
             bits += c_idx.size * cfg.psk.bits_per_symbol

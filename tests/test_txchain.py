@@ -223,6 +223,12 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=message):
             paper_cfg(**kw)
 
+    @pytest.mark.parametrize("key", ["p_t", "sigma2"])
+    def test_rejects_infinite_power(self, key):
+        # an infinite p_t once built and died later in modulate_primary's table lookup
+        with pytest.raises(ValueError, match="powers must be positive"):
+            SystemConfig(**{key: float("inf")})
+
     def test_frame_length_checked_before_the_preamble_is_built(self, monkeypatch):
         def unbuilt(t):
             raise AssertionError(f"built a {t}-symbol preamble")
@@ -428,7 +434,6 @@ class TestSampleLevelRx:
             H_d=np.stack([r.H_d for r, *_ in singles]),
             H_b=np.stack([r.H_b for r, *_ in singles]),
             d_b=1,
-            n=cfg.n,
         )
         s = np.stack([t[1] for t in singles])
         c = np.stack([t[2] for t in singles])
