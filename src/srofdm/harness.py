@@ -7,7 +7,9 @@ only how the taps are scaled and how the frame is received. So a sweep's
 unit of work is one fixed range of trials over every point: the range is
 drawn once (`draw_trials`), stacked into arrays, and each point scales those
 draws and runs the whole receive/detect chain batched through numpy
-(`observe_trials`).
+(`observe_trials`). Points that differ only in transmit power or sync
+error share one channel configuration, and with it the realization and
+composite response a chunk derives once for it.
 
 `RECEIVERS` is a table of `ReceiverSpec` entries, one per curve: its CSI
 label, its stage tuple and the companions the paper pairs with it. Adding a
@@ -28,6 +30,8 @@ import numpy as np
 from srofdm import theory
 from srofdm.channel import (
     ChannelConfig,
+    ChannelRealization,
+    composite_response,
     composite_tap_count,
     fading_tap_count,
     realization_from_taps,
@@ -85,17 +89,21 @@ class ScenarioError(ValueError):
 # curve is the average of per-realization evaluations over exactly the
 # simulated channels). Each maps (input, system, taps) to the sums of a batch
 # under the CSV's theory keys, or nothing where its formula does not apply.
-# A primary companion's input is the perfect-CSI `theory.composite_snr` grid,
-# which both share; a secondary one's is the backscatter response H_b.
-def _primary_perfect(snr, system, taps):
-    ser, ber = theory.primary_rates_perfect(snr, system)
+# A primary companion's input, which both share, is (snr, rows): the
+# perfect-CSI `theory.composite_snr` on the chunk's distinct (trial, c(n))
+# rows, and each symbol's row (`_distinct_rows`); a secondary one's is the
+# backscatter response H_b.
+def _primary_perfect(grid, system, taps):
+    snr, rows = grid
+    ser, ber = theory.primary_rates_perfect(snr, system, rows=rows)
     return {"primary_ser_theory": float(np.sum(ser)), "primary_ber_theory": float(np.sum(ber))}
 
 
-def _primary_estimated(snr, system, taps):
+def _primary_estimated(grid, system, taps):
     if system.n_p < taps:  # the comb cannot resolve the composite response
         return {}
-    ser, ber = theory.primary_rates_estimated(snr, system, taps)
+    snr, rows = grid
+    ser, ber = theory.primary_rates_estimated(snr, system, taps, rows=rows)
     return {"primary_ser_theory": float(np.sum(ser)), "primary_ber_theory": float(np.sum(ber))}
 
 
@@ -117,8 +125,9 @@ def _secondary_method2(h_b, system, taps):  # at min(taps, n), the order the met
 class ReceiverSpec:
     """One receiver curve. `stages` names its detection chain in order, as
     `receiver.run_algorithm1` runs it; the primary companion maps
-    (composite_snr, system, taps) and the secondary one (H_b, system, taps) to
-    theory sums, and None marks a curve the paper gives no closed form for."""
+    ((composite_snr rows, row index), system, taps) and the secondary one
+    (H_b, system, taps) to theory sums, and None marks a curve the paper
+    gives no closed form for."""
 
     csi: str
     stages: tuple
@@ -409,21 +418,72 @@ def draw_trials(
     )
 
 
+@dataclass(frozen=True)
+class _Channel:
+    """What every point of one ChannelConfig shares over drawn trials: the
+    realization, the composite response H on the frequency path (None on
+    the sample path, which builds its own), and for the primary companions
+    |H|^2 on the data subcarriers at the distinct rows of `_distinct_rows`
+    with each symbol's row (both None without them)."""
+
+    realization: ChannelRealization
+    H: Optional[np.ndarray]
+    data_gain: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None
+
+
+def _derive_channel(draws: TrialDraws, system: SystemConfig, chan: ChannelConfig,
+                    distinct=None) -> _Channel:
+    """The `_Channel` of drawn trials at chan's link gains; `distinct`, the
+    `_distinct_rows` of the draws, asks for the companions' fields."""
+    if draws.unit_taps.shape[-1] != fading_tap_count(chan):
+        raise ValueError("the draws were made for other channel models or tap counts")
+    real = realization_from_taps(*scale_link_taps(chan, draws.unit_taps), chan.d_b, system.n)
+    h = None if draws.path == "sample" else composite_response(real.H_d, real.H_b, draws.c_values)
+    if h is not None:
+        h.setflags(write=False)  # every point's receivers read it
+    if distinct is None:
+        return _Channel(real, h)
+    first, rows = distinct  # composite_snr's grid, on the distinct rows only
+    full = composite_response(real.H_d, real.H_b, draws.c_values) if h is None else h
+    gain = np.abs(np.take(full.reshape(-1, system.n)[first], system.data_indices, axis=-1)) ** 2
+    return _Channel(real, h, gain, rows)
+
+
+def _distinct_rows(c_values: np.ndarray):
+    """(first, rows) over a chunk's (trial, symbol) grid: the flat index of
+    the first symbol of each distinct (trial, c(n)) pair, and each symbol's
+    index into them, shaped like c_values. A composite response row
+    H_d + c(n) H_b is a function of that pair, so equal pairs give equal
+    bytes. c(n) is keyed by its bits, so only bit-equal values share a row:
+    the preamble's 1+0j is PSK point 0, but its -1+0j is not the PSK point
+    -1+1.2e-16j."""
+    batch, n_sym = c_values.shape
+    keys = np.empty((batch, n_sym, 3), dtype=np.uint64)
+    keys[..., 0] = np.arange(batch)[:, None]
+    keys[..., 1:] = np.ascontiguousarray(c_values).view(np.uint64).reshape(batch, n_sym, 2)
+    _, first, rows = np.unique(keys.reshape(-1, 3), axis=0, return_index=True, return_inverse=True)
+    return first, rows.reshape(batch, n_sym)
+
+
+def _receive(draws: TrialDraws, system: SystemConfig, channel: _Channel, xi: int) -> FrameObservation:
+    """The draws through their receive path at one point of `channel`'s config."""
+    if xi and draws.path != "sample":
+        raise ValueError(f"a sync error of {xi} samples needs the sample path,"
+                         f" and these draws are for the {draws.path} path")
+    real = channel.realization
+    if draws.path == "sample":
+        return sample_level_rx(draws.s_values, draws.c_values, real, system, xi=xi, noise=draws.noise)
+    return frequency_domain_rx(draws.s_values, draws.c_values, real, system, noise=draws.noise, h=channel.H)
+
+
 def observe_trials(draws: TrialDraws, system: SystemConfig, chan: ChannelConfig,
                    xi: int = 0) -> FrameObservation:
     """Receive drawn trials at one point: scale the unit taps by the point's
     link gains and run the receive path the draws were made for in one
     vectorized call. `system` and `chan` may differ from those of the draw
     only where no sweep axis changes the draws (p_t and the link gains)."""
-    if draws.unit_taps.shape[-1] != fading_tap_count(chan):
-        raise ValueError("the draws were made for other channel models or tap counts")
-    if xi and draws.path != "sample":
-        raise ValueError(f"a sync error of {xi} samples needs the sample path,"
-                         f" and these draws are for the {draws.path} path")
-    real = realization_from_taps(*scale_link_taps(chan, draws.unit_taps), chan.d_b, system.n)
-    if draws.path == "sample":
-        return sample_level_rx(draws.s_values, draws.c_values, real, system, xi=xi, noise=draws.noise)
-    return frequency_domain_rx(draws.s_values, draws.c_values, real, system, noise=draws.noise)
+    return _receive(draws, system, _derive_channel(draws, system, chan), xi)
 
 
 def draw_frame_batch(
@@ -460,10 +520,11 @@ def _receive_path(axis: str, sync_error: int) -> str:
     return "sample" if axis == "sync_error_samples" or sync_error > 0 else "frequency"
 
 
-def _run_point(draws: TrialDraws, point, receivers, with_theory) -> dict:
-    """{receiver: PointResult} of one resolved point over drawn trials."""
+def _run_point(draws: TrialDraws, point, channel: _Channel, receivers, with_theory) -> dict:
+    """{receiver: PointResult} of one resolved point over drawn trials,
+    received through the `_Channel` of its ChannelConfig."""
     value, system, chan, xi = point
-    obs = observe_trials(draws, system, chan, xi)
+    obs = _receive(draws, system, channel, xi)
     taps = composite_tap_count(chan, xi)
     with_backscatter = chan.backscatter_model != "none"
     memo = {}  # stage prefix -> its values over this chunk, while a later receiver shares it
@@ -475,15 +536,15 @@ def _run_point(draws: TrialDraws, point, receivers, with_theory) -> dict:
         memo = {key: v for key, v in memo.items() if any(s[: len(key)] == key for s in later)}
     if not with_theory:
         return results
-    real = obs.realization
-    primary_snr = None  # built once for every primary companion of the chunk
-    if any(RECEIVERS[name].primary_theory for name in receivers):
-        primary_snr = theory.composite_snr(real.H_d, real.H_b, obs.c_values, system)
+    primary = None  # built once for every primary companion of the point
+    if channel.data_gain is not None:
+        primary = (theory.snr_from_gain(channel.data_gain, system), channel.rows)
     sums = {}  # companion -> its sums over this chunk; receivers share them
     for name in receivers:
         spec = RECEIVERS[name]
-        for companion, given in ((spec.primary_theory, primary_snr),
-                                 (spec.secondary_theory if with_backscatter else None, real.H_b)):
+        for companion, given in ((spec.primary_theory, primary),
+                                 (spec.secondary_theory if with_backscatter else None,
+                                  channel.realization.H_b)):
             if companion is not None:
                 if companion not in sums:
                     sums[companion] = companion(given, system, taps)
@@ -517,14 +578,26 @@ def _pin_heap_thresholds() -> None:
 
 def _process_chunk(args) -> list:
     """One range of trials at every resolved point: [{receiver: PointResult}]
-    in point order. The range is drawn once; only one point's observation
-    lives at a time. The unit of work in process and in every pool worker,
-    so it pins the heap thresholds first (`_pin_heap_thresholds`)."""
+    in point order. The range is drawn once, and each run of consecutive
+    points with one ChannelConfig (every point of an axis that sets only
+    p_t or the sync error) derives its `_Channel` once; only one point's
+    observation and one `_Channel` live at a time. The unit of work in
+    process and in every pool worker, so it pins the heap thresholds first
+    (`_pin_heap_thresholds`)."""
     _pin_heap_thresholds()
     (path, points, master_seed, trial_ids, receivers, with_theory) = args
     _, system, chan, _ = points[0]  # every point draws the same: see TrialDraws
     draws = draw_trials(system, chan, master_seed, trial_ids, path)
-    return [_run_point(draws, point, receivers, with_theory) for point in points]
+    distinct = None
+    if with_theory and any(RECEIVERS[name].primary_theory for name in receivers):
+        distinct = _distinct_rows(draws.c_values)
+    results, held, channel = [], None, None
+    for point in points:
+        if point[2] != held:
+            channel = None  # the last config's record goes before the next one is built
+            held, channel = point[2], _derive_channel(draws, system, point[2], distinct)
+        results.append(_run_point(draws, point, channel, receivers, with_theory))
+    return results
 
 
 def _prepare(scenario: Scenario, axis: str, values) -> tuple:

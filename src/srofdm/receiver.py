@@ -346,7 +346,9 @@ def _stage(stage: str, obs: FrameObservation, cfg: SystemConfig, taps: int, st: 
     y, real = obs.y, obs.realization
     if stage == "pilot_ls":  # a comb short of the model order runs at its own, aliasing
         return {"H_tilde": PilotEstimator(cfg, min(taps, cfg.n_p)).estimate_cfr(y)}
-    if stage == "true_composite":
+    if stage == "true_composite":  # the response y was received through, where the path kept it
+        if obs.H is not None:
+            return {"H_tilde": obs.H}
         h_b = _effective_backscatter(real, obs.xi)
         return {"H_tilde": composite_response(real.H_d, h_b, obs.c_values)}
     if stage == "primary":

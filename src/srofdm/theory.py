@@ -25,6 +25,7 @@ __all__ = [
     "qam_error_rates",
     "ber_psk_from_snr",
     "composite_snr",
+    "snr_from_gain",
     "primary_rates_perfect",
     "snr_primary_estimated_grid",
     "primary_rates_estimated",
@@ -46,7 +47,14 @@ class ConstellationMoments:
 
 
 def qam_moments(m_s: int) -> ConstellationMoments:
-    """Exact moments by enumeration over the Gray QAM alphabet."""
+    """Exact moments by enumeration over the Gray QAM alphabet, built once
+    per order (`_qam_moments`; this stays a plain function, which the
+    benchmark's tracer can wrap)."""
+    return _qam_moments(m_s)
+
+
+@lru_cache(maxsize=None)
+def _qam_moments(m_s: int) -> ConstellationMoments:
     points = QamAlphabet.build(m_s).points
     inv2 = 1.0 / np.abs(points) ** 2
     return ConstellationMoments(gamma1=float(inv2.mean()), gamma2=float((inv2**2).mean()))
@@ -129,15 +137,35 @@ def composite_snr(h_d, h_b, c_values, cfg: SystemConfig):
     both over one batch builds it once. Pass the realized c sequence to
     condition on one frame, or the PSK points to average over the alphabet."""
     h = np.take(composite_response(h_d, h_b, c_values), cfg.data_indices, axis=-1)
-    return cfg.p_t * np.abs(h) ** 2 / cfg.sigma2
+    return snr_from_gain(np.abs(h) ** 2, cfg)
 
 
-def primary_rates_perfect(snr, cfg: SystemConfig):
+def snr_from_gain(gain, cfg: SystemConfig):
+    """Received SNR P |H|^2 / sigma^2 of the power gains |H|^2: a caller
+    holding the gains scales them to each transmit power without rebuilding
+    `composite_snr`'s response."""
+    return cfg.p_t * gain / cfg.sigma2
+
+
+def _grid_means(rates, rows):
+    """Each rate's mean over the (symbol, data subcarrier) grid, gathered
+    back to that grid first where `rows` indexes rows of it."""
+    if rows is not None:
+        rates = tuple(r[rows] for r in rates)
+    return tuple(r.mean(axis=(-2, -1)) for r in rates)
+
+
+def primary_rates_perfect(snr, cfg: SystemConfig, rows=None):
     """(symbol, bit) primary error rates with perfect composite-channel
     knowledge, averaged over the (symbol, data subcarrier) grid of the
-    `composite_snr` snr."""
-    ser, ber = qam_error_rates(snr, cfg.m_s)
-    return ser.mean(axis=(-2, -1)), ber.mean(axis=(-2, -1))
+    `composite_snr` snr.
+
+    With `rows`, an integer array shaped (..., symbol), snr is shaped
+    (row, data subcarrier) and holds only some rows of that grid, rows[..., n]
+    being the one of symbol n: the rates are computed on those rows alone
+    and gathered back to the grid before the average, which gives the bytes
+    of the full-grid call."""
+    return _grid_means(qam_error_rates(snr, cfg.m_s), rows)
 
 
 def snr_primary_estimated_grid(snr, cfg: SystemConfig, taps: int):
@@ -153,11 +181,10 @@ def snr_primary_estimated_grid(snr, cfg: SystemConfig, taps: int):
     return snr / (lev + 1.0 + lev / snr)
 
 
-def primary_rates_estimated(snr, cfg: SystemConfig, taps: int):
+def primary_rates_estimated(snr, cfg: SystemConfig, taps: int, rows=None):
     """(symbol, bit) primary error rates at the pilot-estimated-CSI SNR of
-    the `composite_snr` snr."""
-    ser, ber = qam_error_rates(snr_primary_estimated_grid(snr, cfg, taps), cfg.m_s)
-    return ser.mean(axis=(-2, -1)), ber.mean(axis=(-2, -1))
+    the `composite_snr` snr; `rows` as in `primary_rates_perfect`."""
+    return _grid_means(qam_error_rates(snr_primary_estimated_grid(snr, cfg, taps), cfg.m_s), rows)
 
 
 def _hb_energy(h_b) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -223,13 +224,17 @@ class FrameObservation:
     """Frequency-domain receiver samples for one secondary frame plus the
     sent values, channel and timing error that made them, which the genie
     stages read. The drawn indices that errors are counted against stay in
-    the harness's TrialDraws. All arrays may carry leading batch dimensions."""
+    the harness's TrialDraws. All arrays may carry leading batch dimensions.
+    H is the composite response H_d + c(n) H_b that the frequency path
+    received y through; the sample path leaves it None, since its timing
+    error reshapes the response."""
 
     y: np.ndarray = field(repr=False)
     s_values: np.ndarray = field(repr=False)  # (..., n_max, n) including pilots
     c_values: np.ndarray = field(repr=False)  # (..., n_max) preamble + data
     realization: ChannelRealization = None
     xi: int = 0
+    H: Optional[np.ndarray] = field(default=None, repr=False)  # (..., n_max, n)
 
 
 def modulate_primary(data_indices, cfg: SystemConfig) -> np.ndarray:
@@ -274,14 +279,18 @@ def frequency_domain_rx(
     cfg: SystemConfig,
     *,
     noise=None,
+    h=None,
 ) -> FrameObservation:
     """Synchronized observation straight from the per-subcarrier model:
-    Y(n) = sqrt(P) * diag(s(n)) * (H_d + c(n) H_b) + U(n)."""
+    Y(n) = sqrt(P) * diag(s(n)) * (H_d + c(n) H_b) + U(n). h is that
+    composite response when the caller holds it already (frames received at
+    several powers through one realization share it); else it is built."""
     s_values = np.asarray(s_values)
     c_values = np.asarray(c_values)
-    h = composite_response(realization.H_d, realization.H_b, c_values)
+    if h is None:
+        h = composite_response(realization.H_d, realization.H_b, c_values)
     y = np.sqrt(cfg.p_t) * s_values * h + _noise_or_zero(noise, cfg)
-    return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=realization)
+    return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=realization, H=h)
 
 
 def _tap_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -21,7 +21,9 @@ must reproduce bit for bit, and the comb and companion kernels as they were
 written with fancy-index gathers and a broadcast tail argument
 (`gather_modulate_primary`, `gather_detect_primary`,
 `broadcast_qam_error_rates`), whose bytes the contiguous versions must
-keep. The package itself never calls them.
+keep, and the primary companions over every (symbol, data subcarrier) of
+a batch (`full_grid_primary_sums`), whose bytes the sweep's distinct-row
+evaluation must keep. The package itself never calls them.
 """
 import numpy as np
 from scipy.special import erfc
@@ -42,7 +44,7 @@ from srofdm.receiver import (
     reestimate_method2,
     separate_links,
 )
-from srofdm.theory import _folded_rail
+from srofdm.theory import _folded_rail, composite_snr, primary_rates_estimated, primary_rates_perfect
 from srofdm.txchain import (
     FrameObservation,
     SystemConfig,
@@ -555,3 +557,18 @@ def per_trial_draw_frame_batch(
     if noise is not None:
         noise = noise.reshape(batch, system.n_max, system.n)
     return frequency_domain_rx(s_values, c_values, real, system, noise=noise), s_idx, c_idx
+
+
+def full_grid_primary_sums(real: ChannelRealization, c_values, cfg: SystemConfig, taps: int):
+    """(perfect, estimated) primary companion sums of a batch, under the
+    CSV's theory keys: `composite_snr` over every symbol of every frame,
+    then `primary_rates_perfect` and `primary_rates_estimated` on that full
+    grid; estimated is empty where the comb cannot resolve `taps`."""
+    snr = composite_snr(real.H_d, real.H_b, c_values, cfg)
+
+    def sums(rates):
+        ser, ber = rates
+        return {"primary_ser_theory": float(np.sum(ser)), "primary_ber_theory": float(np.sum(ber))}
+
+    estimated = sums(primary_rates_estimated(snr, cfg, taps)) if taps <= cfg.n_p else {}
+    return sums(primary_rates_perfect(snr, cfg)), estimated

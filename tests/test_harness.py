@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import per_trial_draw_frame_batch, per_trial_link_taps
+from oracles import full_grid_primary_sums, per_trial_draw_frame_batch, per_trial_link_taps
 from srofdm import harness
-from srofdm.channel import ChannelConfig, draw_link_taps
+from srofdm.channel import ChannelConfig, composite_tap_count, draw_link_taps
 from srofdm.harness import (
     RECEIVERS,
     Scenario,
@@ -25,7 +27,7 @@ from srofdm.harness import (
     transmit_power,
 )
 from srofdm.numerics import RandomStream
-from srofdm.txchain import SystemConfig
+from srofdm.txchain import SystemConfig, secondary_frame
 
 NOISE_W = 10 ** (-80 / 10) * 1e-3  # -80 dBm
 
@@ -383,11 +385,13 @@ class TestFrameBatch:
 
 def frame_arrays(obs) -> dict:
     real = obs.realization
-    return {"y": obs.y, "s_values": obs.s_values, "c_values": obs.c_values,
-            "h_d": real.h_d, "b": real.b, "g": real.g, "H_d": real.H_d, "H_b": real.H_b}
+    arrays = {"y": obs.y, "s_values": obs.s_values, "c_values": obs.c_values,
+              "h_d": real.h_d, "b": real.b, "g": real.g, "H_d": real.H_d, "H_b": real.H_b}
+    return arrays if obs.H is None else {**arrays, "H": obs.H}
 
 
 def assert_same_bytes(got, want):
+    assert frame_arrays(got).keys() == frame_arrays(want).keys()
     for name, expected in frame_arrays(want).items():
         actual = frame_arrays(got)[name]
         assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape), name
@@ -457,6 +461,89 @@ class TestDrawSplit:
         want = per_trial_link_taps(chan, RandomStream(4, 2))
         for a, b in zip(got, want):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def float_bits(sums: dict) -> dict:
+    return {key: np.float64(v).tobytes() for key, v in sums.items()}
+
+
+def assert_same_point(got, want):
+    """Every PointResult field equal, the companion sums by their bits."""
+    assert ({**vars(got), "theory_sums": float_bits(got.theory_sums)}
+            == {**vars(want), "theory_sums": float_bits(want.theory_sums)})
+
+
+# (scenario changes, axis, points): every sweep axis, a blocked direct path and no backscatter
+SHARING_CASES = {
+    "direct_snr_db": (dict(), "direct_snr_db", (12.0, 30.0)),
+    "snr_ratio_db": (dict(), "snr_ratio_db", (-30.0, -5.0)),
+    "stx_distance_m": (dict(), "stx_distance_m", (2.0, 20.0)),
+    "sync_error_samples": (dict(), "sync_error_samples", (0.0, 12.0)),
+    "backscatter_snr_db": (dict(backscatter_snr_db=15.0), "backscatter_snr_db", (5.0, 25.0)),
+    "no_direct": (dict(chan=ChannelConfig(direct_model="none"), backscatter_snr_db=15.0),
+                  "backscatter_snr_db", (5.0, 25.0)),
+    "no_backscatter": (dict(chan=ChannelConfig(backscatter_model="none")), "direct_snr_db", (12.0, 30.0)),
+}
+
+
+class TestChunkSharing:
+    """A chunk derives the realization, the composite response and the
+    companions' distinct rows once per ChannelConfig and shares them across
+    its points: a point's results must not depend on which other points
+    share its chunk."""
+
+    @pytest.mark.parametrize("case", list(SHARING_CASES))
+    def test_point_results_do_not_depend_on_the_other_points(self, case):
+        change, axis, points = SHARING_CASES[case]
+        scen = paper_scenario(**change)
+        receivers = ("perfect_csi", "proposed_m1", "proposed_m2")
+
+        def sweep(values):
+            spec = SweepSpec(axis=axis, points=values, trials_per_point=1000, receivers=receivers)
+            return run_sweep(spec, scen, master_seed=23)
+
+        together = sweep(points)
+        assert all("primary_ser_theory" in p.theory_sums for p in together["perfect_csi"].points)
+        for i, value in enumerate(points):
+            alone = sweep((value,))
+            for name in receivers:
+                assert_same_point(together[name].points[i], alone[name].points[0])
+
+
+class TestDistinctRows:
+    """The primary companions run on the distinct (trial, c(n)) rows of a
+    chunk and gather the rates back; their sums must keep the bits of the
+    full-grid evaluation (tests/oracles.py)."""
+
+    @given(m_s=st.sampled_from((4, 16, 64, 256)), m_c=st.sampled_from((2, 4, 8, 16)),
+           t=st.sampled_from((2, 3, 4)), data_symbols=st.integers(1, 6),
+           snr_db=st.floats(-10.0, 60.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_companion_sums_keep_the_full_grid_bits(self, m_s, m_c, t, data_symbols, snr_db, seed):
+        # T = m_c gives a preamble of PSK points, bit for bit; -1+0j is not
+        # the PSK point -1+1.2e-16j; at +60 dB the Gaussian tails underflow
+        scen = paper_scenario(system=dict(m_s=m_s, m_c=m_c, t_preamble=t, n_max=t + data_symbols))
+        path, points = harness._prepare(scen, "direct_snr_db", (snr_db, snr_db + 60.0))
+        trial_ids = range(3)
+        chunk = harness._process_chunk((path, points, seed, trial_ids, ("perfect_csi", "proposed_m1"), True))
+        draws = draw_trials(scen.system, scen.chan, seed, trial_ids)
+        for (_, system, chan, _), results in zip(points, chunk):
+            real = observe_trials(draws, system, chan).realization
+            perfect, estimated = full_grid_primary_sums(real, draws.c_values, system, composite_tap_count(chan))
+            for name, want in (("perfect_csi", perfect), ("proposed_m1", estimated)):
+                got = {key: results[name].theory_sums[key] for key in want}
+                assert float_bits(got) == float_bits(want)
+
+    def test_rows_are_keyed_by_trial_and_the_bits_of_c(self):
+        system = SystemConfig(m_c=8, n_max=4)  # T = 2 preamble (1+0j, -1+0j)
+        c = secondary_frame([[0, 4], [4, 4]], system)
+        assert c[0, 2].tobytes() == c[0, 0].tobytes()  # PSK point 0 is the preamble's 1+0j
+        assert c[0, 3] != c[0, 1]  # PSK point 4 is -1+1.2e-16j
+        first, rows = harness._distinct_rows(c)
+        assert rows.shape == c.shape and len(first) == 6  # three per frame
+        assert rows[0, 0] == rows[0, 2] and rows[1, 2] == rows[1, 3] and rows[0, 1] != rows[0, 3]
+        assert not set(rows[0]) & set(rows[1])  # no row is shared between trials
+        assert c.reshape(-1)[first][rows].tobytes() == c.tobytes()
 
 
 class TestDrawOnce:

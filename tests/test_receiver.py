@@ -23,7 +23,13 @@ from oracles import (
     qr_reestimate_method2,
     ser_qam_awgn,
 )
-from srofdm.channel import ChannelConfig, composite_tap_count, draw_channel, realization_from_taps
+from srofdm.channel import (
+    ChannelConfig,
+    composite_response,
+    composite_tap_count,
+    draw_channel,
+    realization_from_taps,
+)
 from srofdm.cli import load_scenario_file, resolve_scenario
 from srofdm.harness import CHUNK_TRIALS, RECEIVERS, Scenario, apply_axis, draw_frame_batch
 from srofdm.numerics import RandomStream, SingularSystemError, draw_cn, partial_fourier, q_function
@@ -805,6 +811,33 @@ class TestStageChains:
 def _paper_point(axis, value):
     scenario, _ = resolve_scenario(load_scenario_file("paper_default"))
     return apply_axis(scenario, axis, value)
+
+
+class TestTrueComposite:
+    """The perfect-CSI composite estimate: the response the frequency path
+    received y through, or on the sample path the one its timing error
+    gives."""
+
+    def test_frequency_path_reads_the_carried_response(self):
+        system, chan, _ = _paper_point("direct_snr_db", 20.0)
+        obs = draw_frame_batch(system, chan, master_seed=7, trial_ids=range(4))
+        out = run_algorithm1(obs, system, ("true_composite",), taps=composite_tap_count(chan))
+        real = obs.realization
+        want = composite_response(real.H_d, real.H_b, obs.c_values)
+        assert out.H_tilde is obs.H
+        assert (out.H_tilde.shape, out.H_tilde.tobytes()) == (want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("xi", [3, 20])
+    def test_sample_path_builds_it_with_the_timing_phase(self, xi):
+        system, chan, _ = _paper_point("sync_error_samples", xi)
+        obs = draw_frame_batch(system, chan, master_seed=7, trial_ids=range(4), xi=xi, path="sample")
+        assert obs.H is None
+        out = run_algorithm1(obs, system, ("true_composite",), taps=composite_tap_count(chan, xi))
+        real = obs.realization
+        phase = np.exp(-2j * np.pi * np.arange(system.n) * xi / system.n)
+        want = composite_response(real.H_d, real.H_b * phase, obs.c_values)
+        assert (out.H_tilde.shape, out.H_tilde.tobytes()) == (want.shape, want.tobytes())
+        assert not np.array_equal(out.H_tilde, composite_response(real.H_d, real.H_b, obs.c_values))
 
 
 class TestBatchInvariance:

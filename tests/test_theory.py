@@ -81,6 +81,12 @@ class TestMoments:
         assert m.gamma1 == pytest.approx(s1 / n, rel=1e-3)
         assert m.gamma2 == pytest.approx(s2 / n, rel=1e-3)
 
+    def test_built_once_per_order(self):
+        # a frozen record, so every caller can share it
+        assert qam_moments(64) is qam_moments(64)
+        assert qam_moments(16) == theory.ConstellationMoments(gamma1=qam_moments(16).gamma1,
+                                                               gamma2=qam_moments(16).gamma2)
+
     @given(st.sampled_from([4, 16, 64]))
     @settings(max_examples=10, deadline=None)
     def test_moment_inequalities(self, order):
@@ -515,6 +521,38 @@ class TestContiguousTails:
                 warnings.simplefilter("error", RuntimeWarning)
                 got = qam_error_rates(value, m_s)
             assert_same_rates(got, want)
+
+
+class TestDistinctRows:
+    """The primary companions evaluate only the distinct rows of their
+    (symbol, data subcarrier) grid and gather the rates back: that relies on
+    each row's rates not depending on which other rows share the call."""
+
+    @pytest.mark.parametrize("m_s", QAM_ORDERS)
+    def test_any_rows_give_those_rows_of_the_full_grid(self, m_s):
+        rng = np.random.default_rng(m_s)
+        snr = 10.0 ** rng.uniform(-3.0, 9.0, (16, 10, 56))  # tails underflow at the top
+        snr.reshape(-1)[::9] = 0.0
+        full = [r.reshape(-1, 56) for r in qam_error_rates(snr, m_s)]
+        rows = snr.reshape(-1, 56)
+        for _ in range(12):
+            pick = rng.choice(len(rows), size=rng.integers(1, len(rows) + 1), replace=bool(rng.integers(2)))
+            assert_same_rates(qam_error_rates(rows[pick], m_s), [f[pick] for f in full])
+
+    def test_primary_rates_gather_the_rows_back(self):
+        cfg = cfg_with(m_s=64, p_t=1e3)
+        real = draw_channel(ChannelConfig(), RandomStream(107, 0), cfg.n)
+        c = np.array([[1, -1, 1, 1j, -1], [1j, 1j, 1, -1, -1]])  # repeated values per frame
+        h_d, h_b = np.stack([real.H_d, 2 * real.H_d]), np.stack([real.H_b, real.H_b])
+        snr = composite_snr(h_d, h_b, c, cfg)  # (2, 5, 56)
+        keys = np.stack(np.broadcast_arrays(np.arange(2)[:, None], c.real, c.imag), axis=-1)
+        _, first, rows = np.unique(keys.reshape(-1, 3), axis=0, return_index=True, return_inverse=True)
+        rows = rows.reshape(2, 5)
+        distinct = snr.reshape(-1, cfg.n_data)[first]
+        assert len(distinct) == 6
+        assert_same_rates(primary_rates_perfect(distinct, cfg, rows=rows), primary_rates_perfect(snr, cfg))
+        assert_same_rates(primary_rates_estimated(distinct, cfg, 4, rows=rows),
+                          primary_rates_estimated(snr, cfg, 4))
 
 
 class TestEq17Expectation:

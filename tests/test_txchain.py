@@ -16,7 +16,7 @@ from oracles import (
     rail_slicer,
 )
 from srofdm import txchain
-from srofdm.channel import ChannelConfig, draw_channel, realization_from_taps
+from srofdm.channel import ChannelConfig, composite_response, draw_channel, realization_from_taps
 from srofdm.cli import load_scenario_file, resolve_scenario
 from srofdm.harness import Scenario
 from srofdm.numerics import RandomStream, draw_cn
@@ -332,6 +332,20 @@ class TestFrequencyDomainRx:
         np.testing.assert_allclose(sample.y, freq.y, atol=1e-8)
 
 
+    def test_carries_the_composite_response(self):
+        cfg = paper_cfg(sigma2=1e-2)
+        real = draw_channel(ChannelConfig(), RandomStream(33, 0), cfg.n)
+        s, _ = draw_primary(cfg, RandomStream(33, 1))
+        c, _ = draw_secondary(cfg, RandomStream(33, 2))
+        noise = draw_noise(cfg, RandomStream(33, 3), (cfg.n_max, cfg.n))
+        obs = frequency_domain_rx(s, c, real, cfg, noise=noise)
+        want = composite_response(real.H_d, real.H_b, c)
+        assert (obs.H.dtype, obs.H.shape, obs.H.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        # a response the caller holds is used as it is, and gives the same y
+        held = frequency_domain_rx(s, c, real, cfg, noise=noise, h=want)
+        assert held.H is want
+        assert held.y.tobytes() == obs.y.tobytes()
+
     def test_noisy_link_needs_explicit_noise(self):
         # the receive paths never draw: the harness supplies every noise sample
         cfg = paper_cfg(sigma2=1e-2)
@@ -365,6 +379,10 @@ class TestSampleLevelRx:
         ratio = obs.y / (np.sqrt(cfg.p_t) * s)
         model = np.fft.fft(composite_cir(real, c, taps, xi), n=cfg.n)
         np.testing.assert_allclose(ratio, model, atol=1e-9)
+
+    def test_carries_no_composite_response(self):
+        # a timing error reshapes the response; the perfect-CSI stage builds its own
+        assert self._run(3)[-1].H is None
 
     def test_ibi_onset_breaks_model(self):
         # one sample past the CP budget leaves a visible model residual
