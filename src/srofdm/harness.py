@@ -8,8 +8,9 @@ unit of work is one fixed range of trials over every point: the range is
 drawn once (`draw_trials`), stacked into arrays, and each point scales those
 draws and runs the whole receive/detect chain batched through numpy
 (`observe_trials`). Points that differ only in transmit power or sync
-error share one channel configuration, and with it the realization and
-composite response a chunk derives once for it.
+error share one channel configuration, and with it what a chunk derives
+once for it: the realization, and the composite response on the
+frequency path or the sample path's timing-error-free streams.
 
 `RECEIVERS` is a table of `ReceiverSpec` entries, one per curve: its CSI
 label, its stage tuple and the companions the paper pairs with it. Adding a
@@ -45,6 +46,7 @@ from srofdm.txchain import (
     frequency_domain_rx,
     modulate_primary,
     sample_level_rx,
+    sample_level_streams,
     secondary_frame,
 )
 
@@ -421,13 +423,16 @@ def draw_trials(
 @dataclass(frozen=True)
 class _Channel:
     """What every point of one ChannelConfig shares over drawn trials: the
-    realization, the composite response H on the frequency path (None on
-    the sample path, which builds its own), and for the primary companions
-    |H|^2 on the data subcarriers at the distinct rows of `_distinct_rows`
-    with each symbol's row (both None without them)."""
+    realization; on the frequency path the composite response H, and on the
+    sample path the (direct, back) streams of `sample_level_streams`, which
+    every sync error delays and adds (each None on the other path); and for
+    the primary companions |H|^2 on the data subcarriers at the distinct
+    rows of `_distinct_rows` with each symbol's row (both None without
+    them). Its arrays are read-only."""
 
     realization: ChannelRealization
     H: Optional[np.ndarray]
+    streams: Optional[tuple] = None
     data_gain: Optional[np.ndarray] = None
     rows: Optional[np.ndarray] = None
 
@@ -439,15 +444,20 @@ def _derive_channel(draws: TrialDraws, system: SystemConfig, chan: ChannelConfig
     if draws.unit_taps.shape[-1] != fading_tap_count(chan):
         raise ValueError("the draws were made for other channel models or tap counts")
     real = realization_from_taps(*scale_link_taps(chan, draws.unit_taps), chan.d_b, system.n)
-    h = None if draws.path == "sample" else composite_response(real.H_d, real.H_b, draws.c_values)
-    if h is not None:
-        h.setflags(write=False)  # every point's receivers read it
+    h, streams = None, None
+    if draws.path == "sample":
+        streams = sample_level_streams(draws.s_values, draws.c_values, real, system)
+    else:
+        h = composite_response(real.H_d, real.H_b, draws.c_values)
+    for held in (h, *(streams or ())):
+        if held is not None:
+            held.setflags(write=False)  # every point's receive path reads it
     if distinct is None:
-        return _Channel(real, h)
+        return _Channel(real, h, streams)
     first, rows = distinct  # composite_snr's grid, on the distinct rows only
     full = composite_response(real.H_d, real.H_b, draws.c_values) if h is None else h
     gain = np.abs(np.take(full.reshape(-1, system.n)[first], system.data_indices, axis=-1)) ** 2
-    return _Channel(real, h, gain, rows)
+    return _Channel(real, h, streams, gain, rows)
 
 
 def _distinct_rows(c_values: np.ndarray):
@@ -473,7 +483,8 @@ def _receive(draws: TrialDraws, system: SystemConfig, channel: _Channel, xi: int
                          f" and these draws are for the {draws.path} path")
     real = channel.realization
     if draws.path == "sample":
-        return sample_level_rx(draws.s_values, draws.c_values, real, system, xi=xi, noise=draws.noise)
+        return sample_level_rx(draws.s_values, draws.c_values, real, system, xi=xi, noise=draws.noise,
+                               streams=channel.streams)
     return frequency_domain_rx(draws.s_values, draws.c_values, real, system, noise=draws.noise, h=channel.H)
 
 

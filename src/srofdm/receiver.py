@@ -87,16 +87,23 @@ def detect_primary(y: np.ndarray, h_tilde: np.ndarray, cfg: SystemConfig):
     """Single-tap equalization then nearest-QAM decision on data subcarriers.
 
     Returns (indices, erased) where erased flags subcarriers whose channel
-    estimate was an exact null (decision forced to index 0).
+    estimate was an exact null (decision forced to index 0). h_tilde has the
+    shape of y or broadcasts to it. Each step writes into a buffer of the
+    gathers, with the ufuncs and operand order of
+    conj(h_d) * y_d / (where(erased, 1, |h_d| ** 2) * sqrt(P)).
     """
-    y_d = np.take(y, cfg.data_indices, axis=-1)
     h_d = np.take(h_tilde, cfg.data_indices, axis=-1)
-    power = np.abs(h_d) ** 2
+    power = np.abs(h_d)
+    np.square(power, out=power)
     erased = power < ERASURE_THRESHOLD**2
-    safe = np.where(erased, 1.0, power)
-    z = np.conj(h_d) * y_d / (safe * np.sqrt(cfg.p_t))
+    power[erased] = 1.0  # the safe divisor
+    power *= np.sqrt(cfg.p_t)
+    z = np.take(y, cfg.data_indices, axis=-1)
+    np.multiply(np.conjugate(h_d, out=h_d), z, out=z)
+    z /= power
+    del h_d, power  # freed before the slicer's buffers
     idx = cfg.qam.detect(z)
-    idx = np.where(erased, 0, idx)
+    np.copyto(idx, 0, where=erased)
     return idx, erased
 
 

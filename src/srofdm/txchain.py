@@ -4,7 +4,10 @@ OFDM frames, secondary preamble framing, and the noisy receive paths.
 Two receive paths produce the same frequency-domain observations: a direct
 per-subcarrier model for synchronized operation, and a full sample-level
 path (IDFT, cyclic prefix, tap convolutions, tag gating) that also injects a
-secondary symbol timing error.
+secondary symbol timing error. The sample path comes in two halves: the
+direct and backscattered streams, which no timing error changes
+(`sample_level_streams`), and per timing error their sum with the
+backscatter delayed, the noise, CP removal and DFT (`sample_level_rx`).
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ __all__ = [
     "modulate_primary",
     "secondary_frame",
     "frequency_domain_rx",
+    "sample_level_streams",
     "sample_level_rx",
 ]
 
@@ -323,6 +327,29 @@ def tag_emitted_stream(x_stream, c_values, cfg: SystemConfig, xi: int):
     return _delay(x_stream * gate, xi)
 
 
+def sample_level_streams(s_values, c_values, realization: ChannelRealization, cfg: SystemConfig):
+    """The half of the sample path that no timing error changes, as a pair
+    (direct, back) over the IDFT + CP sample stream x: direct = h_d * x and
+    back = delay(g * (gate . (b * x)), d_b), or None without backscatter,
+    where * is the causal tap convolution and gate holds each sample's c(n).
+    Neither depends on p_t, so every point of one realization shares them.
+
+    A delay commutes with a causal tap convolution, so back delayed by xi
+    has the bytes of the gated stream delayed by xi before g."""
+    s_values = np.asarray(s_values)
+    n, n_cp = cfg.n, cfg.n_cp
+    x = np.fft.ifft(s_values, axis=-1) * np.sqrt(n)
+    x_cp = np.concatenate([x[..., n - n_cp :], x], axis=-1)
+    frame_len = cfg.n_max * cfg.symbol_period
+    x_stream = x_cp.reshape(x_cp.shape[:-2] + (frame_len,))
+
+    direct = _tap_convolve(x_stream, realization.h_d)
+    if not np.any(realization.h_b):
+        return direct, None
+    gated = tag_emitted_stream(_tap_convolve(x_stream, realization.b), c_values, cfg, 0)
+    return direct, _delay(_tap_convolve(gated, realization.g), realization.d_b)
+
+
 def sample_level_rx(
     s_values,
     c_values,
@@ -331,9 +358,16 @@ def sample_level_rx(
     xi: int = 0,
     *,
     noise=None,
+    streams=None,
 ) -> FrameObservation:
     """Full time-domain path: IDFT + CP, direct and gated backscatter tap
     convolutions, white time-domain noise, CP removal and DFT.
+
+    streams is the (direct, back) pair of `sample_level_streams` when the
+    caller holds it already (frames received at several powers and timing
+    errors through one realization share it); else it is built. What is
+    left per call is rx = direct + delay(back, xi), its sqrt(P) scale, the
+    noise, CP removal and DFT.
 
     With xi = 0 and the same noise samples this reproduces the frequency
     domain path exactly; with xi > 0 the backscattered waveform (tag gating
@@ -344,19 +378,10 @@ def sample_level_rx(
         raise ValueError(f"sync error {xi} outside [0, {cfg.n + cfg.n_cp})")
     s_values = np.asarray(s_values)
     c_values = np.asarray(c_values)
-    n, n_cp = cfg.n, cfg.n_cp
-    x = np.fft.ifft(s_values, axis=-1) * np.sqrt(n)
-    x_cp = np.concatenate([x[..., n - n_cp :], x], axis=-1)
-    frame_len = cfg.n_max * cfg.symbol_period
-    x_stream = x_cp.reshape(x_cp.shape[:-2] + (frame_len,))
-
-    rx = _tap_convolve(x_stream, realization.h_d)
-    if np.any(realization.h_b):
-        incident = _tap_convolve(x_stream, realization.b)
-        emitted = tag_emitted_stream(incident, c_values, cfg, xi)
-        rx = rx + _delay(_tap_convolve(emitted, realization.g), realization.d_b)
+    direct, back = sample_level_streams(s_values, c_values, realization, cfg) if streams is None else streams
+    rx = direct if back is None else direct + _delay(back, xi)
     rx = np.sqrt(cfg.p_t) * rx + _noise_or_zero(noise, cfg)
 
-    blocks = rx.reshape(rx.shape[:-1] + (cfg.n_max, cfg.symbol_period))[..., n_cp:]
-    y = np.fft.fft(blocks, axis=-1) / np.sqrt(n)
+    blocks = rx.reshape(rx.shape[:-1] + (cfg.n_max, cfg.symbol_period))[..., cfg.n_cp :]
+    y = np.fft.fft(blocks, axis=-1) / np.sqrt(cfg.n)
     return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=realization, xi=xi)

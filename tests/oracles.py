@@ -23,7 +23,10 @@ written with fancy-index gathers and a broadcast tail argument
 `broadcast_qam_error_rates`), whose bytes the contiguous versions must
 keep, and the primary companions over every (symbol, data subcarrier) of
 a batch (`full_grid_primary_sums`), whose bytes the sweep's distinct-row
-evaluation must keep. The package itself never calls them.
+evaluation must keep, and the sample-level receive path in one pass with
+the timing error applied to the gated stream before the backward taps
+(`reference_sample_level_rx`), whose bytes its split into held streams and
+a per-point half must keep. The package itself never calls them.
 """
 import numpy as np
 from scipy.special import erfc
@@ -572,3 +575,45 @@ def full_grid_primary_sums(real: ChannelRealization, c_values, cfg: SystemConfig
 
     estimated = sums(primary_rates_estimated(snr, cfg, taps)) if taps <= cfg.n_p else {}
     return sums(primary_rates_perfect(snr, cfg)), estimated
+
+
+def _reference_tap_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], taps.shape[:-1]) + x.shape[-1:], dtype=complex)
+    t = x.shape[-1]
+    for l in range(taps.shape[-1]):
+        out[..., l:] += taps[..., l : l + 1] * x[..., : t - l]
+    return out
+
+
+def _reference_delay(x: np.ndarray, samples: int) -> np.ndarray:
+    if samples == 0:
+        return x
+    pad = [(0, 0)] * (x.ndim - 1) + [(samples, 0)]
+    return np.pad(x, pad)[..., : x.shape[-1]]
+
+
+def reference_sample_level_rx(s_values, c_values, realization: ChannelRealization, cfg: SystemConfig,
+                              xi: int = 0, *, noise=None) -> FrameObservation:
+    """`srofdm.txchain.sample_level_rx` in one pass, as it was written
+    before its timing-error-free half was split off: IDFT + CP, the direct
+    taps, the backward taps after the tag's gate, with the whole gated
+    stream xi samples late, the sqrt(P) scale and noise, CP removal and DFT."""
+    s_values = np.asarray(s_values)
+    c_values = np.asarray(c_values)
+    n, n_cp = cfg.n, cfg.n_cp
+    x = np.fft.ifft(s_values, axis=-1) * np.sqrt(n)
+    x_cp = np.concatenate([x[..., n - n_cp :], x], axis=-1)
+    frame_len = cfg.n_max * cfg.symbol_period
+    x_stream = x_cp.reshape(x_cp.shape[:-2] + (frame_len,))
+
+    rx = _reference_tap_convolve(x_stream, realization.h_d)
+    if np.any(realization.h_b):
+        incident = _reference_tap_convolve(x_stream, realization.b)
+        gate = c_values[..., np.arange(frame_len) // cfg.symbol_period]
+        emitted = _reference_delay(incident * gate, xi)
+        rx = rx + _reference_delay(_reference_tap_convolve(emitted, realization.g), realization.d_b)
+    rx = np.sqrt(cfg.p_t) * rx + (0.0 if noise is None else noise)
+
+    blocks = rx.reshape(rx.shape[:-1] + (cfg.n_max, cfg.symbol_period))[..., n_cp:]
+    y = np.fft.fft(blocks, axis=-1) / np.sqrt(n)
+    return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=realization, xi=xi)

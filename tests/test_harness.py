@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import full_grid_primary_sums, per_trial_draw_frame_batch, per_trial_link_taps
-from srofdm import harness
+from srofdm import harness, txchain
 from srofdm.channel import ChannelConfig, composite_tap_count, draw_link_taps
 from srofdm.harness import (
     RECEIVERS,
@@ -27,7 +27,7 @@ from srofdm.harness import (
     transmit_power,
 )
 from srofdm.numerics import RandomStream
-from srofdm.txchain import SystemConfig, secondary_frame
+from srofdm.txchain import SystemConfig, sample_level_streams, secondary_frame
 
 NOISE_W = 10 ** (-80 / 10) * 1e-3  # -80 dBm
 
@@ -508,6 +508,35 @@ class TestChunkSharing:
             alone = sweep((value,))
             for name in receivers:
                 assert_same_point(together[name].points[i], alone[name].points[0])
+
+
+class TestHeldStreams:
+    """The sample path's timing-error-free streams are built once per
+    ChannelConfig of a chunk, and each point only delays and adds them."""
+
+    @staticmethod
+    def count_builds(monkeypatch, scen, axis, values):
+        # both names count: a point that built its own streams inside
+        # sample_level_rx would show there
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sample_level_streams(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_level_streams", counted)
+        monkeypatch.setattr(txchain, "sample_level_streams", counted)
+        path, points = harness._prepare(scen, axis, values)
+        assert path == "sample"
+        harness._process_chunk((path, points, 5, range(3), ("perfect_csi", "proposed_m2"), True))
+        return len(calls)
+
+    def test_sync_points_share_one_build(self, monkeypatch):
+        assert self.count_builds(monkeypatch, paper_scenario(), "sync_error_samples", (0.0, 4.0, 8.0)) == 1
+
+    def test_each_channel_config_builds_its_own(self, monkeypatch):
+        scen = paper_scenario(sync_error=3)
+        assert self.count_builds(monkeypatch, scen, "stx_distance_m", (2.0, 3.83, 20.0)) == 3
 
 
 class TestDistinctRows:

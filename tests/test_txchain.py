@@ -14,11 +14,12 @@ from oracles import (
     draw_secondary,
     gather_modulate_primary,
     rail_slicer,
+    reference_sample_level_rx,
 )
 from srofdm import txchain
-from srofdm.channel import ChannelConfig, composite_response, draw_channel, realization_from_taps
+from srofdm.channel import ChannelConfig, composite_response, draw_channel, realization_from_taps, scale_link_taps
 from srofdm.cli import load_scenario_file, resolve_scenario
-from srofdm.harness import Scenario
+from srofdm.harness import Scenario, draw_trials
 from srofdm.numerics import RandomStream, draw_cn
 from srofdm.txchain import (
     FrameObservation,
@@ -29,6 +30,7 @@ from srofdm.txchain import (
     frequency_domain_rx,
     modulate_primary,
     sample_level_rx,
+    sample_level_streams,
     tag_emitted_stream,
 )
 
@@ -458,3 +460,42 @@ class TestSampleLevelRx:
         obs = sample_level_rx(s, c, batched_real, cfg, xi=2)
         for i, (_, _, _, single) in enumerate(singles):
             np.testing.assert_allclose(obs.y[i], single.y, atol=1e-12)
+
+
+SAMPLE_PATH_CHANNELS = {
+    "cascade": ChannelConfig(),
+    "blocked_direct": ChannelConfig(direct_model="none"),
+    "no_backscatter": ChannelConfig(backscatter_model="none"),
+    "awgn": ChannelConfig(backscatter_model="awgn"),
+    "rayleigh_lb4": ChannelConfig(backscatter_model="rayleigh", l_1=2, l_2=3),
+    "d_b_0": ChannelConfig(d_b=0),
+}
+
+
+class TestSampleLevelOracle:
+    """The sample path split into held streams and a per-point half, byte
+    for byte against the one-pass path (tests/oracles.py), at several
+    timing errors through one held pair, as a sweep's points receive it."""
+
+    @given(chan=st.sampled_from(sorted(SAMPLE_PATH_CHANNELS)), sigma2=st.sampled_from([0.0, 1e-11, 1.0]),
+           p_t=st.sampled_from([1.0, 2.5e5]), seed=st.integers(0, 2**32 - 1),
+           xis=st.lists(st.integers(0, 79), min_size=1, max_size=3))
+    @example(chan="cascade", sigma2=1.0, p_t=1.0, seed=0, xis=[0, 15, 79])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_split_path_keeps_the_one_pass_bytes(self, chan, sigma2, p_t, seed, xis):
+        cfg, ch = paper_cfg(sigma2=sigma2, p_t=p_t), SAMPLE_PATH_CHANNELS[chan]
+        assert cfg.n + cfg.n_cp == 80
+        draws = draw_trials(cfg, ch, seed, range(2), "sample")
+        real = realization_from_taps(*scale_link_taps(ch, draws.unit_taps), ch.d_b, cfg.n)
+        args = (draws.s_values, draws.c_values, real, cfg)
+        streams = sample_level_streams(*args)
+        assert (streams[1] is None) == (chan == "no_backscatter")
+        for a in streams:
+            if a is not None:
+                a.setflags(write=False)  # as the harness holds them
+        for xi in xis:
+            want = reference_sample_level_rx(*args, xi, noise=draws.noise).y
+            for got in (sample_level_rx(*args, xi, noise=draws.noise, streams=streams).y,
+                        sample_level_rx(*args, xi, noise=draws.noise).y):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes(), (chan, sigma2, xi)
