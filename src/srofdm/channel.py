@@ -15,7 +15,6 @@ __all__ = [
     "ChannelConfig",
     "ChannelRealization",
     "pathloss",
-    "draw_channel",
     "draw_link_taps",
     "fading_tap_count",
     "scale_link_taps",
@@ -271,12 +270,6 @@ def draw_link_taps(cfg: ChannelConfig, stream: RandomStream):
     unit = draw_cn(stream, fading_tap_count(cfg), 1.0)
     h_d, b, g = scale_link_taps(cfg, unit[None])
     return h_d[0], b[0], g[0]
-
-
-def draw_channel(cfg: ChannelConfig, stream: RandomStream, n: int = 64) -> ChannelRealization:
-    """Draw one realization and derive its per-subcarrier responses."""
-    h_d, b, g = draw_link_taps(cfg, stream)
-    return realization_from_taps(h_d, b, g, cfg.d_b, n)
 
 
 def composite_response(h_d, h_b, c_values) -> np.ndarray:

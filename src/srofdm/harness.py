@@ -477,23 +477,27 @@ def _distinct_rows(c_values: np.ndarray):
 
 
 def _receive(draws: TrialDraws, system: SystemConfig, channel: _Channel, xi: int) -> FrameObservation:
-    """The draws through their receive path at one point of `channel`'s config."""
+    """The draws through their receive path at one point of `channel`'s
+    config. The one place an observation is assembled: y from the receive
+    path, and beside it the drawn values and the channel that made it."""
     if xi and draws.path != "sample":
         raise ValueError(f"a sync error of {xi} samples needs the sample path,"
                          f" and these draws are for the {draws.path} path")
-    real = channel.realization
     if draws.path == "sample":
-        return sample_level_rx(draws.s_values, draws.c_values, real, system, xi=xi, noise=draws.noise,
-                               streams=channel.streams)
-    return frequency_domain_rx(draws.s_values, draws.c_values, real, system, noise=draws.noise, h=channel.H)
+        y = sample_level_rx(channel.streams, system, xi, noise=draws.noise)
+    else:
+        y = frequency_domain_rx(draws.s_values, channel.H, system, noise=draws.noise)
+    return FrameObservation(y=y, s_values=draws.s_values, c_values=draws.c_values,
+                            realization=channel.realization, xi=xi, H=channel.H)
 
 
 def observe_trials(draws: TrialDraws, system: SystemConfig, chan: ChannelConfig,
                    xi: int = 0) -> FrameObservation:
-    """Receive drawn trials at one point: scale the unit taps by the point's
-    link gains and run the receive path the draws were made for in one
-    vectorized call. `system` and `chan` may differ from those of the draw
-    only where no sweep axis changes the draws (p_t and the link gains)."""
+    """Receive drawn trials at one point and return their observation: scale
+    the unit taps by the point's link gains and run the receive path the
+    draws were made for in one vectorized call, assembled by `_receive` as
+    every sweep point's is. `system` and `chan` may differ from those of the
+    draw only where no sweep axis changes the draws (p_t and the link gains)."""
     return _receive(draws, system, _derive_channel(draws, system, chan), xi)
 
 
@@ -619,7 +623,7 @@ def _prepare(scenario: Scenario, axis: str, values) -> tuple:
 
 
 def run_trial(scenario: Scenario, axis: str, value: float, trial_index: int,
-              master_seed: int, receivers=("perfect_csi",)) -> dict:
+              master_seed: int, receivers) -> dict:
     """One trial's error counts for each requested receiver; bitwise
     reproducible from (master_seed, trial_index)."""
     _check_receivers(receivers)

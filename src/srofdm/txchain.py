@@ -1,13 +1,16 @@
 """Transmit chain and observation synthesis: Gray-mapped alphabets, comb-pilot
 OFDM frames, secondary preamble framing, and the noisy receive paths.
 
-Two receive paths produce the same frequency-domain observations: a direct
-per-subcarrier model for synchronized operation, and a full sample-level
-path (IDFT, cyclic prefix, tap convolutions, tag gating) that also injects a
-secondary symbol timing error. The sample path comes in two halves: the
-direct and backscattered streams, which no timing error changes
+Two receive paths produce the same frequency-domain samples y from what one
+channel realization holds: a direct per-subcarrier model for synchronized
+operation, from the composite response (`frequency_domain_rx`), and a full
+sample-level path that also injects a secondary symbol timing error. The
+sample path comes in two halves: the direct and backscattered streams (IDFT,
+cyclic prefix, tap convolutions, tag gating), which no timing error changes
 (`sample_level_streams`), and per timing error their sum with the
 backscatter delayed, the noise, CP removal and DFT (`sample_level_rx`).
+Neither builds the `FrameObservation` that the receivers read; the harness
+assembles it from the drawn trials and their channel.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from srofdm.channel import ChannelRealization, composite_response
+from srofdm.channel import ChannelRealization
 
 __all__ = [
     "QamAlphabet",
@@ -225,13 +228,14 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class FrameObservation:
-    """Frequency-domain receiver samples for one secondary frame plus the
+    """Frequency-domain receiver samples y for one secondary frame plus the
     sent values, channel and timing error that made them, which the genie
     stages read. The drawn indices that errors are counted against stay in
-    the harness's TrialDraws. All arrays may carry leading batch dimensions.
-    H is the composite response H_d + c(n) H_b that the frequency path
-    received y through; the sample path leaves it None, since its timing
-    error reshapes the response."""
+    the harness's TrialDraws, and the harness is where an observation is
+    assembled. All arrays may carry leading batch dimensions. H is the
+    composite response H_d + c(n) H_b that the frequency path received y
+    through; the sample path leaves it None, since its timing error reshapes
+    the response."""
 
     y: np.ndarray = field(repr=False)
     s_values: np.ndarray = field(repr=False)  # (..., n_max, n) including pilots
@@ -276,25 +280,12 @@ def _noise_or_zero(noise, cfg: SystemConfig):
     return 0.0
 
 
-def frequency_domain_rx(
-    s_values,
-    c_values,
-    realization: ChannelRealization,
-    cfg: SystemConfig,
-    *,
-    noise=None,
-    h=None,
-) -> FrameObservation:
-    """Synchronized observation straight from the per-subcarrier model:
-    Y(n) = sqrt(P) * diag(s(n)) * (H_d + c(n) H_b) + U(n). h is that
-    composite response when the caller holds it already (frames received at
-    several powers through one realization share it); else it is built."""
-    s_values = np.asarray(s_values)
-    c_values = np.asarray(c_values)
-    if h is None:
-        h = composite_response(realization.H_d, realization.H_b, c_values)
-    y = np.sqrt(cfg.p_t) * s_values * h + _noise_or_zero(noise, cfg)
-    return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=realization, H=h)
+def frequency_domain_rx(s_values, h, cfg: SystemConfig, noise=None) -> np.ndarray:
+    """Synchronized received samples straight from the per-subcarrier model:
+    Y(n) = sqrt(P) * diag(s(n)) * H(n) + U(n), where h holds the composite
+    response H(n) = H_d + c(n) H_b (`composite_response`) that every point
+    of one realization shares."""
+    return np.sqrt(cfg.p_t) * np.asarray(s_values) * h + _noise_or_zero(noise, cfg)
 
 
 def _tap_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -315,16 +306,16 @@ def _delay(x: np.ndarray, samples: int) -> np.ndarray:
     return np.pad(x, pad)[..., : x.shape[-1]]
 
 
-def tag_emitted_stream(x_stream, c_values, cfg: SystemConfig, xi: int):
+def tag_emitted_stream(x_stream, c_values, cfg: SystemConfig):
     """Waveform leaving the tag: incident samples gated by the secondary
-    symbols, the whole product arriving xi samples late. With xi > 0 the
-    first xi samples of each symbol period still carry the previous secondary
-    symbol."""
+    symbol of their symbol period. A secondary timing error delays this
+    whole product, so the first xi samples of each period then still carry
+    the previous secondary symbol."""
     period = cfg.symbol_period
     t = np.arange(x_stream.shape[-1])
     gate_idx = t // period
     gate = np.asarray(c_values)[..., gate_idx]
-    return _delay(x_stream * gate, xi)
+    return x_stream * gate
 
 
 def sample_level_streams(s_values, c_values, realization: ChannelRealization, cfg: SystemConfig):
@@ -346,28 +337,15 @@ def sample_level_streams(s_values, c_values, realization: ChannelRealization, cf
     direct = _tap_convolve(x_stream, realization.h_d)
     if not np.any(realization.h_b):
         return direct, None
-    gated = tag_emitted_stream(_tap_convolve(x_stream, realization.b), c_values, cfg, 0)
+    gated = tag_emitted_stream(_tap_convolve(x_stream, realization.b), c_values, cfg)
     return direct, _delay(_tap_convolve(gated, realization.g), realization.d_b)
 
 
-def sample_level_rx(
-    s_values,
-    c_values,
-    realization: ChannelRealization,
-    cfg: SystemConfig,
-    xi: int = 0,
-    *,
-    noise=None,
-    streams=None,
-) -> FrameObservation:
-    """Full time-domain path: IDFT + CP, direct and gated backscatter tap
-    convolutions, white time-domain noise, CP removal and DFT.
-
-    streams is the (direct, back) pair of `sample_level_streams` when the
-    caller holds it already (frames received at several powers and timing
-    errors through one realization share it); else it is built. What is
-    left per call is rx = direct + delay(back, xi), its sqrt(P) scale, the
-    noise, CP removal and DFT.
+def sample_level_rx(streams, cfg: SystemConfig, xi: int, noise=None) -> np.ndarray:
+    """Received samples of the full time-domain path at secondary timing
+    error xi, from the (direct, back) pair of `sample_level_streams`, which
+    every point of one realization shares: rx = direct + delay(back, xi),
+    its sqrt(P) scale, white time-domain noise, CP removal and DFT.
 
     With xi = 0 and the same noise samples this reproduces the frequency
     domain path exactly; with xi > 0 the backscattered waveform (tag gating
@@ -376,12 +354,9 @@ def sample_level_rx(
     """
     if not 0 <= xi < cfg.n + cfg.n_cp:
         raise ValueError(f"sync error {xi} outside [0, {cfg.n + cfg.n_cp})")
-    s_values = np.asarray(s_values)
-    c_values = np.asarray(c_values)
-    direct, back = sample_level_streams(s_values, c_values, realization, cfg) if streams is None else streams
+    direct, back = streams
     rx = direct if back is None else direct + _delay(back, xi)
     rx = np.sqrt(cfg.p_t) * rx + _noise_or_zero(noise, cfg)
 
     blocks = rx.reshape(rx.shape[:-1] + (cfg.n_max, cfg.symbol_period))[..., cfg.n_cp :]
-    y = np.fft.fft(blocks, axis=-1) / np.sqrt(cfg.n)
-    return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=realization, xi=xi)
+    return np.fft.fft(blocks, axis=-1) / np.sqrt(cfg.n)

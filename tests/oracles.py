@@ -26,12 +26,15 @@ a batch (`full_grid_primary_sums`), whose bytes the sweep's distinct-row
 evaluation must keep, and the sample-level receive path in one pass with
 the timing error applied to the gated stream before the backward taps
 (`reference_sample_level_rx`), whose bytes its split into held streams and
-a per-point half must keep. The package itself never calls them.
+a per-point half must keep. Among the frame builders, `draw_channel` draws
+one realization and `observe` receives explicit frames through it, with the
+observation assembled as the harness assembles it from drawn trials. The
+package itself never calls them.
 """
 import numpy as np
 from scipy.special import erfc
 
-from srofdm.channel import ChannelConfig, ChannelRealization, composite_response, realization_from_taps
+from srofdm.channel import ChannelConfig, ChannelRealization, composite_response, draw_link_taps, realization_from_taps
 from srofdm.numerics import RandomStream, SingularSystemError, draw_cn, partial_fourier, q_function
 from srofdm.receiver import (
     ERASURE_THRESHOLD,
@@ -55,6 +58,7 @@ from srofdm.txchain import (
     frequency_domain_rx,
     modulate_primary,
     sample_level_rx,
+    sample_level_streams,
     secondary_frame,
 )
 
@@ -517,6 +521,28 @@ def per_trial_link_taps(cfg: ChannelConfig, stream: RandomStream):
     return h_d, b, g
 
 
+def draw_channel(cfg: ChannelConfig, stream: RandomStream, n: int) -> ChannelRealization:
+    """Draw one realization for n subcarriers and derive its responses."""
+    h_d, b, g = draw_link_taps(cfg, stream)
+    return realization_from_taps(h_d, b, g, cfg.d_b, n)
+
+
+def observe(s_values, c_values, real: ChannelRealization, cfg: SystemConfig, *,
+            noise=None, xi=None) -> FrameObservation:
+    """The observation of explicit frames through one realization, composed
+    of the package's receive functions as `srofdm.harness._receive`
+    assembles it from drawn trials: the frequency path, with the composite
+    response it received through, when xi is None, else the sample path at
+    timing error xi."""
+    s_values, c_values = np.asarray(s_values), np.asarray(c_values)
+    if xi is None:
+        h = composite_response(real.H_d, real.H_b, c_values)
+        y = frequency_domain_rx(s_values, h, cfg, noise=noise)
+        return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=real, H=h)
+    y = sample_level_rx(sample_level_streams(s_values, c_values, real, cfg), cfg, xi, noise=noise)
+    return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=real, xi=xi)
+
+
 def per_trial_draw_frame_batch(
     system: SystemConfig,
     chan: ChannelConfig,
@@ -556,10 +582,10 @@ def per_trial_draw_frame_batch(
     s_values = modulate_primary(s_idx, system)
     c_values = secondary_frame(c_idx, system)
     if path == "sample":
-        return sample_level_rx(s_values, c_values, real, system, xi=xi, noise=noise), s_idx, c_idx
+        return observe(s_values, c_values, real, system, noise=noise, xi=xi), s_idx, c_idx
     if noise is not None:
         noise = noise.reshape(batch, system.n_max, system.n)
-    return frequency_domain_rx(s_values, c_values, real, system, noise=noise), s_idx, c_idx
+    return observe(s_values, c_values, real, system, noise=noise), s_idx, c_idx
 
 
 def full_grid_primary_sums(real: ChannelRealization, c_values, cfg: SystemConfig, taps: int):

@@ -12,8 +12,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import factorial
 
-from oracles import draw_noise, draw_primary, draw_secondary, lstsq_separate_links
-from srofdm.channel import ChannelConfig, composite_tap_count, draw_channel
+from oracles import draw_channel, draw_noise, draw_primary, draw_secondary, lstsq_separate_links, observe
+from srofdm.channel import ChannelConfig
 from srofdm.harness import Scenario, SweepSpec, run_sweep
 from srofdm.numerics import RandomStream, draw_cn, q_function
 from srofdm.receiver import (
@@ -23,7 +23,7 @@ from srofdm.receiver import (
     separate_links,
 )
 from srofdm.theory import avg_ber_secondary, fit_diversity_slope
-from srofdm.txchain import SystemConfig, frequency_domain_rx
+from srofdm.txchain import SystemConfig
 
 NOISE_W = 10 ** (-80 / 10) * 1e-3  # -80 dBm
 WORKERS = min(2, os.cpu_count() or 1)
@@ -217,7 +217,7 @@ class TestAcceptance:
         s, _ = draw_primary(cfg, RandomStream(1066, 1))
         c, _ = draw_secondary(cfg, RandomStream(1066, 2))
         u = draw_noise(cfg, RandomStream(1066, 3), s.shape)
-        obs = frequency_domain_rx(s, c, real, cfg, noise=u)
+        obs = observe(s, c, real, cfg, noise=u)
         for m in range(cfg.n_max):
             cands = ml_candidates(real.H_d, real.H_b, cfg, pilot_structure=False)
             totals, _ = ml_symbol_metrics(obs.y[m], cands, cfg)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import composite_cfr, composite_cir
+from oracles import composite_cfr, composite_cir, draw_channel
 from srofdm.channel import (
     ChannelConfig,
     composite_response,
     composite_tap_count,
-    draw_channel,
     pathloss,
     realization_from_taps,
 )

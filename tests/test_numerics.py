@@ -80,13 +80,13 @@ class TestQFunction:
         np.testing.assert_allclose(q_function(z), oracle, atol=1e-10)
 
     @given(st.floats(min_value=-6, max_value=6), st.floats(min_value=0.001, max_value=2))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     def test_monotone_decreasing(self, z, dz):
         # strict ordering holds while both values stay resolvable in float64
         assert q_function(z + dz) < q_function(z)
 
     @given(st.floats(min_value=-8, max_value=8))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     def test_reflection(self, z):
         assert q_function(-z) == pytest.approx(1.0 - q_function(z), abs=1e-12)
 

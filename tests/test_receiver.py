@@ -10,6 +10,7 @@ from oracles import (
     COMBS,
     QAM_ORDERS,
     assert_same_metrics,
+    draw_channel,
     draw_noise,
     draw_primary,
     draw_secondary,
@@ -19,6 +20,7 @@ from oracles import (
     gather_detect_primary,
     gathered_reestimate_method2,
     lstsq_separate_links,
+    observe,
     qr_pilot_gain,
     qr_reestimate_method2,
     ser_qam_awgn,
@@ -27,8 +29,6 @@ from srofdm.channel import (
     ChannelConfig,
     composite_response,
     composite_tap_count,
-    draw_channel,
-    realization_from_taps,
 )
 from srofdm.cli import load_scenario_file, resolve_scenario
 from srofdm.harness import CHUNK_TRIALS, RECEIVERS, Scenario, apply_axis, draw_frame_batch
@@ -48,7 +48,7 @@ from srofdm.receiver import (
     run_algorithm1,
     separate_links,
 )
-from srofdm.txchain import SystemConfig, frequency_domain_rx, modulate_primary
+from srofdm.txchain import SystemConfig, modulate_primary
 
 
 def cfg_with(**kw) -> SystemConfig:
@@ -72,7 +72,7 @@ def noise_free_obs(seed=1, ms=16, mc=8, ch=None):
     real = draw_channel(ch, RandomStream(seed, 0), cfg.n)
     s, si = draw_primary(cfg, RandomStream(seed, 1))
     c, ci = draw_secondary(cfg, RandomStream(seed, 2))
-    obs = frequency_domain_rx(s, c, real, cfg)
+    obs = observe(s, c, real, cfg)
     return cfg, ch, obs, si, ci
 
 
@@ -606,7 +606,7 @@ class TestMlBenchmark:
         s, _ = draw_primary(cfg, RandomStream(64, 1))
         c, _ = draw_secondary(cfg, RandomStream(64, 2))
         u = draw_noise(cfg, RandomStream(64, 3), s.shape)
-        obs = frequency_domain_rx(s, c, real, cfg, noise=u)
+        obs = observe(s, c, real, cfg, noise=u)
         for m in range(cfg.n_max):
             cands = ml_candidates(real.H_d, real.H_b, cfg, pilot_structure=False)
             totals, _ = ml_symbol_metrics(obs.y[m], cands, cfg)
@@ -641,7 +641,7 @@ class TestMlBenchmark:
         s, si = draw_primary(cfg, RandomStream(65, 1))
         c, ci = draw_secondary(cfg, RandomStream(65, 2))
         u = draw_noise(cfg, RandomStream(65, 3), s.shape)
-        obs = frequency_domain_rx(s, c, real, cfg, noise=u)
+        obs = observe(s, c, real, cfg, noise=u)
         taps = composite_tap_count(ChannelConfig(direct_model="none"))
         out = detect("ml_perfect", obs, cfg, taps)
         np.testing.assert_array_equal(out.s_hat, si)
