@@ -39,9 +39,8 @@ from srofdm.channel import (
     scale_link_taps,
 )
 from srofdm.numerics import RandomStream, cn_from_normals
-from srofdm.receiver import run_algorithm1
+from srofdm.receiver import FrameObservation, run_algorithm1
 from srofdm.txchain import (
-    FrameObservation,
     SystemConfig,
     frequency_domain_rx,
     modulate_primary,
@@ -479,25 +478,30 @@ def _distinct_rows(c_values: np.ndarray):
 def _receive(draws: TrialDraws, system: SystemConfig, channel: _Channel, xi: int) -> FrameObservation:
     """The draws through their receive path at one point of `channel`'s
     config. The one place an observation is assembled: y from the receive
-    path, and beside it the drawn values and the channel that made it."""
+    path, and beside it the drawn values, the channel that made it and the
+    backscatter response H_b y went through: a sync error of xi samples
+    turns subcarrier k by the phase exp(-2j pi k xi / n)."""
     if xi and draws.path != "sample":
         raise ValueError(f"a sync error of {xi} samples needs the sample path,"
                          f" and these draws are for the {draws.path} path")
+    h_b = channel.realization.H_b
     if draws.path == "sample":
         y = sample_level_rx(channel.streams, system, xi, noise=draws.noise)
+        if xi:
+            h_b = h_b * np.exp(-2j * np.pi * np.arange(system.n) * xi / system.n)
     else:
         y = frequency_domain_rx(draws.s_values, channel.H, system, noise=draws.noise)
     return FrameObservation(y=y, s_values=draws.s_values, c_values=draws.c_values,
-                            realization=channel.realization, xi=xi, H=channel.H)
+                            realization=channel.realization, H_b=h_b, H=channel.H)
 
 
 def observe_trials(draws: TrialDraws, system: SystemConfig, chan: ChannelConfig,
                    xi: int = 0) -> FrameObservation:
-    """Receive drawn trials at one point and return their observation: scale
-    the unit taps by the point's link gains and run the receive path the
-    draws were made for in one vectorized call, assembled by `_receive` as
-    every sweep point's is. `system` and `chan` may differ from those of the
-    draw only where no sweep axis changes the draws (p_t and the link gains)."""
+    """Receive drawn trials at one point and return their observation, with
+    the backscatter response its sync error gives, as `_receive` assembles
+    every sweep point's: the unit taps scaled by the point's link gains and
+    the draws' receive path in one vectorized call. `system` and `chan` may
+    differ from the draw's only where no sweep axis changes the draws."""
     return _receive(draws, system, _derive_channel(draws, system, chan), xi)
 
 

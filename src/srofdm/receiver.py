@@ -16,9 +16,10 @@ import numpy as np
 
 from srofdm.channel import ChannelRealization, composite_response
 from srofdm.numerics import SingularSystemError, partial_fourier
-from srofdm.txchain import FrameObservation, SystemConfig, modulate_primary
+from srofdm.txchain import SystemConfig, modulate_primary
 
 __all__ = [
+    "FrameObservation",
     "UndetectableSecondaryError",
     "DetectionOutput",
     "PilotEstimator",
@@ -40,6 +41,24 @@ ERASURE_THRESHOLD = 1e-12
 
 class UndetectableSecondaryError(ValueError):
     """Backscatter response estimate is zero; projection undefined."""
+
+
+@dataclass(frozen=True)
+class FrameObservation:
+    """Frequency-domain receiver samples y for one secondary frame (or a
+    batch) plus the sent values and the channel that made them, which the
+    genie stages read; the harness assembles it. H_b is the backscatter
+    response y went through: the realization's, times the phase ramp of a
+    secondary symbol timing error if there is one. H is the composite
+    response H_d + c(n) H_b the frequency path received y through (None on
+    the sample path)."""
+
+    y: np.ndarray = field(repr=False)
+    s_values: np.ndarray = field(repr=False)  # (..., n_max, n) including pilots
+    c_values: np.ndarray = field(repr=False)  # (..., n_max) preamble + data
+    realization: ChannelRealization
+    H_b: np.ndarray = field(repr=False)  # (..., n)
+    H: Optional[np.ndarray] = field(default=None, repr=False)  # (..., n_max, n)
 
 
 @dataclass(frozen=True)
@@ -214,14 +233,6 @@ def detect_secondary(h_hat_n: np.ndarray, h_hat_d: np.ndarray, h_hat_b: np.ndarr
     return cfg.psk.detect(z)
 
 
-def _effective_backscatter(real: ChannelRealization, xi: int) -> np.ndarray:
-    """Backscatter response including the timing-error delay phase."""
-    if not xi:
-        return real.H_b
-    n = real.H_b.shape[-1]
-    return real.H_b * np.exp(-2j * np.pi * np.arange(n) * xi / n)
-
-
 @dataclass(frozen=True)
 class MlCandidates:
     """The terms of an ML search that do not depend on the received symbol,
@@ -297,7 +308,7 @@ def ml_symbol_metrics(y: np.ndarray, cands: MlCandidates, cfg: SystemConfig):
 
 
 def run_ml_benchmark(
-    obs: FrameObservation,
+    y: np.ndarray,
     cfg: SystemConfig,
     h_d: np.ndarray,
     h_b: np.ndarray,
@@ -314,7 +325,7 @@ def run_ml_benchmark(
     ambiguity when the direct path is absent). Each candidate set's terms
     (the PSK alphabet, or one known preamble value) are built once per call.
     """
-    y = obs.y
+    y = np.asarray(y)
     n_sym = y.shape[-2]
     batch = y.shape[:-2]
     s_hat = np.empty(batch + (n_sym, cfg.n_data), dtype=np.int64)
@@ -356,8 +367,7 @@ def _stage(stage: str, obs: FrameObservation, cfg: SystemConfig, taps: int, st: 
     if stage == "true_composite":  # the response y was received through, where the path kept it
         if obs.H is not None:
             return {"H_tilde": obs.H}
-        h_b = _effective_backscatter(real, obs.xi)
-        return {"H_tilde": composite_response(real.H_d, h_b, obs.c_values)}
+        return {"H_tilde": composite_response(real.H_d, obs.H_b, obs.c_values)}
     if stage == "primary":
         s_idx, erased = detect_primary(y, st["H_tilde"], cfg)
         return {"s_hat": s_idx, "n_erased": np.sum(erased, axis=(-2, -1))}
@@ -376,15 +386,14 @@ def _stage(stage: str, obs: FrameObservation, cfg: SystemConfig, taps: int, st: 
         return {"H_hat_d": h_d, "H_hat_b": h_b}
     if stage == "true_links":  # with the timing-error phase
         batch = y.shape[:-2] + (cfg.n,)
-        h_b = _effective_backscatter(real, obs.xi)
-        return {"H_hat_d": np.broadcast_to(real.H_d, batch), "H_hat_b": np.broadcast_to(h_b, batch)}
+        return {"H_hat_d": np.broadcast_to(real.H_d, batch), "H_hat_b": np.broadcast_to(obs.H_b, batch)}
     if stage == "raw_links":  # without it
         return {"H_hat_d": real.H_d, "H_hat_b": real.H_b}
     if stage == "project":
         h_n = st["H_hat"][..., cfg.t_preamble :, :]
         return {"c_hat": detect_secondary(h_n, st["H_hat_d"], st["H_hat_b"], cfg)}
     if stage in ("ml_search", "ml_search_nopilot"):
-        return vars(run_ml_benchmark(obs, cfg, st["H_hat_d"], st["H_hat_b"],
+        return vars(run_ml_benchmark(y, cfg, st["H_hat_d"], st["H_hat_b"],
                                      pilot_structure=stage == "ml_search"))
     raise ValueError(f"unknown receiver stage {stage!r}")
 

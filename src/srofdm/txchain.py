@@ -9,15 +9,12 @@ sample path comes in two halves: the direct and backscattered streams (IDFT,
 cyclic prefix, tap convolutions, tag gating), which no timing error changes
 (`sample_level_streams`), and per timing error their sum with the
 backscatter delayed, the noise, CP removal and DFT (`sample_level_rx`).
-Neither builds the `FrameObservation` that the receivers read; the harness
-assembles it from the drawn trials and their channel.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -27,7 +24,6 @@ __all__ = [
     "QamAlphabet",
     "PskAlphabet",
     "SystemConfig",
-    "FrameObservation",
     "default_preamble",
     "modulate_primary",
     "secondary_frame",
@@ -224,25 +220,6 @@ class SystemConfig:
     @property
     def symbol_period(self) -> int:
         return self.n + self.n_cp
-
-
-@dataclass(frozen=True)
-class FrameObservation:
-    """Frequency-domain receiver samples y for one secondary frame plus the
-    sent values, channel and timing error that made them, which the genie
-    stages read. The drawn indices that errors are counted against stay in
-    the harness's TrialDraws, and the harness is where an observation is
-    assembled. All arrays may carry leading batch dimensions. H is the
-    composite response H_d + c(n) H_b that the frequency path received y
-    through; the sample path leaves it None, since its timing error reshapes
-    the response."""
-
-    y: np.ndarray = field(repr=False)
-    s_values: np.ndarray = field(repr=False)  # (..., n_max, n) including pilots
-    c_values: np.ndarray = field(repr=False)  # (..., n_max) preamble + data
-    realization: ChannelRealization = None
-    xi: int = 0
-    H: Optional[np.ndarray] = field(default=None, repr=False)  # (..., n_max, n)
 
 
 def modulate_primary(data_indices, cfg: SystemConfig) -> np.ndarray:

@@ -26,7 +26,9 @@ a batch (`full_grid_primary_sums`), whose bytes the sweep's distinct-row
 evaluation must keep, and the sample-level receive path in one pass with
 the timing error applied to the gated stream before the backward taps
 (`reference_sample_level_rx`), whose bytes its split into held streams and
-a per-point half must keep. Among the frame builders, `draw_channel` draws
+a per-point half must keep, and the backscatter response a timing error
+gives, as its phase ramp (`timing_phased_backscatter`), which the harness's
+observation must carry. Among the frame builders, `draw_channel` draws
 one realization and `observe` receives explicit frames through it, with the
 observation assembled as the harness assembles it from drawn trials. The
 package itself never calls them.
@@ -39,8 +41,8 @@ from srofdm.numerics import RandomStream, SingularSystemError, draw_cn, partial_
 from srofdm.receiver import (
     ERASURE_THRESHOLD,
     DetectionOutput,
+    FrameObservation,
     PilotEstimator,
-    _effective_backscatter,
     detect_primary,
     detect_secondary,
     full_symbol_vector,
@@ -52,7 +54,6 @@ from srofdm.receiver import (
 )
 from srofdm.theory import _folded_rail, composite_snr, primary_rates_estimated, primary_rates_perfect
 from srofdm.txchain import (
-    FrameObservation,
     SystemConfig,
     _gray,
     frequency_domain_rx,
@@ -321,8 +322,13 @@ def assert_same_metrics(got, want):
     assert np.array_equal(got[1], want[1])
 
 
-def _true_composite(real: ChannelRealization, c_values: np.ndarray, xi: int = 0) -> np.ndarray:
-    return composite_response(real.H_d, _effective_backscatter(real, xi), c_values)
+def timing_phased_backscatter(real: ChannelRealization, xi: int) -> np.ndarray:
+    """The backscatter response a secondary timing error of xi samples gives:
+    subcarrier k of H_b turned by exp(-2j pi k xi / n), or H_b itself at 0."""
+    if xi == 0:
+        return real.H_b
+    n = real.H_b.shape[-1]
+    return real.H_b * np.exp(-2j * np.pi * np.arange(n) * xi / n)
 
 
 def flag_run_algorithm1(
@@ -358,13 +364,13 @@ def flag_run_algorithm1(
     y = obs.y
     real = obs.realization
     if perfect_csi:
-        h_tilde = _true_composite(real, obs.c_values, obs.xi)
+        h_tilde = composite_response(real.H_d, obs.H_b, obs.c_values)
         s_idx, erased = detect_primary(y, h_tilde, cfg)
         # per-symbol composite extraction with known symbols; noise remains
         h_hat = reestimate_method1(y, obs.s_values, cfg)
         batch = h_tilde.shape[:-2] + (cfg.n,)
         h_d = np.broadcast_to(real.H_d, batch)
-        h_b = np.broadcast_to(_effective_backscatter(real, obs.xi), batch)
+        h_b = np.broadcast_to(obs.H_b, batch)
     else:
         pilot_taps = min(taps, cfg.n_p)
         est = PilotEstimator(cfg, pilot_taps)
@@ -533,14 +539,17 @@ def observe(s_values, c_values, real: ChannelRealization, cfg: SystemConfig, *,
     of the package's receive functions as `srofdm.harness._receive`
     assembles it from drawn trials: the frequency path, with the composite
     response it received through, when xi is None, else the sample path at
-    timing error xi."""
+    timing error xi, with the backscatter response of
+    `timing_phased_backscatter`."""
     s_values, c_values = np.asarray(s_values), np.asarray(c_values)
     if xi is None:
         h = composite_response(real.H_d, real.H_b, c_values)
         y = frequency_domain_rx(s_values, h, cfg, noise=noise)
-        return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=real, H=h)
+        return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=real,
+                                H_b=real.H_b, H=h)
     y = sample_level_rx(sample_level_streams(s_values, c_values, real, cfg), cfg, xi, noise=noise)
-    return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=real, xi=xi)
+    return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=real,
+                            H_b=timing_phased_backscatter(real, xi))
 
 
 def per_trial_draw_frame_batch(
@@ -642,4 +651,5 @@ def reference_sample_level_rx(s_values, c_values, realization: ChannelRealizatio
 
     blocks = rx.reshape(rx.shape[:-1] + (cfg.n_max, cfg.symbol_period))[..., n_cp:]
     y = np.fft.fft(blocks, axis=-1) / np.sqrt(n)
-    return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=realization, xi=xi)
+    return FrameObservation(y=y, s_values=s_values, c_values=c_values, realization=realization,
+                            H_b=timing_phased_backscatter(realization, xi))

@@ -2,7 +2,8 @@
 srofdm module's `__all__` is used by another srofdm module or listed under
 the README's "Analysis API" heading. Code that only the tests call belongs in
 the tests (see tests/oracles.py). Each config type checks its own rules as it
-is built, so no src module asks an instance to validate itself."""
+is built, so no src module asks an instance to validate itself. No src or
+test module imports a name it never references."""
 import ast
 import importlib
 import re
@@ -12,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "srofdm"
+TESTS = ROOT / "tests"
 README = ROOT / "README.md"
 
 
@@ -105,3 +107,26 @@ def test_configs_are_valid_once_built():
                and any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__" for item in node.body)}
     missing = {"SystemConfig", "ChannelConfig", "Scenario", "SweepSpec"} - checked
     assert not missing, f"no __post_init__ on {sorted(missing)}"
+
+
+def unused_imports(path: Path) -> list:
+    """The names a module imports and never references: not as a name in its
+    code and not in its `__all__`. `from __future__` imports are directives,
+    not names."""
+    tree = ast.parse(path.read_text())
+    referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            referenced |= set(ast.literal_eval(node.value))
+        elif isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    return [f"{path.relative_to(ROOT)}:{line}: {name}" for line, name in imported if name not in referenced]
+
+
+def test_no_unused_imports():
+    unused = [entry for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+              for entry in unused_imports(path)]
+    assert not unused, f"imported and never referenced: {unused}"

@@ -386,7 +386,8 @@ class TestFrameBatch:
 def frame_arrays(obs) -> dict:
     real = obs.realization
     arrays = {"y": obs.y, "s_values": obs.s_values, "c_values": obs.c_values,
-              "h_d": real.h_d, "b": real.b, "g": real.g, "H_d": real.H_d, "H_b": real.H_b}
+              "h_d": real.h_d, "b": real.b, "g": real.g, "H_d": real.H_d, "H_b": real.H_b,
+              "observed H_b": obs.H_b}
     return arrays if obs.H is None else {**arrays, "H": obs.H}
 
 
@@ -484,6 +485,26 @@ SHARING_CASES = {
                   "backscatter_snr_db", (5.0, 25.0)),
     "no_backscatter": (dict(chan=ChannelConfig(backscatter_model="none")), "direct_snr_db", (12.0, 30.0)),
 }
+
+
+class TestObservedBackscatter:
+    """The observation carries the backscatter response y went through: the
+    realization's own without a sync error, else turned by its phase ramp."""
+
+    @pytest.mark.parametrize("path", ["frequency", "sample"])
+    def test_is_the_realizations_without_a_sync_error(self, path):
+        system, chan, _ = apply_axis(paper_scenario(), "direct_snr_db", 20.0)
+        obs = draw_frame_batch(system, chan, 7, [0, 1], path=path)
+        assert obs.H_b is obs.realization.H_b  # the same array, not a copy
+
+    @pytest.mark.parametrize("xi", [1, 5, 40])
+    def test_a_sync_error_turns_it_by_its_phase_ramp(self, xi):
+        system, chan, _ = apply_axis(paper_scenario(), "sync_error_samples", xi)
+        obs = draw_frame_batch(system, chan, 7, [0, 1], xi=xi, path="sample")
+        k = np.arange(system.n)
+        want = obs.realization.H_b * np.exp(-2j * np.pi * k * xi / system.n)  # a delay of xi samples
+        assert (obs.H_b.dtype, obs.H_b.shape, obs.H_b.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert not np.array_equal(obs.H_b, obs.realization.H_b)
 
 
 class TestChunkSharing:

@@ -40,7 +40,6 @@ from srofdm.receiver import (
     _prediction_errors,
     detect_primary,
     detect_secondary,
-    full_symbol_vector,
     ml_candidates,
     ml_symbol_metrics,
     reestimate_method1,
@@ -838,6 +837,9 @@ class TestTrueComposite:
         want = composite_response(real.H_d, real.H_b * phase, obs.c_values)
         assert (out.H_tilde.shape, out.H_tilde.tobytes()) == (want.shape, want.tobytes())
         assert not np.array_equal(out.H_tilde, composite_response(real.H_d, real.H_b, obs.c_values))
+        links = run_algorithm1(obs, system, ("true_links",), taps=composite_tap_count(chan, xi))
+        want_b = np.broadcast_to(real.H_b * phase, (4, system.n))
+        assert (links.H_hat_b.shape, links.H_hat_b.tobytes()) == (want_b.shape, want_b.tobytes())
 
 
 class TestBatchInvariance:

@@ -28,7 +28,6 @@ from srofdm.theory import (
     ber_psk_from_snr,
     ber_secondary_perfect,
     composite_snr,
-    eq_noise_moment_predictions,
     fit_diversity_slope,
     primary_rates_estimated,
     primary_rates_perfect,
@@ -125,7 +124,6 @@ class TestPrimaryPerfect:
 
     def test_matches_symbol_error_monte_carlo(self):
         # fixed realization near SER 1e-3; exact conditional formula
-        from srofdm.harness import draw_frame_batch
         from srofdm.receiver import detect_primary
 
         real = draw_channel(ChannelConfig(dist_fwd=0.12), RandomStream(104, 0), 64)

@@ -24,7 +24,6 @@ from srofdm.cli import load_scenario_file, resolve_scenario
 from srofdm.harness import Scenario, draw_trials
 from srofdm.numerics import RandomStream, draw_cn
 from srofdm.txchain import (
-    FrameObservation,
     PskAlphabet,
     QamAlphabet,
     SystemConfig,
