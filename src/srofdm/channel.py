@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from srofdm.numerics import RandomStream, draw_cn
+from srofdm.numerics import RandomStream, ScenarioError, draw_cn
 
 __all__ = [
     "ChannelConfig",
@@ -35,21 +35,21 @@ _GAIN_RULE = f"it must be positive, finite and at least {_MIN_GAIN:g}"
 
 def pathloss(dist: float, exponent: float, ref: float) -> float:
     """Large-scale gain ref * dist^(-exponent); dist in meters. A gain that
-    is not positive, or that overflows or underflows, raises ValueError."""
+    is not positive, or that overflows or underflows, raises ScenarioError."""
     if dist <= 0:
-        raise ValueError(f"distance must be positive, got {dist}")
+        raise ScenarioError(f"distance must be positive, got {dist}")
     try:
         gain = ref * dist ** (-exponent)
     except OverflowError:
         gain = math.inf
     if not _MIN_GAIN <= gain < math.inf:  # draws call this per trial: no message unless it fails
-        raise ValueError(f"path gain {ref:g} * {dist:g} m ^ -{exponent:g} is {gain:g}; {_GAIN_RULE}")
+        raise ScenarioError(f"path gain {ref:g} * {dist:g} m ^ -{exponent:g} is {gain:g}; {_GAIN_RULE}")
     return gain
 
 
 def _checked_gain(what: str, gain: float) -> float:
     if not _MIN_GAIN <= gain < math.inf:
-        raise ValueError(f"{what} is {gain:g}; {_GAIN_RULE}")
+        raise ScenarioError(f"{what} is {gain:g}; {_GAIN_RULE}")
     return gain
 
 
@@ -89,17 +89,17 @@ class ChannelConfig:
 
     def __post_init__(self):
         if min(self.l_d, self.l_1, self.l_2) < 1:
-            raise ValueError("tap counts must be >= 1")
+            raise ScenarioError("tap counts must be >= 1")
         if self.d_b < 0:
-            raise ValueError("backscatter delay must be >= 0")
+            raise ScenarioError("backscatter delay must be >= 0")
         if self.direct_model not in DIRECT_MODELS:
-            raise ValueError(f"unknown direct_model {self.direct_model!r}")
+            raise ScenarioError(f"unknown direct_model {self.direct_model!r}")
         if self.backscatter_model not in BACKSCATTER_MODELS:
-            raise ValueError(f"unknown backscatter_model {self.backscatter_model!r}")
+            raise ScenarioError(f"unknown backscatter_model {self.backscatter_model!r}")
         if self.dist_bwd is None:
             object.__setattr__(self, "dist_bwd", self.dist_direct - self.dist_fwd)
         if self.dist_bwd <= 0 or self.dist_fwd <= 0:
-            raise ValueError("tag must sit strictly between the endpoints")
+            raise ScenarioError("tag must sit strictly between the endpoints")
 
     @property
     def beta_direct(self) -> float:
@@ -134,7 +134,7 @@ class ChannelConfig:
         return self.l_1 + self.l_2 - 1
 
     def check_gains(self):
-        """Raise ValueError unless every large-scale gain that
+        """Raise ScenarioError unless every large-scale gain that
         `scale_link_taps` scales unit taps by is positive, finite and normal."""
         if self.direct_model != "none":
             _checked_gain("the direct gain", self.beta_direct)

@@ -22,13 +22,13 @@ from srofdm.harness import (
     RECEIVERS,
     SWEEP_AXES,
     Scenario,
-    ScenarioError,
     SweepSpec,
     apply_axis,
     from_db,
     run_sweep,
     run_trial,
 )
+from srofdm.numerics import ScenarioError
 from srofdm.txchain import SystemConfig
 
 CSV_HEADER = (
@@ -51,7 +51,7 @@ def _noise_power(noise_dbm: float) -> float:
     """dBm to watts; the power must be positive and finite."""
     watts = from_db(noise_dbm) * 1e-3
     if not 0 < watts < float("inf"):
-        raise ValueError(
+        raise ScenarioError(
             f"noise_dbm = {noise_dbm:g} gives a noise power of {watts:g} W;"
             " it must be positive and finite")
     return watts
@@ -65,6 +65,12 @@ def _yes_no(text: str) -> str:
     records it unchanged."""
     if text.lower() not in _YES + _NO:
         raise ValueError(f"{text!r} is none of {', '.join(_YES + _NO)}")
+    return text
+
+
+def _complex_list(text: str) -> str:
+    """A comma list of complex values, returned as written for the manifest."""
+    tuple(map(complex, text.split(",")))  # a ValueError for a malformed token
     return text
 
 
@@ -100,7 +106,7 @@ _SCENARIO_KEYS = {
     "pathloss_ref": (_finite, 1e-3),
     "direct_model": (str, "rayleigh"),
     "backscatter_model": (str, "cascade"),
-    "preamble": (str, None),  # comma list of complex values
+    "preamble": (_complex_list, None),
     "axis": (str, "direct_snr_db"),
     "points": (str, "12:30:3"),
     "trials": (int, 100000),
@@ -192,35 +198,25 @@ def resolve_scenario(values: dict):
     """Turn parsed key-values into (Scenario, run fields): the `_SWEEP_KEYS`,
     with the receivers as a tuple and `with_theory` as a bool."""
     get = lambda k: values.get(k, _SCENARIO_KEYS[k][1])
-    preamble = ()
-    if get("preamble"):
-        try:
-            preamble = tuple(complex(tok) for tok in str(get("preamble")).split(","))
-        except ValueError as exc:
-            raise ScenarioError(f"bad preamble list: {exc}") from None
+    preamble = tuple(map(complex, get("preamble").split(","))) if get("preamble") else ()
     same_name = lambda *keys: {key: get(key) for key in keys}
     if get("n_pilot") < 1 or get("n") % get("n_pilot"):  # a scenario's comb has pilots
         raise ScenarioError(f"n_pilot = {get('n_pilot')} pilots do not divide n = {get('n')} subcarriers evenly")
-    try:
-        system = SystemConfig(
-            n_p=get("n_pilot"),
-            preamble=preamble,
-            p_t=1.0,  # pinned per sweep point by the anchor SNR
-            sigma2=_noise_power(get("noise_dbm")),
-            **same_name("n", "n_cp", "m_s", "m_c", "t_preamble", "n_max"),
-        )
-        if not system.n_data:  # after the size checks, which name an oversized n first
-            raise ScenarioError(f"n_pilot = {system.n_p} pilots leave no data subcarrier of n = {system.n}")
-        chan = ChannelConfig(
-            d_b=get("delay_b"),
-            **same_name("l_d", "l_1", "l_2", "dist_direct", "dist_fwd", "dist_bwd", "exp_direct",
-                        "exp_fwd", "exp_bwd", "pathloss_ref", "direct_model", "backscatter_model"),
-        )
-        scenario = Scenario(system, chan, **same_name("direct_snr_db", "backscatter_snr_db", "sync_error"))
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(str(exc)) from None
+    system = SystemConfig(
+        n_p=get("n_pilot"),
+        preamble=preamble,
+        p_t=1.0,  # pinned per sweep point by the anchor SNR
+        sigma2=_noise_power(get("noise_dbm")),
+        **same_name("n", "n_cp", "m_s", "m_c", "t_preamble", "n_max"),
+    )
+    if not system.n_data:  # after the size checks, which name an oversized n first
+        raise ScenarioError(f"n_pilot = {system.n_p} pilots leave no data subcarrier of n = {system.n}")
+    chan = ChannelConfig(
+        d_b=get("delay_b"),
+        **same_name("l_d", "l_1", "l_2", "dist_direct", "dist_fwd", "dist_bwd", "exp_direct",
+                    "exp_fwd", "exp_bwd", "pathloss_ref", "direct_model", "backscatter_model"),
+    )
+    scenario = Scenario(system, chan, **same_name("direct_snr_db", "backscatter_snr_db", "sync_error"))
     run = {key: get(key) for key in _SWEEP_KEYS}
     run["receivers"] = tuple(str(run["receivers"]).replace(" ", "").split(","))
     run["with_theory"] = str(run["with_theory"]).lower() in _YES
@@ -319,7 +315,7 @@ def cmd_sweep(args) -> int:
         name: (f"{spec.axis}__{name}.csv", [
             _row(p.point, name, curve.csi, p.ber_primary, p.ci_primary, p.ber_secondary, p.ci_secondary,
                  p.theory_mean("primary_ber_theory"), p.theory_mean("secondary_ber_theory"))
-            for p in sorted(curve.points, key=lambda q: q.point)])
+            for p in curve.points])
         for name, curve in curves.items()
     }
     digests = {

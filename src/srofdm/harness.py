@@ -38,7 +38,7 @@ from srofdm.channel import (
     realization_from_taps,
     scale_link_taps,
 )
-from srofdm.numerics import RandomStream, cn_from_normals
+from srofdm.numerics import RandomStream, ScenarioError, cn_from_normals
 from srofdm.receiver import FrameObservation, run_algorithm1
 from srofdm.txchain import (
     SystemConfig,
@@ -79,11 +79,6 @@ SWEEP_AXES = {
     "sync_error_samples": (),
     "backscatter_snr_db": ("backscatter_model",),
 }
-
-
-class ScenarioError(ValueError):
-    """Configuration problem: a bad scenario value, or an axis the scenario
-    cannot sweep."""
 
 
 # Closed-form companions, conditioned on the drawn realizations (the analytic
@@ -213,11 +208,11 @@ def _positive_finite(axis: str, value: float, what: str, x: float) -> float:
 
 
 def _point_checked(axis: str, value: float, check: Callable):
-    """check(), with a ValueError of the channel model (a gain that is not
-    positive and finite) reported as a ScenarioError of the point."""
+    """check(), with the ScenarioError that the channel model raises for a
+    gain that is not positive and finite prefixed with the point."""
     try:
         return check()
-    except ValueError as exc:
+    except ScenarioError as exc:
         raise ScenarioError(f"axis {axis} = {value:g}: {exc}") from None
 
 
@@ -289,6 +284,8 @@ class SweepSpec:
         if self.trials_per_point < 10**3:
             raise ScenarioError(
                 f"need at least 10^3 trials per point, got {self.trials_per_point}")
+        if self.trials_per_point > 2**64:  # a trial id is a Philox key word, in [0, 2^64)
+            raise ScenarioError(f"need at most 2^64 trials per point, got {self.trials_per_point}")
         _check_receivers(self.receivers)
 
 
@@ -533,28 +530,22 @@ def _count_errors(result: PointResult, draws: TrialDraws, out, system: SystemCon
         result.secondary_bit_errors += int(np.sum(system.psk.bit_errors(c_idx, out.c_hat)))
 
 
-def _receive_path(axis: str, sync_error: int) -> str:
-    """The receive path of every point of a sweep: only a sync error needs
-    the sample-level path, and no other axis changes the scenario's."""
-    return "sample" if axis == "sync_error_samples" or sync_error > 0 else "frequency"
-
-
 def _run_point(draws: TrialDraws, point, channel: _Channel, receivers, with_theory) -> dict:
     """{receiver: PointResult} of one resolved point over drawn trials,
     received through the `_Channel` of its ChannelConfig."""
     value, system, chan, xi = point
     obs = _receive(draws, system, channel, xi)
     taps = composite_tap_count(chan, xi)
-    with_backscatter = chan.backscatter_model != "none"
     memo = {}  # stage prefix -> its values over this chunk, while a later receiver shares it
     results = {name: PointResult(point=value) for name in receivers}
     for i, name in enumerate(receivers):  # no output outlives its counting
         _count_errors(results[name], draws, run_algorithm1(
-            obs, system, RECEIVERS[name].stages, taps=taps, detect_c=with_backscatter, memo=memo), system)
+            obs, system, RECEIVERS[name].stages, taps=taps, memo=memo), system)
         later = [RECEIVERS[r].stages for r in receivers[i + 1 :]]
         memo = {key: v for key, v in memo.items() if any(s[: len(key)] == key for s in later)}
     if not with_theory:
         return results
+    with_backscatter = chan.backscatter_model != "none"
     primary = None  # built once for every primary companion of the point
     if channel.data_gain is not None:
         primary = (theory.snr_from_gain(channel.data_gain, system), channel.rows)
@@ -621,9 +612,10 @@ def _process_chunk(args) -> list:
 
 def _prepare(scenario: Scenario, axis: str, values) -> tuple:
     """(receive path, points) of a run, each point its (value, SystemConfig,
-    ChannelConfig, xi), after every check that can fail before a draw."""
+    ChannelConfig, xi), after every check that can fail before a draw. Only
+    a sync error, the scenario's or its axis's, needs the sample path."""
     points = tuple((float(v), *apply_axis(scenario, axis, float(v))) for v in values)
-    return _receive_path(axis, scenario.sync_error), points
+    return "sample" if axis == "sync_error_samples" or scenario.sync_error > 0 else "frequency", points
 
 
 def run_trial(scenario: Scenario, axis: str, value: float, trial_index: int,

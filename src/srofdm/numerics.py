@@ -1,11 +1,12 @@
-"""Complex-vector kernels shared by every stage: partial DFT matrices, the
-Gaussian tail function, and reproducible counter-based random streams."""
+"""Kernels and error types shared by every stage: partial DFT matrices, the
+Gaussian tail, counter-based random streams, ScenarioError, SingularSystemError."""
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import erfc
 
 __all__ = [
+    "ScenarioError",
     "SingularSystemError",
     "RandomStream",
     "partial_fourier",
@@ -13,6 +14,11 @@ __all__ = [
     "cn_from_normals",
     "draw_cn",
 ]
+
+class ScenarioError(ValueError):
+    """Configuration problem: a bad scenario value, or an axis the scenario
+    cannot sweep. Each config type raises it where its rule fails."""
+
 
 class SingularSystemError(ValueError):
     """Raised when a least-squares system is rank deficient."""

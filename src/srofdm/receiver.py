@@ -338,7 +338,7 @@ def run_ml_benchmark(
         cands = known[m] if m < len(known) else free
         totals, s_idx = ml_symbol_metrics(y[..., m, :], cands, cfg)
         pick = np.argmin(totals, axis=-1)
-        c_dec[..., m] = pick if len(cands.values) > 1 else -1
+        c_dec[..., m] = pick
         chosen = np.take_along_axis(s_idx, pick[..., None, None], axis=-2)[..., 0, :]
         if not pilot_structure:  # keep only the data positions for error accounting
             chosen = np.take(chosen, cfg.data_indices, axis=-1)
@@ -399,7 +399,7 @@ def _stage(stage: str, obs: FrameObservation, cfg: SystemConfig, taps: int, st: 
 
 
 def run_algorithm1(obs: FrameObservation, cfg: SystemConfig, stages: tuple, *, taps: int,
-                   detect_c: bool = True, memo: Optional[dict] = None) -> DetectionOutput:
+                   memo: Optional[dict] = None) -> DetectionOutput:
     """Run a receiver's chain of stages over a frame (or batch of frames).
 
     stages names one variant of each step, in order: composite estimate
@@ -409,12 +409,13 @@ def run_algorithm1(obs: FrameObservation, cfg: SystemConfig, stages: tuple, *, t
     ("project", "ml_search", "ml_search_nopilot"); the ML benchmark needs only
     links and a search. The paper's Algorithm 1 is ("pilot_ls", "primary",
     "decided", "method2", "split", "project"). taps is the receiver's model
-    order. detect_c=False (no backscatter link) skips the projection and
-    returns no secondary decisions. memo maps each stage prefix to its values:
-    receivers run with one memo over the same frames share their prefixes.
+    order; a frame whose h_b taps are all zero carries no secondary stream
+    and gets no secondary decisions (c_hat None). memo maps each stage prefix
+    to its values, shared by receivers that run with one memo over the frames.
     """
     memo = {} if memo is None else memo
-    stages = tuple(s for s in stages if detect_c or s != "project")
+    secondary = np.any(obs.realization.h_b)
+    stages = tuple(s for s in stages if secondary or s != "project")
     st = {}
     for i, stage in enumerate(stages):
         key = stages[: i + 1]
@@ -422,4 +423,4 @@ def run_algorithm1(obs: FrameObservation, cfg: SystemConfig, stages: tuple, *, t
             memo[key] = {**st, **_stage(stage, obs, cfg, taps, st)}
         st = memo[key]
     out = DetectionOutput(**{f.name: st.get(f.name) for f in fields(DetectionOutput)})
-    return out if detect_c else replace(out, c_hat=None)
+    return out if secondary else replace(out, c_hat=None)

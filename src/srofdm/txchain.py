@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from srofdm.channel import ChannelRealization
+from srofdm.numerics import ScenarioError
 
 __all__ = [
     "QamAlphabet",
@@ -53,7 +54,7 @@ class QamAlphabet:
     def build(cls, order: int) -> "QamAlphabet":
         m = math.isqrt(max(order, 0))  # exact for a Python int of any size
         if m * m != order or order < 4 or (order & (order - 1)):
-            raise ValueError(f"square QAM order must be a power of 4, got {order}")
+            raise ScenarioError(f"square QAM order must be a power of 4, got {order}")
         levels = 2.0 * np.arange(m) - (m - 1)
         levels /= np.sqrt(2.0 * (order - 1) / 3.0)  # unit average symbol power
         half_bits = m.bit_length() - 1
@@ -105,7 +106,7 @@ class PskAlphabet:
     @classmethod
     def build(cls, order: int) -> "PskAlphabet":
         if order < 2 or (order & (order - 1)):
-            raise ValueError(f"PSK order must be a power of two >= 2, got {order}")
+            raise ScenarioError(f"PSK order must be a power of two >= 2, got {order}")
         idx = np.arange(order)
         points = np.exp(2j * np.pi * idx / order)
         return cls(order=order, points=points, labels=_gray(idx).astype(np.int64))
@@ -127,7 +128,7 @@ class PskAlphabet:
 def default_preamble(t: int) -> tuple:
     """Zero-sum unit-modulus preamble: T-th roots of unity."""
     if t < 2:
-        raise ValueError("preamble needs at least two symbols")
+        raise ScenarioError("preamble needs at least two symbols")
     return tuple(np.exp(2j * np.pi * np.arange(t) / t))
 
 
@@ -160,34 +161,34 @@ class SystemConfig:
     def __post_init__(self):
         # the sizes first, since the preamble and every array below are built from them
         if self.n < 1:
-            raise ValueError(f"n = {self.n}: need at least one subcarrier")
+            raise ScenarioError(f"n = {self.n}: need at least one subcarrier")
         if self.n_cp < 0:
-            raise ValueError(f"n_cp = {self.n_cp} is negative")
+            raise ScenarioError(f"n_cp = {self.n_cp} is negative")
         if self.n_p < 1 or self.n % self.n_p:
-            raise ValueError(f"n_p = {self.n_p} pilots do not divide n = {self.n} subcarriers evenly")
+            raise ScenarioError(f"n_p = {self.n_p} pilots do not divide n = {self.n} subcarriers evenly")
         for key in ("m_s", "m_c"):
             if getattr(self, key) > MAX_ORDER:
-                raise ValueError(f"{key} = {getattr(self, key)} exceeds the largest alphabet, {MAX_ORDER} points")
+                raise ScenarioError(f"{key} = {getattr(self, key)} exceeds the largest alphabet, {MAX_ORDER} points")
         if self.t_preamble < 2:
-            raise ValueError("preamble length must be >= 2")
+            raise ScenarioError("preamble length must be >= 2")
         if self.n_max <= self.t_preamble:
-            raise ValueError(f"n_max = {self.n_max} leaves no data symbols after"
-                             f" the t_preamble = {self.t_preamble} preamble symbols")
+            raise ScenarioError(f"n_max = {self.n_max} leaves no data symbols after"
+                                f" the t_preamble = {self.t_preamble} preamble symbols")
         if self.n_max * self.symbol_period > MAX_FRAME_SAMPLES:
-            raise ValueError(f"n_max * (n + n_cp) = {self.n_max} * {self.symbol_period} samples"
-                             f" exceeds the largest frame, {MAX_FRAME_SAMPLES} samples")
+            raise ScenarioError(f"n_max * (n + n_cp) = {self.n_max} * {self.symbol_period} samples"
+                                f" exceeds the largest frame, {MAX_FRAME_SAMPLES} samples")
         if not self.preamble:
             pre = (1.0 + 0j, -1.0 + 0j) if self.t_preamble == 2 else default_preamble(self.t_preamble)
             object.__setattr__(self, "preamble", pre)
         pre = np.asarray(self.preamble)
         if pre.shape != (self.t_preamble,):
-            raise ValueError("preamble length must equal t_preamble")
+            raise ScenarioError("preamble length must equal t_preamble")
         if not np.max(np.abs(np.abs(pre) - 1)) <= 1e-12:  # also NaN
-            raise ValueError("preamble symbols must have unit modulus")
+            raise ScenarioError("preamble symbols must have unit modulus")
         if not abs(pre.sum()) <= 1e-9:
-            raise ValueError("preamble symbols must sum to zero")
+            raise ScenarioError("preamble symbols must sum to zero")
         if not (0 < self.p_t < float("inf") and 0 <= self.sigma2 < float("inf")):  # also NaN
-            raise ValueError("powers must be positive and finite (noise may be zero)")
+            raise ScenarioError("powers must be positive and finite (noise may be zero)")
         self.qam, self.psk  # built once, here, which checks their orders
 
     @cached_property

@@ -10,8 +10,23 @@ from srofdm.channel import (
     realization_from_taps,
 )
 from srofdm.harness import Scenario
-from srofdm.numerics import RandomStream
+from srofdm.numerics import RandomStream, ScenarioError
 from srofdm.txchain import SystemConfig
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: SystemConfig(n=0), id="n"),
+    pytest.param(lambda: SystemConfig(m_s=8), id="m_s"),
+    pytest.param(lambda: SystemConfig(t_preamble=3, preamble=(1, 1, 1)), id="preamble"),
+    pytest.param(lambda: ChannelConfig(l_d=0), id="l_d"),
+    pytest.param(lambda: ChannelConfig(direct_model="x"), id="direct_model"),
+    pytest.param(lambda: pathloss(0.0, 2.0, 1e-3), id="distance"),
+    pytest.param(lambda: ChannelConfig(dist_direct=1e308).check_gains(), id="gain"),
+])
+def test_each_rule_raises_scenario_error_where_it_lives(build):
+    # the CLI maps a ScenarioError to exit 1, and no caller converts a ValueError into one
+    with pytest.raises(ScenarioError):
+        build()
 
 
 class TestPathloss:

@@ -146,6 +146,14 @@ class TestSweepCommand:
         assert manifest["master_seed"] == 7
         assert manifest["constellation_moments"]["gamma1"] == pytest.approx(17 / 9)
 
+    def test_negative_points_in_the_equals_form(self, tmp_path, fast_scenario):
+        # argparse reads a separate "-30,-10" as an option; after "=" it is the value
+        out = tmp_path / "ratio"
+        assert main(["sweep", str(fast_scenario), "--axis", "snr_ratio_db", "--points=-30,-10",
+                     "--trials", "1000", "--no-theory", "--out", str(out), "--quiet"]) == 0
+        rows = (out / "snr_ratio_db__perfect_csi.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [-30.0, -10.0]
+
     def test_reruns_are_byte_identical(self, tmp_path, fast_scenario):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = [
@@ -578,6 +586,8 @@ class TestSweepCommand:
         pytest.param(["--receivers", "perfect_csi,perfect_csi"],
                      "'perfect_csi' is listed twice", id="duplicate_receiver"),
         pytest.param(["--trials", "5"], "at least 10^3 trials", id="too_few_trials"),
+        pytest.param(["--trials", str(2**64 + 1)], f"at most 2^64 trials per point, got {2**64 + 1}",
+                     id="trials_beyond_the_key_space"),
     ])
     def test_bad_sweep_spec_exits_1(self, tmp_path, capsys, fast_scenario, flags, message):
         argv = ["sweep", str(fast_scenario), "--points", "20", "--trials", "1000",

@@ -133,6 +133,7 @@ class TestSweepSpec:
         dict(trials_per_point=1000.0),  # failed later: 'float' object cannot be interpreted as an integer
         dict(points=(float("nan"),)),  # np.diff of one NaN point has nothing to compare
         dict(points=(1.0, float("inf"))),
+        dict(trials_per_point=2**64 + 1),  # more trials than a seed has ids (Philox key words)
     ])
     def test_rejections_are_scenario_errors(self, bad):
         kw = dict(axis="direct_snr_db", points=(10.0,), trials_per_point=1000)

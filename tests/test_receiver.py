@@ -779,6 +779,25 @@ FLAG_RECEIVERS = {
 }
 
 
+# ChannelConfig keywords of each channel model a frame is drawn under
+CHANNEL_MODELS = {
+    "cascade": {},
+    "rayleigh": dict(backscatter_model="rayleigh"),
+    "awgn": dict(backscatter_model="awgn"),
+    "no_backscatter": dict(backscatter_model="none"),
+    "no_direct": dict(direct_model="none"),
+}
+
+
+@st.composite
+def frame_sizes(draw):
+    """cfg_with keywords within the bounds SystemConfig enforces: the
+    alphabets, a default preamble of T symbols and 1 to 3 data symbols."""
+    t = draw(st.sampled_from([2, 3, 4]))
+    return dict(m_s=draw(st.sampled_from([4, 16, 64])), m_c=draw(st.sampled_from([2, 4, 8])),
+                t_preamble=t, n_max=draw(st.integers(t + 1, t + 3)))
+
+
 class TestStageChains:
     """The stage chains of RECEIVERS, run through one memo per chunk, give
     bit for bit what the flag-composed receivers gave."""
@@ -794,17 +813,34 @@ class TestStageChains:
         scen = Scenario(system=cfg_with(sigma2=1e-11), chan=chan, backscatter_snr_db=20.0)
         system, chan, xi = apply_axis(scen, axis, value)
         path = "sample" if axis == "sync_error_samples" else "frequency"
+        self._check(system, chan, xi, path)
+
+    @given(sizes=frame_sizes(), model=st.sampled_from(sorted(CHANNEL_MODELS)),
+           sync=st.sampled_from([None, 0, 3, 20]), value=st.integers(0, 40).map(float))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_match_flag_composition_drawn(self, sizes, model, sync, value):
+        # sync None receives on the frequency path, an integer on the sample
+        # path at that sync error; value is the direct SNR, or without a
+        # direct link the backscatter SNR, in dB
+        scen = Scenario(system=cfg_with(sigma2=1e-11, **sizes), chan=ChannelConfig(**CHANNEL_MODELS[model]),
+                        backscatter_snr_db=20.0, sync_error=sync or 0)
+        axis = "backscatter_snr_db" if model == "no_direct" else "direct_snr_db"
+        system, chan, xi = apply_axis(scen, axis, value)
+        self._check(system, chan, xi, "frequency" if sync is None else "sample")
+
+    @staticmethod
+    def _check(system, chan, xi, path):
         obs = draw_frame_batch(system, chan, master_seed=5, trial_ids=range(256), xi=xi, path=path)
         taps = composite_tap_count(chan, xi)
-        detect_c = chan.backscatter_model != "none"
+        with_link = chan.backscatter_model != "none"  # the config's fact; run_algorithm1 reads the frame
         assert set(FLAG_RECEIVERS) == set(RECEIVERS)
         memo = {}
         for name, flag_receiver in FLAG_RECEIVERS.items():
-            got = detect(name, obs, system, taps, detect_c=detect_c, memo=memo)
-            want = flag_receiver(obs, system, taps, detect_c)
-            for field in ("s_hat", "c_hat", "H_tilde", "H_hat", "H_hat_d", "H_hat_b", "n_erased"):
-                assert np.array_equal(getattr(got, field), getattr(want, field)), (name, field)
-            assert (got.c_hat is None) == (not detect_c)
+            got = detect(name, obs, system, taps, memo=memo)
+            want = flag_receiver(obs, system, taps, with_link)
+            for f in fields(DetectionOutput):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (name, f.name)
+            assert (got.c_hat is None) == (not with_link)
 
 
 def _paper_point(axis, value):
