@@ -8,6 +8,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+# loaded with the package: numpy's lazy load of numpy.fft at the first `np.fft` is not
+# re-entrant, and a signal handler that reads `np.fft` during it recurses without end
+from numpy.fft import fft
 
 from srofdm.numerics import RandomStream, ScenarioError, draw_cn
 
@@ -187,7 +190,7 @@ def _fft_padded(taps: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
         taps = np.pad(taps, pad)
     if taps.shape[-1] > n:
         raise ValueError(f"{taps.shape[-1]} taps do not fit {n} subcarriers")
-    return np.fft.fft(taps, n=n, axis=-1)
+    return fft(taps, n=n, axis=-1)
 
 
 def realization_from_taps(h_d, b, g, d_b: int, n: int) -> ChannelRealization:

@@ -38,7 +38,7 @@ from srofdm.channel import (
     realization_from_taps,
     scale_link_taps,
 )
-from srofdm.numerics import RandomStream, ScenarioError, cn_from_normals
+from srofdm.numerics import RandomStream, ScenarioError, cn_from_normals, q_function
 from srofdm.receiver import FrameObservation, run_algorithm1
 from srofdm.txchain import (
     SystemConfig,
@@ -660,6 +660,8 @@ def run_sweep(
     }
     # one pool for the whole sweep, no larger than the work; map yields in submission order
     processes = min(workers, len(tasks))
+    if processes > 1 and spec.with_theory:
+        q_function(0.0)  # loads scipy once here: forked workers inherit it
     with ProcessPoolExecutor(max_workers=processes) if processes > 1 else nullcontext() as pool:
         outputs = pool.map(_process_chunk, tasks, chunksize=1) if pool else map(_process_chunk, tasks)
         for per_point in outputs:  # fixed range order

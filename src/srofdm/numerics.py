@@ -3,7 +3,6 @@ Gaussian tail, counter-based random streams, ScenarioError, SingularSystemError.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "ScenarioError",
@@ -91,8 +90,10 @@ def q_function(z):
     """Gaussian tail probability Q(z) = P(N(0,1) > z).
 
     Evaluated as 0.5*erfc(z/sqrt(2)), halved in erfc's own result; accepts
-    scalars (a numpy scalar comes back) or arrays.
+    scalars (a numpy scalar comes back) or arrays. scipy loads at the first call.
     """
+    from scipy.special import erfc
+
     q = erfc(np.asarray(z) / np.sqrt(2.0))
     q *= 0.5
     return q

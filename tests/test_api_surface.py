@@ -3,7 +3,8 @@ srofdm module's `__all__` is used by another srofdm module or listed under
 the README's "Analysis API" heading. Code that only the tests call belongs in
 the tests (see tests/oracles.py). Each config type checks its own rules as it
 is built, so no src module asks an instance to validate itself. No src or
-test module imports a name it never references."""
+test module imports a name it never references, and no src module imports
+scipy at module scope."""
 import ast
 import importlib
 import re
@@ -130,3 +131,30 @@ def test_no_unused_imports():
     unused = [entry for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
               for entry in unused_imports(path)]
     assert not unused, f"imported and never referenced: {unused}"
+
+
+def module_scope_imports(tree: ast.Module) -> list:
+    """(line, module) of every import that runs when the module is imported:
+    all but those inside a function body."""
+    found, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, node.module or ""))
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # scipy serves only the closed-form companions: a run that evaluates none
+    # must not pay its import time and memory
+    sample = "import scipy\nif 1:\n    from scipy.special import erfc\ndef f():\n    import scipy.stats\n"
+    assert sorted(module_scope_imports(ast.parse(sample))) == [(1, "scipy"), (3, "scipy.special")]
+    eager = [f"{path.relative_to(ROOT)}:{line}: {module}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, module in module_scope_imports(ast.parse(path.read_text()))
+             if module.split(".")[0] == "scipy"]
+    assert not eager, f"scipy imported at module scope: {eager}"

@@ -491,6 +491,15 @@ class TestSweepCommand:
         assert capsys.readouterr().err == "runtime error: boom\n"
         assert not (tmp_path / "x").exists()
 
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_sweep", out_of_memory)
+        assert main(["sweep", str(fast_scenario), "--points", "20", "--trials", "1000",
+                     "--out", str(tmp_path / "x"), "--quiet"]) == 2
+        assert capsys.readouterr().err == "runtime error: MemoryError\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("axis, model", [
         ("direct_snr_db", "direct_model"),
         ("snr_ratio_db", "direct_model"),
