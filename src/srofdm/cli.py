@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -80,38 +80,27 @@ def _noise_dbm(text) -> float:
     return value
 
 
+# record field -> scenario key, where the two names differ
+_KEY_ALIASES = {"n_p": "n_pilot", "d_b": "delay_b"}
+# record fields that no key sets: p_t is pinned per sweep point by the anchor SNR,
+# sigma2 comes from noise_dbm, the preamble from its key's text form
+_NOT_KEYS = ("p_t", "sigma2", "preamble", "beta_backscatter_override")
+_PARSERS = {"int": int, "float": _finite, "str": str, "Optional[float]": _finite}  # by annotation
+# {record: {key: field}}: each field with a default and not in _NOT_KEYS
+_RECORD_KEYS = {record: {_KEY_ALIASES.get(f.name, f.name): f for f in fields(record)
+                         if f.default is not MISSING and f.name not in _NOT_KEYS}
+                for record in (SystemConfig, ChannelConfig, Scenario)}
 _SCENARIO_KEYS = {
     # key: (parser, default); 'auto', 'none' or an empty value selects a None default
-    "n": (int, 64),
-    "n_cp": (int, 16),
-    "n_pilot": (int, 8),
-    "m_s": (int, 16),
-    "m_c": (int, 8),
-    "t_preamble": (int, 2),
-    "n_max": (int, 10),
+    **{key: (_PARSERS[f.type], f.default) for keys in _RECORD_KEYS.values() for key, f in keys.items()},
     "noise_dbm": (_noise_dbm, -80.0),
-    "direct_snr_db": (_finite, 20.0),
-    "backscatter_snr_db": (_finite, None),
-    "sync_error": (int, 0),
-    "l_d": (int, 4),
-    "l_1": (int, 1),
-    "l_2": (int, 2),
-    "delay_b": (int, 1),
-    "dist_direct": (_finite, 200.0),
-    "dist_fwd": (_finite, 3.83),
-    "dist_bwd": (_finite, None),  # 'auto' keeps the collinear default
-    "exp_direct": (_finite, 2.5),
-    "exp_fwd": (_finite, 2.0),
-    "exp_bwd": (_finite, 2.0),
-    "pathloss_ref": (_finite, 1e-3),
-    "direct_model": (str, "rayleigh"),
-    "backscatter_model": (str, "cascade"),
     "preamble": (_complex_list, None),
     "axis": (str, "direct_snr_db"),
     "points": (str, "12:30:3"),
     "trials": (int, 100000),
-    "receivers": (str, "perfect_csi,proposed_m1,proposed_m2"),
-    "with_theory": (_yes_no, "true"),
+    # SweepSpec's defaults, in the text form that a manifest records
+    "receivers": (str, ",".join(SweepSpec.receivers)),
+    "with_theory": (_yes_no, str(SweepSpec.with_theory).lower()),
 }
 _SWEEP_KEYS = ("axis", "points", "trials", "receivers", "with_theory")
 
@@ -195,28 +184,18 @@ def load_scenario_file(path: str) -> dict:
 
 
 def resolve_scenario(values: dict):
-    """Turn parsed key-values into (Scenario, run fields): the `_SWEEP_KEYS`,
-    with the receivers as a tuple and `with_theory` as a bool."""
+    """(Scenario, run fields) of parsed key-values: each record from its keys in
+    `_RECORD_KEYS`, a key not given taking its field's default; the run fields
+    are the `_SWEEP_KEYS`, the receivers as a tuple and `with_theory` a bool."""
     get = lambda k: values.get(k, _SCENARIO_KEYS[k][1])
+    record = lambda cls, **rest: cls(**{f.name: get(key) for key, f in _RECORD_KEYS[cls].items()}, **rest)
     preamble = tuple(map(complex, get("preamble").split(","))) if get("preamble") else ()
-    same_name = lambda *keys: {key: get(key) for key in keys}
     if get("n_pilot") < 1 or get("n") % get("n_pilot"):  # a scenario's comb has pilots
         raise ScenarioError(f"n_pilot = {get('n_pilot')} pilots do not divide n = {get('n')} subcarriers evenly")
-    system = SystemConfig(
-        n_p=get("n_pilot"),
-        preamble=preamble,
-        p_t=1.0,  # pinned per sweep point by the anchor SNR
-        sigma2=_noise_power(get("noise_dbm")),
-        **same_name("n", "n_cp", "m_s", "m_c", "t_preamble", "n_max"),
-    )
+    system = record(SystemConfig, preamble=preamble, sigma2=_noise_power(get("noise_dbm")))
     if not system.n_data:  # after the size checks, which name an oversized n first
         raise ScenarioError(f"n_pilot = {system.n_p} pilots leave no data subcarrier of n = {system.n}")
-    chan = ChannelConfig(
-        d_b=get("delay_b"),
-        **same_name("l_d", "l_1", "l_2", "dist_direct", "dist_fwd", "dist_bwd", "exp_direct",
-                    "exp_fwd", "exp_bwd", "pathloss_ref", "direct_model", "backscatter_model"),
-    )
-    scenario = Scenario(system, chan, **same_name("direct_snr_db", "backscatter_snr_db", "sync_error"))
+    scenario = record(Scenario, system=system, chan=record(ChannelConfig))
     run = {key: get(key) for key in _SWEEP_KEYS}
     run["receivers"] = tuple(str(run["receivers"]).replace(" ", "").split(","))
     run["with_theory"] = str(run["with_theory"]).lower() in _YES

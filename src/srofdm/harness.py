@@ -660,7 +660,8 @@ def run_sweep(
     }
     # one pool for the whole sweep, no larger than the work; map yields in submission order
     processes = min(workers, len(tasks))
-    if processes > 1 and spec.with_theory:
+    if processes > 1 and spec.with_theory and any(
+            RECEIVERS[name].primary_theory or RECEIVERS[name].secondary_theory for name in spec.receivers):
         q_function(0.0)  # loads scipy once here: forked workers inherit it
     with ProcessPoolExecutor(max_workers=processes) if processes > 1 else nullcontext() as pool:
         outputs = pool.map(_process_chunk, tasks, chunksize=1) if pool else map(_process_chunk, tasks)

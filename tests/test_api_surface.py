@@ -110,6 +110,13 @@ def test_configs_are_valid_once_built():
     assert not missing, f"no __post_init__ on {sorted(missing)}"
 
 
+def test_version_matches_pyproject():
+    # the version is written twice: in pyproject.toml and as srofdm.__version__
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["version"] == importlib.import_module("srofdm").__version__
+
+
 def unused_imports(path: Path) -> list:
     """The names a module imports and never references: not as a name in its
     code and not in its `__all__`. `from __future__` imports are directives,

@@ -57,6 +57,14 @@ class TestScenarioParsing:
         assert 10 * np.log10(scenario.chan.snr_ratio) == pytest.approx(-30.0, abs=0.2)
         assert defaults["axis"] == "direct_snr_db"
 
+    def test_paper_default_lists_every_key_at_its_default(self):
+        # the bundled file shows every key at its default: a new record field
+        # fails here until the file lists it, and so does a key the table loses
+        values = load_scenario_file("paper_default")
+        assert set(values) == set(_SCENARIO_KEYS)
+        assert {key: (type(v), v) for key, v in values.items()} == {
+            key: (type(default), default) for key, (_, default) in _SCENARIO_KEYS.items()}
+
     def test_unknown_key_reports_line(self):
         with pytest.raises(ScenarioError, match=r"my\.txt:3: unknown key 'bogus'"):
             parse_scenario_text("n = 64\n\nbogus = 3\n", origin="my.txt")

@@ -36,23 +36,27 @@ for name in sys.argv[2:]:
                       "scipy": "scipy.special" in sys.modules}), flush=True)
 """
 
-# a 2-point paper_default sweep on 2 workers without and then with companions,
-# and with companions on 1 worker: whether scipy.special is loaded in this
-# (the parent) process after each 2-worker sweep, and whether the curves match
+# a 2-point paper_default sweep on 2 workers without companions, then with
+# theory on but only a receiver that has none (ml_perfect), then with
+# companions, and with companions on 1 worker: whether scipy.special is loaded
+# in this (the parent) process after each 2-worker sweep, and whether the
+# curves match
 SWEEP_WORKERS = """
 import json, sys
 from srofdm import cli, harness
 scenario, _ = cli.resolve_scenario(cli.load_scenario_file("paper_default"))
-def sweep(with_theory, workers):
+def sweep(with_theory, workers, receivers=harness.SweepSpec.receivers):
     spec = harness.SweepSpec(axis="direct_snr_db", points=(12.0, 24.0), trials_per_point=1000,
-                             with_theory=with_theory)
+                             receivers=receivers, with_theory=with_theory)
     return harness.run_sweep(spec, scenario, master_seed=3, workers=workers)
 sweep(False, 2)
 after_no_theory = "scipy.special" in sys.modules
+sweep(True, 2, ("ml_perfect",))
+after_no_companion = "scipy.special" in sys.modules
 two = sweep(True, 2)
 after_theory = "scipy.special" in sys.modules
-print(json.dumps({"after_no_theory": after_no_theory, "after_theory": after_theory,
-                  "same_curves": two == sweep(True, 1)}))
+print(json.dumps({"after_no_theory": after_no_theory, "after_no_companion": after_no_companion,
+                  "after_theory": after_theory, "same_curves": two == sweep(True, 1)}))
 """
 
 
@@ -84,6 +88,7 @@ def test_reference_sweeps_load_scipy_only_for_companions():
 def test_pool_sweep_loads_scipy_in_the_parent_only_with_companions():
     result, = _run(SWEEP_WORKERS)
     assert not result["after_no_theory"]
+    assert not result["after_no_companion"]
     assert result["after_theory"]
     assert result["same_curves"]
 
