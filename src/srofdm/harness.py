@@ -536,7 +536,9 @@ def _run_point(draws: TrialDraws, point, channel: _Channel, receivers, with_theo
     value, system, chan, xi = point
     obs = _receive(draws, system, channel, xi)
     taps = composite_tap_count(chan, xi)
-    memo = {}  # stage prefix -> its values over this chunk, while a later receiver shares it
+    # stage prefix -> its values over this chunk, while a later receiver shares it; each
+    # receiver's chain is None until it runs, so an ML search can serve a later one
+    memo = dict.fromkeys(RECEIVERS[name].stages for name in receivers)
     results = {name: PointResult(point=value) for name in receivers}
     for i, name in enumerate(receivers):  # no output outlives its counting
         _count_errors(results[name], draws, run_algorithm1(

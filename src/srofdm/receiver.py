@@ -229,24 +229,30 @@ def detect_secondary(h_hat_n: np.ndarray, h_hat_d: np.ndarray, h_hat_b: np.ndarr
         h_d = h_d[..., None, :]
         h_b = h_b[..., None, :]
         norm2 = norm2[..., None]
-    z = np.sum(np.conj(h_b) * (h_n - h_d), axis=-1) / norm2
+    # conj(h_b) (h_n - h_d) in one buffer. np.multiply keeps conj(h_b) the first
+    # factor: the fused complex product rounds differently with them swapped
+    prod = np.subtract(h_n, h_d)
+    z = np.sum(np.multiply(np.conj(h_b), prod, out=prod), axis=-1)
+    z /= norm2
     return cfg.psk.detect(z)
 
 
 @dataclass(frozen=True)
 class MlCandidates:
     """The terms of an ML search that do not depend on the received symbol,
-    for one set of secondary candidates: a = sqrt(P)(H_d + c H_b) on the
-    searched and the pilot subcarriers, the entries where every QAM point
-    ties, and the divisor of the slicer. Built by `ml_candidates`."""
+    for one set of secondary candidates and the structures searched with it:
+    a = sqrt(P)(H_d + c H_b) on the searched and the pilot subcarriers, the
+    entries where every QAM point ties, and the divisor of the slicer. Built
+    by `ml_candidates`."""
 
     values: np.ndarray = field(repr=False)  # (n_cand,) the candidates c
-    searched: np.ndarray = field(repr=False)  # subcarriers of the QAM search
+    searched: np.ndarray = field(repr=False)  # subcarriers of the QAM search, every structure's
     pilots: np.ndarray = field(repr=False)  # comb subcarriers in the metric, if any
     a_d: np.ndarray = field(repr=False)  # (..., n_cand, n_searched)
     a_p: np.ndarray = field(repr=False)  # (..., n_cand, n_pilots)
     tied: np.ndarray = field(repr=False)  # |a_d| zero or subnormal
     divisor: np.ndarray = field(repr=False)  # a_d, 1 where tied
+    structures: tuple  # each metric's pilot structure, in order
 
 
 def ml_candidates(
@@ -254,20 +260,22 @@ def ml_candidates(
     h_b: np.ndarray,
     cfg: SystemConfig,
     *,
-    pilot_structure: bool = True,
+    pilot_structure=True,
     candidates: Optional[np.ndarray] = None,
 ) -> MlCandidates:
     """The search terms of the secondary candidates (the PSK alphabet by
     default) against the responses h_d and h_b. With pilot_structure the
-    comb carries its known symbol; without it every subcarrier is searched."""
+    comb carries its known symbol; without it every subcarrier is searched.
+    A tuple of structures searches the union of their subcarriers once."""
+    structures = pilot_structure if isinstance(pilot_structure, tuple) else (pilot_structure,)
     values = cfg.psk.points if candidates is None else np.asarray(candidates)
-    searched = cfg.data_indices if pilot_structure else np.arange(cfg.n)
-    pilots = cfg.pilot_indices if pilot_structure else cfg.pilot_indices[:0]
+    searched = cfg.data_indices if all(structures) else np.arange(cfg.n)
+    pilots = cfg.pilot_indices if any(structures) else cfg.pilot_indices[:0]
     a = np.sqrt(cfg.p_t) * composite_response(h_d, h_b, values)  # (..., n_cand, n)
     a_d = np.take(a, searched, axis=-1)
     tied = np.abs(a_d) < np.finfo(float).tiny
     a_p = np.take(a, pilots, axis=-1)
-    return MlCandidates(values, searched, pilots, a_d, a_p, tied, np.where(tied, 1, a_d))
+    return MlCandidates(values, searched, pilots, a_d, a_p, tied, np.where(tied, 1, a_d), structures)
 
 
 def ml_symbol_metrics(y: np.ndarray, cands: MlCandidates, cfg: SystemConfig):
@@ -275,9 +283,12 @@ def ml_symbol_metrics(y: np.ndarray, cands: MlCandidates, cfg: SystemConfig):
 
     For every secondary candidate c the per-subcarrier minimum over the QAM
     alphabet of |Y_k - a_k S|^2, a_k = sqrt(P)(H_d,k + c H_b,k), is
-    accumulated; pilot subcarriers contribute their known symbol instead of a
-    search. Returns (totals, s_idx) with totals shaped (..., n_candidates)
-    and s_idx the per-candidate decisions on the searched subcarriers.
+    accumulated for each structure of cands: the pilot structure sums the
+    data subcarriers and adds the comb's known symbol instead of a search,
+    the no-pilot one sums every subcarrier. Returns (totals, s_idx) with
+    totals shaped (..., n_structures * n_candidates), structure-major, and
+    s_idx the per-candidate decisions on the searched subcarriers, which the
+    structures share.
 
     The minimiser is the rail slicer on Y_k / a_k, and the distance is
     recomputed from the sliced point, so totals and decisions are those of an
@@ -291,20 +302,21 @@ def ml_symbol_metrics(y: np.ndarray, cands: MlCandidates, cfg: SystemConfig):
     with np.errstate(over="ignore"):
         s_idx = cfg.qam.detect(y_d / cands.divisor)
     np.copyto(s_idx, 0, where=cands.tied)
-    # |y_d - a_d S|^2 in one buffer, summed over its contiguous subcarrier
-    # axis (numpy's pairwise sum, as in the scan). np.multiply, not *, keeps
-    # a_d the first factor: numpy's fused complex product rounds differently
-    # with the operands swapped, which operator temporaries of 256 KiB and
-    # more would do
+    # |y_d - a_d S|^2 in one buffer. np.multiply, not *, keeps a_d the first
+    # factor: numpy's fused complex product rounds differently with the
+    # operands swapped, which operator temporaries of 256 KiB and more would do
     err = np.take(cfg.qam.points, s_idx)
     np.multiply(cands.a_d, err, out=err)
     np.subtract(y_d, err, out=err)
-    dist = np.abs(err)
-    totals = np.sum(np.square(dist, out=dist), axis=-1)
-    if cands.pilots.size:  # the pilot symbols are 1
-        y_p = np.take(y, cands.pilots, axis=-1)[..., None, :]
-        totals += np.sum(np.abs(y_p - cands.a_p) ** 2, axis=-1)
-    return totals, s_idx
+    dist = np.abs(err) ** 2
+    totals = []  # each over its own contiguous subcarrier axis (numpy's pairwise sum, as in the scan)
+    for pilot in cands.structures:
+        gather = pilot and cands.searched.size > cfg.n_data  # the pilot structure's data subcarriers
+        totals.append(np.sum(np.take(dist, cfg.data_indices, axis=-1) if gather else dist, axis=-1))
+        if pilot:  # the pilot symbols are 1
+            y_p = np.take(y, cands.pilots, axis=-1)[..., None, :]
+            totals[-1] += np.sum(np.abs(y_p - cands.a_p) ** 2, axis=-1)
+    return np.concatenate(totals, axis=-1), s_idx
 
 
 def run_ml_benchmark(
@@ -313,8 +325,8 @@ def run_ml_benchmark(
     h_d: np.ndarray,
     h_b: np.ndarray,
     *,
-    pilot_structure: bool = True,
-) -> DetectionOutput:
+    pilot_structure=True,
+) -> list:
     """Two-step ML receiver: joint per-symbol search over the secondary
     candidate and per-subcarrier QAM symbols, against the direct and
     backscatter responses h_d and h_b (the truth, or estimates).
@@ -322,38 +334,37 @@ def run_ml_benchmark(
     With pilot_structure the comb symbols are fixed in the metric and the
     preamble symbols are known; without it every subcarrier is searched and
     every symbol's secondary value is a free candidate (which leaves a sign
-    ambiguity when the direct path is absent). Each candidate set's terms
-    (the PSK alphabet, or one known preamble value) are built once per call.
+    ambiguity when the direct path is absent). A tuple of structures runs
+    as one symbol loop whose free-candidate search serves them all; a known
+    preamble symbol keeps its own one-candidate search. Each candidate set's
+    terms are built once per call. Returns, per structure, its decisions as
+    the DetectionOutput fields they set (all but H_tilde and H_hat, which
+    are the composite response of c_values).
     """
     y = np.asarray(y)
-    n_sym = y.shape[-2]
-    batch = y.shape[:-2]
-    s_hat = np.empty(batch + (n_sym, cfg.n_data), dtype=np.int64)
-    c_dec = np.empty(batch + (n_sym,), dtype=np.int64)
-    c_val = np.empty(batch + (n_sym,), dtype=complex)
+    n_sym, batch = y.shape[-2], y.shape[:-2]
     free = ml_candidates(h_d, h_b, cfg, pilot_structure=pilot_structure)
     known = ([ml_candidates(h_d, h_b, cfg, candidates=[c]) for c in cfg.preamble]
-             if pilot_structure else [])  # one candidate per known preamble symbol
+             if any(free.structures) else [])  # one candidate per known preamble symbol
+    found = {pilot: (np.empty(batch + (n_sym, cfg.n_data), dtype=np.int64),
+                     np.empty(batch + (n_sym,), dtype=np.int64), np.empty(batch + (n_sym,), dtype=complex))
+             for pilot in free.structures}  # per structure: s_hat, the candidate picks, c_values
     for m in range(n_sym):
-        cands = known[m] if m < len(known) else free
-        totals, s_idx = ml_symbol_metrics(y[..., m, :], cands, cfg)
-        pick = np.argmin(totals, axis=-1)
-        c_dec[..., m] = pick
-        chosen = np.take_along_axis(s_idx, pick[..., None, None], axis=-2)[..., 0, :]
-        if not pilot_structure:  # keep only the data positions for error accounting
-            chosen = np.take(chosen, cfg.data_indices, axis=-1)
-        s_hat[..., m, :] = chosen
-        c_val[..., m] = cands.values[pick]
-    h_hat = composite_response(h_d, h_b, c_val)
-    return DetectionOutput(
-        s_hat=s_hat,
-        c_hat=c_dec[..., cfg.t_preamble :],
-        H_tilde=h_hat,
-        H_hat=h_hat,
-        H_hat_d=np.broadcast_to(np.asarray(h_d), batch + (cfg.n,)),
-        H_hat_b=np.broadcast_to(np.asarray(h_b), batch + (cfg.n,)),
-        n_erased=np.zeros(batch, dtype=np.int64),
-    )
+        # a known preamble symbol's one-candidate search goes last, over the free search's pick
+        for cands in ([free] if m >= len(known) or not all(free.structures) else []) + known[m : m + 1]:
+            totals, s_idx = ml_symbol_metrics(y[..., m, :], cands, cfg)
+            picks = np.argmin(totals.reshape(totals.shape[:-1] + (len(cands.structures), -1)), axis=-1)
+            rows = s_idx.reshape((-1,) + s_idx.shape[-2:])  # one (n_cand, n_searched) per trial
+            for pick, (s_hat, c_dec, c_val) in zip(np.moveaxis(picks, -1, 0),
+                                                   map(found.get, cands.structures)):
+                chosen = rows[np.arange(pick.size), pick.ravel()].reshape(pick.shape + s_idx.shape[-1:])
+                if cands.searched.size > cfg.n_data:  # keep only the data positions for error accounting
+                    chosen = np.take(chosen, cfg.data_indices, axis=-1)
+                s_hat[..., m, :], c_dec[..., m], c_val[..., m] = chosen, pick, cands.values[pick]
+    return [dict(s_hat=s_hat, c_hat=c_dec[..., cfg.t_preamble :], c_values=c_val,
+                 H_hat_d=np.broadcast_to(np.asarray(h_d), batch + (cfg.n,)),
+                 H_hat_b=np.broadcast_to(np.asarray(h_b), batch + (cfg.n,)),
+                 n_erased=np.zeros(batch, dtype=np.int64)) for s_hat, c_dec, c_val in found.values()]
 
 
 def _stage(stage: str, obs: FrameObservation, cfg: SystemConfig, taps: int, st: dict) -> dict:
@@ -392,10 +403,10 @@ def _stage(stage: str, obs: FrameObservation, cfg: SystemConfig, taps: int, st: 
     if stage == "project":
         h_n = st["H_hat"][..., cfg.t_preamble :, :]
         return {"c_hat": detect_secondary(h_n, st["H_hat_d"], st["H_hat_b"], cfg)}
-    if stage in ("ml_search", "ml_search_nopilot"):
-        return vars(run_ml_benchmark(y, cfg, st["H_hat_d"], st["H_hat_b"],
-                                     pilot_structure=stage == "ml_search"))
     raise ValueError(f"unknown receiver stage {stage!r}")
+
+
+_SEARCHES = {"ml_search": True, "ml_search_nopilot": False}  # each ML search stage's pilot structure
 
 
 def run_algorithm1(obs: FrameObservation, cfg: SystemConfig, stages: tuple, *, taps: int,
@@ -412,15 +423,26 @@ def run_algorithm1(obs: FrameObservation, cfg: SystemConfig, stages: tuple, *, t
     order; a frame whose h_b taps are all zero carries no secondary stream
     and gets no secondary decisions (c_hat None). memo maps each stage prefix
     to its values, shared by receivers that run with one memo over the frames.
+    A prefix held as None is one a later receiver runs: an ML search also
+    decides each such search on its links in the same symbol loop, and holds
+    only their decisions there until their receivers read them.
     """
     memo = {} if memo is None else memo
     secondary = np.any(obs.realization.h_b)
     stages = tuple(s for s in stages if secondary or s != "project")
     st = {}
     for i, stage in enumerate(stages):
-        key = stages[: i + 1]
-        if key not in memo:
+        key, links = stages[: i + 1], stages[:i]
+        if memo.get(key) is None and stage in _SEARCHES:
+            wanted = [s for s in _SEARCHES if s == stage or memo.get(links + (s,), ()) is None]
+            found = run_ml_benchmark(obs.y, cfg, st["H_hat_d"], st["H_hat_b"],
+                                     pilot_structure=tuple(_SEARCHES[s] for s in wanted))
+            memo.update({links + (s,): {**st, **values} for s, values in zip(wanted, found)})
+        elif memo.get(key) is None:
             memo[key] = {**st, **_stage(stage, obs, cfg, taps, st)}
         st = memo[key]
+    if "c_values" in st:  # an ML search's composite response, built once its receiver reads it
+        h_hat = composite_response(st["H_hat_d"], st["H_hat_b"], st["c_values"])
+        st = {**st, "H_tilde": h_hat, "H_hat": h_hat}
     out = DetectionOutput(**{f.name: st.get(f.name) for f in fields(DetectionOutput)})
     return out if secondary else replace(out, c_hat=None)

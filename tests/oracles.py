@@ -292,14 +292,17 @@ def rail_slicer(qam, z):
 def exhaustive_ml_symbol_metrics(y, cands, cfg):
     """Reference ML metric on the terms of `ml_candidates`: scan every QAM
     point for every candidate and keep the first strict minimum, which leaves
-    index 0 where every point ties. ml_symbol_metrics must reproduce it bit
-    for bit."""
+    index 0 where every point ties. Each structure of cands then sums its own
+    subcarriers, in one block of candidates per structure: the pilot
+    structure its data subcarriers and the comb's known symbol, the no-pilot
+    one every subcarrier. ml_symbol_metrics must reproduce it bit for bit."""
     y = np.asarray(y)
     y_d = y[..., cands.searched]
     batch = np.broadcast_shapes(y.shape[:-1], cands.a_d.shape[:-2])
-    totals = np.empty(batch + (len(cands.values),))
+    n_cand = len(cands.values)
+    totals = np.empty(batch + (len(cands.structures), n_cand))
     s_out = np.empty(batch + cands.a_d.shape[-2:], dtype=np.int64)
-    for ci in range(len(cands.values)):
+    for ci in range(n_cand):
         a_d = cands.a_d[..., ci, :]
         best = np.full(batch + y_d.shape[-1:], np.inf)
         best_idx = np.zeros(best.shape, dtype=np.int64)
@@ -308,11 +311,16 @@ def exhaustive_ml_symbol_metrics(y, cands, cfg):
             better = d < best
             best = np.where(better, d, best)
             best_idx = np.where(better, si, best_idx)
-        totals[..., ci] = best.sum(axis=-1)
+        for j, pilot in enumerate(cands.structures):
+            # a C-ordered gather: best[..., mask] need not be, and a strided
+            # axis is not summed pairwise
+            own = np.flatnonzero(np.isin(cands.searched, cfg.data_indices if pilot else np.arange(cfg.n)))
+            totals[..., j, ci] = np.take(best, own, axis=-1).sum(axis=-1)
         s_out[..., ci, :] = best_idx
-    if cands.pilots.size:  # the pilot symbols are 1, for every candidate in one sum
-        totals += np.sum(np.abs(y[..., None, cands.pilots] - cands.a_p) ** 2, axis=-1)
-    return totals, s_out
+    for j, pilot in enumerate(cands.structures):
+        if pilot:  # the pilot symbols are 1, for every candidate in one sum
+            totals[..., j, :] += np.sum(np.abs(y[..., None, cands.pilots] - cands.a_p) ** 2, axis=-1)
+    return totals.reshape(batch + (-1,)), s_out
 
 
 def assert_same_metrics(got, want):

@@ -293,6 +293,13 @@ class TestSweep:
          dict(detect_primary=1, full_symbol_vector=1, reestimate_method2=1,
               separate_links=1, detect_secondary=1, run_ml_benchmark=1)),
         (("ml_estimated",), dict(separate_links=1, detect_secondary=0)),
+        # one symbol loop over the true links serves both structures: the free
+        # search of each symbol once, and the known preamble symbols' own
+        (("ml_perfect", "ml_nopilot"),
+         dict(run_ml_benchmark=1, ml_candidates=3, ml_symbol_metrics=12)),
+        # the estimated links are not the true ones: each search runs alone
+        (("ml_estimated", "ml_nopilot"),
+         dict(separate_links=1, run_ml_benchmark=2, ml_candidates=4, ml_symbol_metrics=20)),
     ])
     def test_each_stage_runs_once_per_chunk(self, monkeypatch, receivers, calls):
         import srofdm.receiver as receiver
@@ -530,6 +537,35 @@ class TestChunkSharing:
             alone = sweep((value,))
             for name in receivers:
                 assert_same_point(together[name].points[i], alone[name].points[0])
+
+
+ML_RECEIVERS = ("ml_perfect", "ml_estimated", "ml_nopilot")
+
+
+class TestMlSharing:
+    """The ML structures on one set of links share each symbol's search, and
+    a receiver's results must not depend on which others share it."""
+
+    @pytest.mark.parametrize("change, axis, points", [
+        pytest.param(dict(), "direct_snr_db", (12.0,), id="frequency"),
+        pytest.param(dict(), "sync_error_samples", (3.0,), id="sample_xi3"),
+        pytest.param(*SHARING_CASES["no_direct"][:2], (15.0,), id="no_direct"),
+        pytest.param(*SHARING_CASES["no_backscatter"][:2], (20.0,), id="no_backscatter"),
+    ])
+    def test_each_alone_equals_the_shared_run(self, change, axis, points):
+        scen = paper_scenario(**change)
+
+        def sweep(receivers):
+            spec = SweepSpec(axis=axis, points=points, trials_per_point=1000, receivers=receivers,
+                             with_theory=False)  # the ML receivers have no companion
+            return run_sweep(spec, scen, master_seed=29)
+
+        shared = [sweep(ML_RECEIVERS + ("proposed_m2",)), sweep(("proposed_m2",) + ML_RECEIVERS[::-1])]
+        for name in ML_RECEIVERS:
+            alone = sweep((name,))[name]
+            for curves in shared:
+                for got, want in zip(alone.points, curves[name].points, strict=True):
+                    assert_same_point(got, want)
 
 
 class TestHeldStreams:

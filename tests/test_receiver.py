@@ -685,6 +685,23 @@ class TestMlSearchOracle:
                         exhaustive_ml_symbol_metrics(y, cands, cfg),
                     )
 
+    @pytest.mark.parametrize("m_s", [4, 16, 64])
+    def test_shared_search_matches_exhaustive_scan_and_each_structure_alone(self, m_s):
+        rng = np.random.default_rng(m_s + 7)
+        for snr_db in (-10, 10, 40):
+            cfg = cfg_with(m_s=m_s, p_t=10 ** (snr_db / 10), sigma2=1.0)
+            for shape in self.SHAPES:
+                y, h_d, h_b = random_ml_symbol(rng, cfg, shape)
+                h_d[..., 5] = h_b[..., 5] = 0  # a = 0 for every candidate: tied on a pilot-less subcarrier
+                cands = ml_candidates(h_d, h_b, cfg, pilot_structure=(True, False))
+                got = ml_symbol_metrics(y, cands, cfg)
+                assert_same_metrics(got, exhaustive_ml_symbol_metrics(y, cands, cfg))
+                alone = [ml_symbol_metrics(y, ml_candidates(h_d, h_b, cfg, pilot_structure=p), cfg)
+                         for p in (True, False)]
+                assert np.array_equal(got[0], np.concatenate([alone[0][0], alone[1][0]], axis=-1))
+                assert np.array_equal(got[1][..., cfg.data_indices], alone[0][1])
+                assert np.array_equal(got[1], alone[1][1])
+
     @pytest.mark.parametrize("pilot_structure", [True, False])
     def test_candidate_terms_are_the_composite_response(self, pilot_structure):
         # the scan above reads a from these terms, so they are checked here
@@ -751,6 +768,37 @@ class TestMlSearchOracle:
         assert len(calls) == system.n_max  # one search per symbol, none bypassing the module name
         for name in ("s_hat", "c_hat", "H_tilde", "H_hat", "H_hat_d", "H_hat_b", "n_erased"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_shared_chunk_matches_exhaustive_scan(self, monkeypatch):
+        # both structures on the true links through one memo, as a sweep runs
+        # them: one search per free symbol serves both
+        scen = Scenario(system=cfg_with(sigma2=1e-11), chan=ChannelConfig())
+        system, chan, _ = apply_axis(scen, "direct_snr_db", 12.0)
+        obs = draw_frame_batch(system, chan, master_seed=3, trial_ids=range(256))
+        chains = [RECEIVERS[name].stages for name in ("ml_perfect", "ml_nopilot")]
+        taps = composite_tap_count(chan)
+
+        def shared():
+            memo = dict.fromkeys(chains)  # each chain still to run, as the harness holds them
+            return [run_algorithm1(obs, system, stages, taps=taps, memo=memo) for stages in chains]
+
+        got = shared()
+        alone = [run_algorithm1(obs, system, stages, taps=taps) for stages in chains]
+        calls = []
+
+        def scan(*args):
+            calls.append(args[1].structures)
+            return exhaustive_ml_symbol_metrics(*args)
+
+        monkeypatch.setattr("srofdm.receiver.ml_symbol_metrics", scan)
+        want = shared()
+        # every symbol's free search for both structures, and each known preamble symbol's own
+        assert calls.count((True, False)) == system.n_max and calls.count((True,)) == system.t_preamble
+        assert len(calls) == system.n_max + system.t_preamble
+        for g, a, w in zip(got, alone, want):
+            for f in fields(DetectionOutput):
+                assert np.array_equal(getattr(g, f.name), getattr(w, f.name)), f.name
+                assert np.array_equal(getattr(g, f.name), getattr(a, f.name)), f.name
 
 
 def _flag_algorithm1(method="method2", **flags):
