@@ -532,19 +532,14 @@ def _count_errors(result: PointResult, draws: TrialDraws, out, system: SystemCon
 
 def _run_point(draws: TrialDraws, point, channel: _Channel, receivers, with_theory) -> dict:
     """{receiver: PointResult} of one resolved point over drawn trials,
-    received through the `_Channel` of its ChannelConfig."""
+    received through the `_Channel` of its ChannelConfig: one
+    `run_algorithm1` call, whose take counts each output as it ends."""
     value, system, chan, xi = point
     obs = _receive(draws, system, channel, xi)
     taps = composite_tap_count(chan, xi)
-    # stage prefix -> its values over this chunk, while a later receiver shares it; each
-    # receiver's chain is None until it runs, so an ML search can serve a later one
-    memo = dict.fromkeys(RECEIVERS[name].stages for name in receivers)
     results = {name: PointResult(point=value) for name in receivers}
-    for i, name in enumerate(receivers):  # no output outlives its counting
-        _count_errors(results[name], draws, run_algorithm1(
-            obs, system, RECEIVERS[name].stages, taps=taps, memo=memo), system)
-        later = [RECEIVERS[r].stages for r in receivers[i + 1 :]]
-        memo = {key: v for key, v in memo.items() if any(s[: len(key)] == key for s in later)}
+    run_algorithm1(obs, system, [RECEIVERS[name].stages for name in receivers], taps=taps,
+                   take=lambda i, out: _count_errors(results[receivers[i]], draws, out, system))
     if not with_theory:
         return results
     with_backscatter = chan.backscatter_model != "none"
@@ -650,18 +645,15 @@ def run_sweep(
     if workers < 1:
         raise ScenarioError(f"need at least 1 worker, got {workers}")
     path, points = _prepare(scenario, spec.axis, spec.points)
-    tasks = [
-        (path, points, master_seed,
-         range(start, min(start + CHUNK_TRIALS, spec.trials_per_point)),
-         tuple(spec.receivers), spec.with_theory)
-        for start in range(0, spec.trials_per_point, CHUNK_TRIALS)
-    ]
+    starts = range(0, spec.trials_per_point, CHUNK_TRIALS)
+    tasks = ((path, points, master_seed, range(start, min(start + CHUNK_TRIALS, spec.trials_per_point)),
+              tuple(spec.receivers), spec.with_theory) for start in starts)  # the in-process map builds each as it runs
     totals = {
         name: {value: PointResult(point=value) for value, *_ in points}
         for name in spec.receivers
     }
     # one pool for the whole sweep, no larger than the work; map yields in submission order
-    processes = min(workers, len(tasks))
+    processes = min(workers, len(starts))
     if processes > 1 and spec.with_theory and any(
             RECEIVERS[name].primary_theory or RECEIVERS[name].secondary_theory for name in spec.receivers):
         q_function(0.0)  # loads scipy once here: forked workers inherit it

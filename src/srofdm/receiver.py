@@ -2,7 +2,7 @@
 detection, data-aided channel re-estimation (per-subcarrier or time-domain),
 direct/backscatter separation from the preamble, secondary PSK detection, and
 a two-step maximum-likelihood benchmark receiver. A receiver is a chain of
-these stages, named in order and run by `run_algorithm1`.
+these stages, named in order; `run_algorithm1` runs several in one call.
 
 All operations broadcast over leading batch dimensions so a whole block of
 Monte Carlo trials runs through one call.
@@ -335,23 +335,25 @@ def run_ml_benchmark(
     preamble symbols are known; without it every subcarrier is searched and
     every symbol's secondary value is a free candidate (which leaves a sign
     ambiguity when the direct path is absent). A tuple of structures runs
-    as one symbol loop whose free-candidate search serves them all; a known
-    preamble symbol keeps its own one-candidate search. Each candidate set's
-    terms are built once per call. Returns, per structure, its decisions as
-    the DetectionOutput fields they set (all but H_tilde and H_hat, which
-    are the composite response of c_values).
+    as one symbol loop whose free-candidate search serves them all, except
+    at a known preamble symbol: there the pilot structure searches its one
+    candidate, and a view of the free terms serves the no-pilot one. Each
+    candidate set's terms are built once per call. Returns, per structure,
+    its decisions as the DetectionOutput fields they set (all but H_tilde
+    and H_hat, which are the composite response of c_values).
     """
     y = np.asarray(y)
     n_sym, batch = y.shape[-2], y.shape[:-2]
     free = ml_candidates(h_d, h_b, cfg, pilot_structure=pilot_structure)
     known = ([ml_candidates(h_d, h_b, cfg, candidates=[c]) for c in cfg.preamble]
              if any(free.structures) else [])  # one candidate per known preamble symbol
+    nopilot = ([replace(free, pilots=free.pilots[:0], a_p=free.a_p[..., :0], structures=(False,))]
+               if not all(free.structures) else [])  # the free terms, for the no-pilot structure alone
     found = {pilot: (np.empty(batch + (n_sym, cfg.n_data), dtype=np.int64),
                      np.empty(batch + (n_sym,), dtype=np.int64), np.empty(batch + (n_sym,), dtype=complex))
              for pilot in free.structures}  # per structure: s_hat, the candidate picks, c_values
     for m in range(n_sym):
-        # a known preamble symbol's one-candidate search goes last, over the free search's pick
-        for cands in ([free] if m >= len(known) or not all(free.structures) else []) + known[m : m + 1]:
+        for cands in nopilot + known[m : m + 1] if m < len(known) else [free]:
             totals, s_idx = ml_symbol_metrics(y[..., m, :], cands, cfg)
             picks = np.argmin(totals.reshape(totals.shape[:-1] + (len(cands.structures), -1)), axis=-1)
             rows = s_idx.reshape((-1,) + s_idx.shape[-2:])  # one (n_cand, n_searched) per trial
@@ -409,36 +411,18 @@ def _stage(stage: str, obs: FrameObservation, cfg: SystemConfig, taps: int, st: 
 _SEARCHES = {"ml_search": True, "ml_search_nopilot": False}  # each ML search stage's pilot structure
 
 
-def run_algorithm1(obs: FrameObservation, cfg: SystemConfig, stages: tuple, *, taps: int,
-                   memo: Optional[dict] = None) -> DetectionOutput:
-    """Run a receiver's chain of stages over a frame (or batch of frames).
-
-    stages names one variant of each step, in order: composite estimate
-    ("pilot_ls", "true_composite"), primary decisions ("primary"), symbols for
-    re-estimation ("decided", "genie"), re-estimate ("method1", "method2",
-    "no_reestimate"), links ("split", "true_links", "raw_links") and secondary
-    ("project", "ml_search", "ml_search_nopilot"); the ML benchmark needs only
-    links and a search. The paper's Algorithm 1 is ("pilot_ls", "primary",
-    "decided", "method2", "split", "project"). taps is the receiver's model
-    order; a frame whose h_b taps are all zero carries no secondary stream
-    and gets no secondary decisions (c_hat None). memo maps each stage prefix
-    to its values, shared by receivers that run with one memo over the frames.
-    A prefix held as None is one a later receiver runs: an ML search also
-    decides each such search on its links in the same symbol loop, and holds
-    only their decisions there until their receivers read them.
-    """
-    memo = {} if memo is None else memo
-    secondary = np.any(obs.realization.h_b)
-    stages = tuple(s for s in stages if secondary or s != "project")
-    st = {}
-    for i, stage in enumerate(stages):
-        key, links = stages[: i + 1], stages[:i]
-        if memo.get(key) is None and stage in _SEARCHES:
-            wanted = [s for s in _SEARCHES if s == stage or memo.get(links + (s,), ()) is None]
+def _run_chain(obs: FrameObservation, cfg: SystemConfig, chains: list, taps: int, memo: dict,
+               secondary) -> DetectionOutput:
+    """The output of chains[0], from the prefixes memo holds or gains."""
+    stages, st = chains[0], {}
+    for j, stage in enumerate(stages):
+        key, links = stages[: j + 1], stages[:j]
+        if key not in memo and stage in _SEARCHES:  # with every search of chains[1:] on these links
+            wanted = [s for s in _SEARCHES if s == stage or links + (s,) in chains]
             found = run_ml_benchmark(obs.y, cfg, st["H_hat_d"], st["H_hat_b"],
                                      pilot_structure=tuple(_SEARCHES[s] for s in wanted))
             memo.update({links + (s,): {**st, **values} for s, values in zip(wanted, found)})
-        elif memo.get(key) is None:
+        elif key not in memo:
             memo[key] = {**st, **_stage(stage, obs, cfg, taps, st)}
         st = memo[key]
     if "c_values" in st:  # an ML search's composite response, built once its receiver reads it
@@ -446,3 +430,25 @@ def run_algorithm1(obs: FrameObservation, cfg: SystemConfig, stages: tuple, *, t
         st = {**st, "H_tilde": h_hat, "H_hat": h_hat}
     out = DetectionOutput(**{f.name: st.get(f.name) for f in fields(DetectionOutput)})
     return out if secondary else replace(out, c_hat=None)
+
+
+def run_algorithm1(obs: FrameObservation, cfg: SystemConfig, chains, *, taps: int, take) -> None:
+    """Run receivers' chains of stages over a frame (or batch of frames) in
+    order, passing chain i's DetectionOutput to take(i, output) as it ends;
+    one receiver is chains=[stages]. A chain names one variant of each step:
+    composite estimate ("pilot_ls", "true_composite"), primary decisions
+    ("primary"), symbols for re-estimation ("decided", "genie"), re-estimate
+    ("method1", "method2", "no_reestimate"), links ("split", "true_links",
+    "raw_links") and secondary ("project", "ml_search", "ml_search_nopilot");
+    the ML benchmark needs only links and a search. Algorithm 1 of the paper
+    is ("pilot_ls", "primary", "decided", "method2", "split", "project").
+    taps is the model order. A frame whose h_b taps are all zero carries no
+    secondary stream: c_hat is None. A prefix that chains share runs once and
+    is held while a later chain reads it; an ML search also decides the later
+    chains' searches on its links."""
+    secondary = np.any(obs.realization.h_b)
+    chains = [tuple(s for s in stages if secondary or s != "project") for stages in chains]
+    memo = {}  # stage prefix -> its values
+    for i in range(len(chains)):  # chain i's locals die before its take, its output after it
+        take(i, _run_chain(obs, cfg, chains[i:], taps, memo, secondary))
+        memo = {key: v for key, v in memo.items() if any(c[: len(key)] == key for c in chains[i + 1 :])}

@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -657,6 +658,35 @@ class TestDrawOnce:
                          receivers=("perfect_csi", "proposed_m2"))
         with pytest.raises(ScenarioError, match="direct_snr_db = 4000"):
             run_sweep(spec, paper_scenario(), master_seed=1)
+
+    def test_sweep_builds_each_range_as_it_runs(self, monkeypatch):
+        # a 10^8-trial sweep stopped at its second range: a list of every
+        # range's task, built before the first runs, would trace ~78 MiB
+        class Stop(Exception):
+            pass
+
+        ran = []
+
+        def stop_at_second(args):
+            _, points, _, trial_ids, receivers, _ = args
+            ran.append(trial_ids)
+            if len(ran) == 2:
+                raise Stop
+            return [{name: harness.PointResult(point=value) for name in receivers} for value, *_ in points]
+
+        monkeypatch.setattr(harness, "_process_chunk", stop_at_second)
+        spec = SweepSpec(axis="direct_snr_db", points=(12.0, 20.0), trials_per_point=10**8,
+                         receivers=("perfect_csi",), with_theory=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                run_sweep(spec, paper_scenario(), master_seed=7, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunk = harness.CHUNK_TRIALS
+        assert ran == [range(0, chunk), range(chunk, 2 * chunk)]
+        assert peak <= 1 << 20
 
     def test_comb_without_data_subcarrier_fails_before_any_draw(self):
         # ran with numpy RuntimeWarnings and returned NaN primary BER and theory;

@@ -1,5 +1,7 @@
 import warnings
+import weakref
 from dataclasses import fields, replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from srofdm.harness import CHUNK_TRIALS, RECEIVERS, Scenario, apply_axis, draw_f
 from srofdm.numerics import RandomStream, SingularSystemError, draw_cn, partial_fourier, q_function
 from srofdm.receiver import (
     DetectionOutput,
+    FrameObservation,
     PilotEstimator,
     UndetectableSecondaryError,
     _prediction_errors,
@@ -464,9 +467,22 @@ class TestDetectSecondary:
         assert abs(ber - want) <= 3 * se
 
 
-def detect(receiver, obs, cfg, taps, **kw):
+def run_chains(obs, cfg, chains, taps):
+    """The outputs of one run_algorithm1 call over chains, in chain order."""
+    outs = []
+
+    def take(i, out):
+        assert i == len(outs)
+        outs.append(out)
+
+    run_algorithm1(obs, cfg, chains, taps=taps, take=take)
+    return outs
+
+
+def detect(receiver, obs, cfg, taps):
     """One receiver of the table, by name, over obs."""
-    return run_algorithm1(obs, cfg, RECEIVERS[receiver].stages, taps=taps, **kw)
+    [out] = run_chains(obs, cfg, [RECEIVERS[receiver].stages], taps)
+    return out
 
 
 class TestAlgorithm1:
@@ -541,7 +557,7 @@ class TestAlgorithm1:
     def test_unknown_stage_rejected(self):
         cfg, ch, obs, _, _ = noise_free_obs(seed=5)
         with pytest.raises(ValueError, match="unknown receiver stage 'bogus'"):
-            run_algorithm1(obs, cfg, ("pilot_ls", "bogus"), taps=composite_tap_count(ch))
+            run_chains(obs, cfg, [("pilot_ls", "bogus")], composite_tap_count(ch))
 
     def test_receiver_model_order_cap(self):
         # over-length composite response: pilot stage caps at N_p and aliases,
@@ -755,8 +771,8 @@ class TestMlSearchOracle:
         scen = Scenario(system=cfg_with(sigma2=1e-11), chan=ChannelConfig())
         system, chan, _ = apply_axis(scen, "direct_snr_db", 12.0)
         obs = draw_frame_batch(system, chan, master_seed=3, trial_ids=range(256))
-        kw = dict(stages=links + (search,), taps=composite_tap_count(chan))
-        got = run_algorithm1(obs, system, **kw)
+        chains, taps = [links + (search,)], composite_tap_count(chan)
+        [got] = run_chains(obs, system, chains, taps)
         calls = []
 
         def scan(*args):
@@ -764,26 +780,22 @@ class TestMlSearchOracle:
             return exhaustive_ml_symbol_metrics(*args)
 
         monkeypatch.setattr("srofdm.receiver.ml_symbol_metrics", scan)
-        want = run_algorithm1(obs, system, **kw)
+        [want] = run_chains(obs, system, chains, taps)
         assert len(calls) == system.n_max  # one search per symbol, none bypassing the module name
         for name in ("s_hat", "c_hat", "H_tilde", "H_hat", "H_hat_d", "H_hat_b", "n_erased"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_shared_chunk_matches_exhaustive_scan(self, monkeypatch):
-        # both structures on the true links through one memo, as a sweep runs
-        # them: one search per free symbol serves both
+        # both structures on the true links in one call, as a sweep runs them:
+        # one search per free symbol serves both
         scen = Scenario(system=cfg_with(sigma2=1e-11), chan=ChannelConfig())
         system, chan, _ = apply_axis(scen, "direct_snr_db", 12.0)
         obs = draw_frame_batch(system, chan, master_seed=3, trial_ids=range(256))
         chains = [RECEIVERS[name].stages for name in ("ml_perfect", "ml_nopilot")]
         taps = composite_tap_count(chan)
 
-        def shared():
-            memo = dict.fromkeys(chains)  # each chain still to run, as the harness holds them
-            return [run_algorithm1(obs, system, stages, taps=taps, memo=memo) for stages in chains]
-
-        got = shared()
-        alone = [run_algorithm1(obs, system, stages, taps=taps) for stages in chains]
+        got = run_chains(obs, system, chains, taps)
+        alone = [detect(name, obs, system, taps) for name in ("ml_perfect", "ml_nopilot")]
         calls = []
 
         def scan(*args):
@@ -791,10 +803,13 @@ class TestMlSearchOracle:
             return exhaustive_ml_symbol_metrics(*args)
 
         monkeypatch.setattr("srofdm.receiver.ml_symbol_metrics", scan)
-        want = shared()
-        # every symbol's free search for both structures, and each known preamble symbol's own
-        assert calls.count((True, False)) == system.n_max and calls.count((True,)) == system.t_preamble
-        assert len(calls) == system.n_max + system.t_preamble
+        want = run_chains(obs, system, chains, taps)
+        # each free symbol's search for both structures; at a known preamble symbol its own
+        # one-candidate search for the pilot structure and the free terms for the other
+        free, known = system.n_max - system.t_preamble, system.t_preamble
+        assert calls.count((True, False)) == free
+        assert calls.count((False,)) == known and calls.count((True,)) == known
+        assert len(calls) == free + 2 * known
         for g, a, w in zip(got, alone, want):
             for f in fields(DetectionOutput):
                 assert np.array_equal(getattr(g, f.name), getattr(w, f.name)), f.name
@@ -847,8 +862,8 @@ def frame_sizes(draw):
 
 
 class TestStageChains:
-    """The stage chains of RECEIVERS, run through one memo per chunk, give
-    bit for bit what the flag-composed receivers gave."""
+    """The stage chains of RECEIVERS, run in one call per chunk as a sweep
+    runs them, give bit for bit what the flag-composed receivers gave."""
 
     @pytest.mark.parametrize("chan, axis, value", [
         pytest.param(ChannelConfig(), "direct_snr_db", 12.0, id="frequency"),
@@ -882,9 +897,8 @@ class TestStageChains:
         taps = composite_tap_count(chan, xi)
         with_link = chan.backscatter_model != "none"  # the config's fact; run_algorithm1 reads the frame
         assert set(FLAG_RECEIVERS) == set(RECEIVERS)
-        memo = {}
-        for name, flag_receiver in FLAG_RECEIVERS.items():
-            got = detect(name, obs, system, taps, memo=memo)
+        outs = run_chains(obs, system, [RECEIVERS[name].stages for name in FLAG_RECEIVERS], taps)
+        for (name, flag_receiver), got in zip(FLAG_RECEIVERS.items(), outs):
             want = flag_receiver(obs, system, taps, with_link)
             for f in fields(DetectionOutput):
                 assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (name, f.name)
@@ -904,7 +918,7 @@ class TestTrueComposite:
     def test_frequency_path_reads_the_carried_response(self):
         system, chan, _ = _paper_point("direct_snr_db", 20.0)
         obs = draw_frame_batch(system, chan, master_seed=7, trial_ids=range(4))
-        out = run_algorithm1(obs, system, ("true_composite",), taps=composite_tap_count(chan))
+        [out] = run_chains(obs, system, [("true_composite",)], composite_tap_count(chan))
         real = obs.realization
         want = composite_response(real.H_d, real.H_b, obs.c_values)
         assert out.H_tilde is obs.H
@@ -915,13 +929,13 @@ class TestTrueComposite:
         system, chan, _ = _paper_point("sync_error_samples", xi)
         obs = draw_frame_batch(system, chan, master_seed=7, trial_ids=range(4), xi=xi, path="sample")
         assert obs.H is None
-        out = run_algorithm1(obs, system, ("true_composite",), taps=composite_tap_count(chan, xi))
+        out, links = run_chains(obs, system, [("true_composite",), ("true_links",)],
+                                composite_tap_count(chan, xi))
         real = obs.realization
         phase = np.exp(-2j * np.pi * np.arange(system.n) * xi / system.n)
         want = composite_response(real.H_d, real.H_b * phase, obs.c_values)
         assert (out.H_tilde.shape, out.H_tilde.tobytes()) == (want.shape, want.tobytes())
         assert not np.array_equal(out.H_tilde, composite_response(real.H_d, real.H_b, obs.c_values))
-        links = run_algorithm1(obs, system, ("true_links",), taps=composite_tap_count(chan, xi))
         want_b = np.broadcast_to(real.H_b * phase, (4, system.n))
         assert (links.H_hat_b.shape, links.H_hat_b.tobytes()) == (want_b.shape, want_b.tobytes())
 
@@ -948,9 +962,7 @@ class TestBatchInvariance:
 
         def run(trial_ids):
             obs = draw_frame_batch(system, chan, 7, trial_ids, xi=xi, path=path)
-            memo = {}
-            return {name: run_algorithm1(obs, system, spec.stages, taps=taps, memo=memo)
-                    for name, spec in RECEIVERS.items()}
+            return dict(zip(RECEIVERS, run_chains(obs, system, [s.stages for s in RECEIVERS.values()], taps)))
 
         chunk = run(range(CHUNK_TRIALS))
         for k in range(CHUNK_TRIALS):
@@ -958,3 +970,81 @@ class TestBatchInvariance:
                 for f in fields(DetectionOutput):
                     want = np.asarray(getattr(chunk[name], f.name))[k]
                     assert np.array_equal(np.asarray(getattr(alone, f.name))[0], want), (k, name, f.name)
+
+
+# the frames receiver orders are checked on: the frequency path, the sample
+# path at a sync error of 3 samples, a blocked direct link and no backscatter
+ORDER_FRAMES = {
+    "frequency": (ChannelConfig(), "direct_snr_db", 12.0),
+    "sample_xi3": (ChannelConfig(), "sync_error_samples", 3.0),
+    "no_direct": (ChannelConfig(direct_model="none"), "backscatter_snr_db", 20.0),
+    "no_backscatter": (ChannelConfig(backscatter_model="none"), "direct_snr_db", 20.0),
+}
+
+
+@cache
+def order_frame(name):
+    """(obs, system, taps, {receiver: its output run alone}) of 8 trials
+    drawn for an ORDER_FRAMES entry."""
+    chan, axis, value = ORDER_FRAMES[name]
+    scen = Scenario(system=cfg_with(sigma2=1e-11), chan=chan, backscatter_snr_db=20.0)
+    system, chan, xi = apply_axis(scen, axis, value)
+    path = "sample" if axis == "sync_error_samples" else "frequency"
+    obs = draw_frame_batch(system, chan, master_seed=9, trial_ids=range(8), xi=xi, path=path)
+    taps = composite_tap_count(chan, xi)
+    return obs, system, taps, {r: detect(r, obs, system, taps) for r in RECEIVERS}
+
+
+def as_bits(value):
+    """What bit equality compares: None, or an array's dtype, shape and bytes."""
+    return None if value is None else (np.asarray(value).dtype, np.shape(value), np.asarray(value).tobytes())
+
+
+def with_bases(arrays):
+    """The arrays and every array their views are taken of."""
+    for a in arrays:
+        while isinstance(a, np.ndarray):
+            yield a
+            a = a.base
+
+
+class TestOneCall:
+    """What one run_algorithm1 call over several chains shares between them
+    changes no output, and holds no stage value past its last reader."""
+
+    @given(frame=st.sampled_from(sorted(ORDER_FRAMES)), order=st.permutations(sorted(RECEIVERS)),
+           count=st.integers(1, len(RECEIVERS)))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_any_order_and_subset_equals_each_alone(self, frame, order, count):
+        obs, system, taps, alone = order_frame(frame)
+        names = order[:count]
+        for name, got in zip(names, run_chains(obs, system, [RECEIVERS[r].stages for r in names], taps)):
+            for f in fields(DetectionOutput):
+                assert as_bits(getattr(got, f.name)) == as_bits(getattr(alone[name], f.name)), (name, f.name)
+
+    @pytest.mark.parametrize("receivers", [
+        pytest.param(("perfect_csi", "proposed_m1", "proposed_m2"), id="headline"),
+        pytest.param(("ml_perfect", "ml_estimated", "ml_nopilot"), id="ml"),
+    ])
+    def test_stage_values_die_with_their_last_reader(self, receivers):
+        # when take(i, .) runs, output i - 1's arrays live on only where
+        # output i or the observation holds them
+        system, chan, _ = _paper_point("direct_snr_db", 12.0)
+        obs = draw_frame_batch(system, chan, master_seed=7, trial_ids=range(16))
+        held = [getattr(obs, f.name) for f in fields(FrameObservation)]
+        held += [getattr(obs.realization, f.name) for f in fields(obs.realization)]
+        last = []  # (field, weak reference) of the last output's arrays
+
+        def lingering(current):
+            kept = {id(a) for a in with_bases(current + held)}
+            return [name for name, ref in last if ref() is not None and id(ref()) not in kept]
+
+        def take(i, out):
+            current = [getattr(out, f.name) for f in fields(DetectionOutput)]
+            assert lingering(current) == [], (receivers[i - 1], "outlives its last reader")
+            last[:] = [(f.name, weakref.ref(a)) for f, a in zip(fields(DetectionOutput), current)
+                       if isinstance(a, np.ndarray)]
+
+        run_algorithm1(obs, system, [RECEIVERS[r].stages for r in receivers],
+                       taps=composite_tap_count(chan), take=take)
+        assert lingering([]) == []

@@ -357,8 +357,10 @@ class TestSecondaryClosedForms:
                 nblk, cfg.n_max, cfg.n
             )
             obs = observe(s, c, real, cfg, noise=u)
-            out = run_algorithm1(obs, cfg, RECEIVERS["proposed_m2_genie"].stages, taps=taps)
-            errors += int(np.sum(cfg.psk.bit_errors(c_idx, out.c_hat)))
+            outs = []
+            run_algorithm1(obs, cfg, [RECEIVERS["proposed_m2_genie"].stages], taps=taps,
+                           take=lambda i, out: outs.append(out))
+            errors += int(np.sum(cfg.psk.bit_errors(c_idx, outs[0].c_hat)))
             bits += c_idx.size * cfg.psk.bits_per_symbol
         return errors / bits
 
